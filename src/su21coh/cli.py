@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -32,9 +33,33 @@ def _parse_k_spec(text: str) -> list[int]:
 
 def _parse_jmax(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except ValueError:
+        j = Fraction(text)
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad j-max {text!r} (use e.g. 5/2)") from None
+    if j < 0 or (2 * j).denominator != 1:
+        raise argparse.ArgumentTypeError(f"j-max must be a nonnegative half-integer, got {text!r}")
+    return j
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text!r}")
+    return tol
+
+
+def _write(path: str, text: str) -> bool:
+    """Write text to path; on failure say so on stderr and return False."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _emit(args, command: str, params: dict, results: list[CheckResult]) -> int:
@@ -49,9 +74,8 @@ def _emit(args, command: str, params: dict, results: list[CheckResult]) -> int:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = f"== {command} {params}\n" + summarize(results, verbose=args.verbose) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    if args.out and not _write(args.out, text):
+        return 2
     sys.stdout.write(text)
     return 0 if ok else 1
 
@@ -86,12 +110,8 @@ def cmd_export_generators(args) -> int:
         },
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+    if not _write(args.out, text):
+        return 2
     print(f"wrote generators for k={k} to {args.out}")
     return 0
 
@@ -181,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-max", type=_parse_jmax, default=Fraction(5, 2))
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_parse_tol, default=1e-6)
     p.add_argument("--thm37-variant", choices=("auto", "plus1", "plus2"), default="auto")
     p.set_defaults(func=cmd_oracle)
 
@@ -193,8 +213,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "samples", 1) <= 0:
         parser.error("--samples must be positive")
-    if getattr(args, "tol", 1.0) <= 0:
-        parser.error("--tol must be positive")
     return args.func(args)
 
 

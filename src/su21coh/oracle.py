@@ -6,6 +6,10 @@ numerical Iwasawa decomposition, and validates the exact raising/lowering
 operators by central finite differences.  Also provides a quadrature check
 of pairwise orthogonality under the normalized invariant measure.
 
+The numeric routines work on arrays: Euler coordinates may be arrays of any
+(broadcastable) shape, and group elements may be stacks (..., 3, 3).  A
+single point is the one-point case and returns plain Python numbers.
+
 Everything here is deliberately independent of the exact engine: the only
 shared input is the list of generator matrices, which are read off from the
 exact module and converted to machine numbers.
@@ -20,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import lie
 from .lie import L_GENS, P_GENS, LieGen
@@ -59,52 +62,78 @@ _G_REAL_BASIS = [m.to_numpy() for m in lie.U_REAL_BASIS + lie.Y_BASIS]
 @dataclass(frozen=True)
 class EulerAngles:
     """Coordinates on U(2): zeta in R, phi in (-pi, pi], theta in [0, pi],
-    psi in (-pi, 3pi]."""
+    psi in (-pi, 3pi].  Each field is a float, or an array when the
+    coordinates describe a batch of points (the four broadcast together)."""
 
-    zeta: float
-    phi: float
-    theta: float
-    psi: float
+    zeta: float | np.ndarray
+    phi: float | np.ndarray
+    theta: float | np.ndarray
+    psi: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class IwasawaFactors:
+    """g = kappa * (a n)^gamma; for a stack of g every field is stacked."""
+
     kappa: np.ndarray  # compact factor, block shape diag(U, det(U)^-1)
-    r: float  # split-torus coordinate, > 0
-    nu: complex  # unipotent coordinate
-    s: float  # imaginary part of the corner entry
+    r: float | np.ndarray  # split-torus coordinate, > 0
+    nu: complex | np.ndarray  # unipotent coordinate
+    s: float | np.ndarray  # imaginary part of the corner entry
 
 
-def u2_from_angles(e: EulerAngles) -> np.ndarray:
-    """The 2x2 unitary with the given Euler coordinates."""
-    c, s = math.cos(e.theta / 2), math.sin(e.theta / 2)
-    z = cmath.exp(-0.5j * e.zeta)
-    return z * np.array(
-        [
-            [cmath.exp(-0.5j * (e.phi + e.psi)) * c, -cmath.exp(0.5j * (e.phi - e.psi)) * s],
-            [cmath.exp(0.5j * (e.psi - e.phi)) * s, cmath.exp(0.5j * (e.phi + e.psi)) * c],
-        ]
+def _scalar(x):
+    """A zero-dimensional result as a Python number; arrays pass through."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
+def _det3(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 3x3 matrices by cofactor expansion."""
+    return (
+        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
     )
 
 
+def _first_bad(bad: np.ndarray) -> tuple[tuple, str]:
+    """Index of the first flagged point of a stack, and an error-message
+    suffix naming it (empty for a single matrix)."""
+    i = tuple(int(x) for x in np.argwhere(bad)[0])
+    return i, f" at point {i}" if i else ""
+
+
+def u2_from_angles(e: EulerAngles) -> np.ndarray:
+    """The 2x2 unitaries (..., 2, 2) with the given Euler coordinates."""
+    zeta, phi, theta, psi = np.broadcast_arrays(e.zeta, e.phi, e.theta, e.psi)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    z = np.exp(-0.5j * zeta)
+    u = np.empty(zeta.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = z * np.exp(-0.5j * (phi + psi)) * c
+    u[..., 0, 1] = -z * np.exp(0.5j * (phi - psi)) * s
+    u[..., 1, 0] = z * np.exp(0.5j * (psi - phi)) * s
+    u[..., 1, 1] = z * np.exp(0.5j * (phi + psi)) * c
+    return u
+
+
 def k_from_angles(e: EulerAngles) -> np.ndarray:
-    """The corresponding 3x3 compact-group element diag(U, det(U)^-1)."""
+    """The corresponding compact-group elements diag(U, det(U)^-1)."""
     u = u2_from_angles(e)
-    out = np.zeros((3, 3), dtype=complex)
-    out[:2, :2] = u
-    out[2, 2] = 1.0 / np.linalg.det(u)
+    out = np.zeros(u.shape[:-2] + (3, 3), dtype=complex)
+    out[..., :2, :2] = u
+    out[..., 2, 2] = 1.0 / (u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0])
     return out
 
 
-def membership_residual(g: np.ndarray) -> float:
-    """Distance from the defining equations: conj(g)^T J g = J, det g = 1."""
+def membership_residual(g: np.ndarray):
+    """Distance from the defining equations: conj(g)^T J g = J, det g = 1
+    (one value per matrix of a stack)."""
     g = np.asarray(g, dtype=complex)
-    form = g.conj().T @ J_DIAG_NP @ g - J_DIAG_NP
-    return max(float(np.abs(form).max()), abs(np.linalg.det(g) - 1.0))
+    form = np.swapaxes(g.conj(), -1, -2) @ J_DIAG_NP @ g - J_DIAG_NP
+    return _scalar(np.maximum(np.abs(form).max(axis=(-2, -1)), np.abs(_det3(g) - 1.0)))
 
 
 # ---------------------------------------------------------------------------
-# Jacobi polynomials and matrix-coefficient evaluation.
+# Matrix-coefficient evaluation.
 # ---------------------------------------------------------------------------
 
 
@@ -116,37 +145,6 @@ def gbinom(n: int, r: int) -> int:
     for t in range(r):
         num *= n - t
     return num // math.factorial(r)
-
-
-def jacobi(alpha: int, beta: int, c: int, x: float) -> float:
-    """Jacobi polynomial P_c^(alpha,beta)(x) by the explicit finite sum,
-    valid for the (possibly negative) integer parameters arising from
-    matrix-coefficient indices."""
-    if c < 0:
-        raise ValueError("degree must be nonnegative")
-    total = 0.0
-    for s in range(c + 1):
-        coeff = gbinom(c + alpha, c - s) * gbinom(c + beta, s)
-        if coeff:
-            total += coeff * ((x - 1.0) / 2.0) ** s * ((x + 1.0) / 2.0) ** (c - s)
-    return total
-
-
-def jacobi_recurrence(alpha: int, beta: int, c: int, x: float) -> float:
-    """Three-term recurrence evaluation, for alpha, beta >= 0 (test oracle)."""
-    if alpha < 0 or beta < 0:
-        raise ValueError("recurrence oracle requires alpha, beta >= 0")
-    p_prev = 1.0
-    if c == 0:
-        return p_prev
-    p = (alpha + 1) + (alpha + beta + 2) * (x - 1.0) / 2.0
-    for n in range(2, c + 1):
-        a1 = 2 * n * (n + alpha + beta) * (2 * n + alpha + beta - 2)
-        a2 = (2 * n + alpha + beta - 1) * (alpha * alpha - beta * beta)
-        a3 = (2 * n + alpha + beta - 1) * (2 * n + alpha + beta) * (2 * n + alpha + beta - 2)
-        a4 = 2 * (n + alpha - 1) * (n + beta - 1) * (2 * n + alpha + beta)
-        p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
-    return p
 
 
 @lru_cache(maxsize=None)
@@ -181,45 +179,34 @@ def _theta_terms(j2: int, m12: int, m22: int) -> tuple[tuple[float, int, int], .
     return tuple(terms)
 
 
-def eval_wigner(idx: WignerIndex, e: EulerAngles) -> complex:
+def eval_wigner(idx: WignerIndex, e: EulerAngles):
     """Value of the matrix-coefficient function named by idx at the given
-    Euler coordinates."""
+    Euler coordinates: a complex number at one point, an array of the
+    broadcast shape of the coordinates otherwise.
+
+    The phase is a product of one exponential per angle, so on a product
+    grid (coordinates broadcast along different axes) each exponential is
+    taken on its own axis only.
+    """
     j2, n2, m12, m22 = idx.doubled()
     if not idx.structurally_valid():
         raise ValueError(f"invalid index {idx}")
-    sh, ch = math.sin(e.theta / 2), math.cos(e.theta / 2)
+    sh, ch = np.sin(e.theta / 2), np.cos(e.theta / 2)
     profile = sum(c * sh**es * ch**ec for c, es, ec in _theta_terms(j2, m12, m22))
-    phase = cmath.exp(0.5j * (n2 * e.zeta + m12 * e.psi + m22 * e.phi))
-    return phase * profile
-
-
-def eval_wigner_literal(idx: WignerIndex, e: EulerAngles) -> complex:
-    """The printed formula, evaluated literally through `jacobi` (used to
-    cross-check the regrouped evaluation away from theta in {0, pi})."""
-    j2, n2, m12, m22 = idx.doubled()
-    jp, jm = (j2 + m12) // 2, (j2 - m12) // 2
-    kp, km = (j2 + m22) // 2, (j2 - m22) // 2
-    dm, dp = (m12 - m22) // 2, (m12 + m22) // 2
-    c_norm = math.sqrt(math.factorial(jp) * math.factorial(jm)) * math.sqrt(
-        math.factorial(kp) * math.factorial(km)
+    phase = (
+        np.exp(0.5j * n2 * e.zeta) * np.exp(0.5j * m12 * e.psi) * np.exp(0.5j * m22 * e.phi)
     )
-    sh, ch = math.sin(e.theta / 2), math.cos(e.theta / 2)
-    d_val = (
-        sh**dm
-        * ch**dp
-        / (math.factorial(kp) * math.factorial(km))
-        * jacobi(dm, dp, jm, math.cos(e.theta))
-    )
-    phase = cmath.exp(0.5j * (n2 * e.zeta + m12 * e.psi + m22 * e.phi))
-    return c_norm * phase * d_val
+    return _scalar(phase * profile)
 
 
 def wigner_matrix(j2: int, n2: int, e: EulerAngles) -> np.ndarray:
-    """Matrix of coefficient values over m1 (rows) and m2 (columns)."""
+    """Matrix of coefficient values over m1 (rows) and m2 (columns); for
+    array coordinates a stack (..., 2j+1, 2j+1)."""
     ms = range(-j2, j2 + 1, 2)
-    return np.array(
+    vals = np.array(
         [[eval_wigner(WignerIndex.of(j2, n2, m12, m22), e) for m22 in ms] for m12 in ms]
     )
+    return np.moveaxis(vals, (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -227,37 +214,42 @@ def wigner_matrix(j2: int, n2: int, e: EulerAngles) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _wrap_psi(x: float) -> float:
+def _wrap_psi(x):
     return (x + math.pi) % FOUR_PI - math.pi
 
 
 def euler_from_k(kappa: np.ndarray, tol: float = 1e-8) -> EulerAngles:
-    """Invert the Euler parametrization on the compact subgroup.
+    """Invert the Euler parametrization on the compact subgroup, for one
+    matrix or a stack; every matrix must pass the block-shape check.
 
     Convention at the degenerate angles theta in {0, pi}: phi is set to 0 and
     psi absorbs the free phase.
     """
     kappa = np.asarray(kappa, dtype=complex)
-    off = max(abs(kappa[0, 2]), abs(kappa[1, 2]), abs(kappa[2, 0]), abs(kappa[2, 1]))
-    u = kappa[:2, :2]
-    unit = float(np.abs(u.conj().T @ u - np.eye(2)).max())
-    if off > tol or unit > tol or abs(np.linalg.det(kappa) - 1.0) > tol:
-        raise NotInK(f"not in the compact subgroup (residual {max(off, unit):.2e})")
-    det_u = np.linalg.det(u)
-    zeta = -cmath.phase(det_u)
-    s_mat = cmath.exp(0.5j * zeta) * u
-    c_abs, s_abs = abs(s_mat[0, 0]), abs(s_mat[1, 0])
-    theta = 2.0 * math.atan2(s_abs, c_abs)
-    if s_abs < 1e-13:
-        return EulerAngles(zeta, 0.0, theta, _wrap_psi(-2.0 * cmath.phase(s_mat[0, 0])))
-    if c_abs < 1e-13:
-        return EulerAngles(zeta, 0.0, theta, _wrap_psi(2.0 * cmath.phase(s_mat[1, 0])))
-    a = cmath.phase(s_mat[0, 0])
-    b = cmath.phase(s_mat[1, 0])
+    off = np.abs(kappa[..., [0, 1, 2, 2], [2, 2, 0, 1]]).max(axis=-1)
+    u = kappa[..., :2, :2]
+    unit = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(2)).max(axis=(-2, -1))
+    bad = ~((off <= tol) & (unit <= tol) & (np.abs(_det3(kappa) - 1.0) <= tol))
+    if bad.any():
+        i, where = _first_bad(bad)
+        raise NotInK(
+            f"not in the compact subgroup{where} (residual {max(off[i], unit[i]):.2e})"
+        )
+    det_u = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
+    zeta = -np.angle(det_u)
+    rot = np.exp(0.5j * zeta)
+    top, bottom = rot * u[..., 0, 0], rot * u[..., 1, 0]
+    c_abs, s_abs = np.abs(top), np.abs(bottom)
+    theta = 2.0 * np.arctan2(s_abs, c_abs)
+    a, b = np.angle(top), np.angle(bottom)
     phi0, psi0 = -a - b, b - a
     # shift phi into (-pi, pi]; psi must shift by the same multiple of 2*pi
-    m = math.floor((math.pi - phi0) / TWO_PI)
-    return EulerAngles(zeta, phi0 + TWO_PI * m, theta, _wrap_psi(psi0 + TWO_PI * m))
+    m = np.floor((math.pi - phi0) / TWO_PI)
+    theta_zero, theta_pi = s_abs < 1e-13, c_abs < 1e-13
+    degenerate = theta_zero | theta_pi
+    phi = np.where(degenerate, 0.0, phi0 + TWO_PI * m)
+    psi = np.where(theta_zero, -2.0 * a, np.where(theta_pi, 2.0 * b, psi0 + TWO_PI * m))
+    return EulerAngles(_scalar(zeta), _scalar(phi), _scalar(theta), _scalar(_wrap_psi(psi)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +257,24 @@ def euler_from_k(kappa: np.ndarray, tol: float = 1e-8) -> EulerAngles:
 # ---------------------------------------------------------------------------
 
 
-def a_matrix(r: float) -> np.ndarray:
-    return np.diag([r, 1.0, 1.0 / r]).astype(complex)
+def a_matrix(r) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    out = np.zeros(r.shape + (3, 3), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1], out[..., 2, 2] = r, 1.0, 1.0 / r
+    return out
 
 
-def n_matrix(nu: complex, s: float) -> np.ndarray:
+def n_matrix(nu, s) -> np.ndarray:
     """Unipotent factor in the antidiagonal model.  Preservation of the form
     forces the (1,2) entry to be -conj(nu) and the real part of the corner
     to be -|nu|^2/2."""
-    xi = -abs(nu) ** 2 / 2.0 + 1j * s
-    return np.array([[1, -np.conj(nu), xi], [0, 1, nu], [0, 0, 1]], dtype=complex)
+    nu, s = np.broadcast_arrays(np.asarray(nu, dtype=complex), np.asarray(s, dtype=float))
+    out = np.zeros(nu.shape + (3, 3), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = out[..., 2, 2] = 1.0
+    out[..., 0, 1] = -np.conj(nu)
+    out[..., 0, 2] = -np.abs(nu) ** 2 / 2.0 + 1j * s
+    out[..., 1, 2] = nu
+    return out
 
 
 def m_matrix(t: float) -> np.ndarray:
@@ -282,29 +282,29 @@ def m_matrix(t: float) -> np.ndarray:
     return np.diag([cmath.exp(1j * t), cmath.exp(-2j * t), cmath.exp(1j * t)])
 
 
-def an_gamma(r: float, nu: complex = 0.0, s: float = 0.0) -> np.ndarray:
+def an_gamma(r, nu=0.0, s=0.0) -> np.ndarray:
     """The Borel factor transported to the diagonal model."""
     return GAMMA_NP @ (a_matrix(r) @ n_matrix(nu, s)) @ GAMMA_NP
 
 
 def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Modified Gram-Schmidt with positive real diagonal of R."""
-    a = np.array(a, dtype=complex)
-    n = a.shape[0]
+    """Modified Gram-Schmidt with positive real diagonal of R, on a stack."""
+    n = a.shape[-1]
     q = np.zeros_like(a)
     r = np.zeros_like(a)
     for i in range(n):
-        v = a[:, i].copy()
+        v = a[..., :, i].copy()
         for k in range(i):
-            r[k, i] = np.vdot(q[:, k], v)
-            v -= r[k, i] * q[:, k]
-        r[i, i] = np.linalg.norm(v)
-        q[:, i] = v / r[i, i]
+            r[..., k, i] = (q[..., :, k].conj() * v).sum(axis=-1)
+            v -= r[..., k, i, None] * q[..., :, k]
+        r[..., i, i] = np.sqrt((v.real**2 + v.imag**2).sum(axis=-1))
+        q[..., :, i] = v / r[..., i, i, None]
     return q, r
 
 
 def iwasawa(g: np.ndarray, tol: float = 1e-8) -> IwasawaFactors:
-    """Factor g = kappa * (a n)^gamma with kappa compact.
+    """Factor g = kappa * (a n)^gamma with kappa compact, for one matrix or
+    a stack; every matrix must pass every check.
 
     Transport to the antidiagonal model (where the Borel is upper
     triangular), QR-factorize there, and transport the unitary factor back.
@@ -312,21 +312,33 @@ def iwasawa(g: np.ndarray, tol: float = 1e-8) -> IwasawaFactors:
     decomposition failure.
     """
     g = np.asarray(g, dtype=complex)
-    if membership_residual(g) > tol:
-        raise NotInGroup(f"membership residual {membership_residual(g):.2e} > {tol}")
+    resid = np.asarray(membership_residual(g))
+    bad = ~(resid <= tol)
+    if bad.any():
+        i, where = _first_bad(bad)
+        raise NotInGroup(f"membership residual{where} {resid[i]:.2e} > {tol}")
     q, rr = _qr_positive(GAMMA_NP @ g @ GAMMA_NP)
-    r = rr[0, 0].real
-    if abs(rr[1, 1] - 1.0) > tol or abs(rr[2, 2] - 1.0 / r) > tol:
-        raise DecompositionFailure(f"triangular diagonal {np.diag(rr)} not (r, 1, 1/r)")
-    nu = rr[1, 2]
-    xi = rr[0, 2] / r
-    if abs(rr[0, 1] / r + np.conj(nu)) > tol or abs(xi.real + abs(nu) ** 2 / 2) > tol:
-        raise DecompositionFailure("unipotent factor fails its consistency relations")
+    r = rr[..., 0, 0].real
+    bad = ~((np.abs(rr[..., 1, 1] - 1.0) <= tol) & (np.abs(rr[..., 2, 2] - 1.0 / r) <= tol))
+    if bad.any():
+        i, where = _first_bad(bad)
+        diag = np.diagonal(rr, axis1=-2, axis2=-1)[i]
+        raise DecompositionFailure(f"triangular diagonal{where} {diag} not (r, 1, 1/r)")
+    nu = rr[..., 1, 2]
+    xi = rr[..., 0, 2] / r
+    bad = ~(
+        (np.abs(rr[..., 0, 1] / r + np.conj(nu)) <= tol)
+        & (np.abs(xi.real + np.abs(nu) ** 2 / 2) <= tol)
+    )
+    if bad.any():
+        raise DecompositionFailure(
+            f"unipotent factor{_first_bad(bad)[1]} fails its consistency relations"
+        )
     kappa = GAMMA_NP @ q @ GAMMA_NP
-    return IwasawaFactors(kappa=kappa, r=float(r), nu=complex(nu), s=float(xi.imag))
+    return IwasawaFactors(kappa=kappa, r=_scalar(r), nu=_scalar(nu), s=_scalar(xi.imag))
 
 
-def eval_section(idx: WignerIndex, k: int, g: np.ndarray) -> complex:
+def eval_section(idx: WignerIndex, k: int, g: np.ndarray):
     """Extension of the compact matrix coefficient to the whole group through
     the Iwasawa decomposition: the Borel factor contributes r^(-3), the
     unipotent part nothing."""
@@ -334,6 +346,70 @@ def eval_section(idx: WignerIndex, k: int, g: np.ndarray) -> complex:
         raise ValueError(f"{idx} not admissible for k={k}")
     fac = iwasawa(g)
     return fac.r ** (-3) * eval_wigner(idx, euler_from_k(fac.kappa))
+
+
+# ---------------------------------------------------------------------------
+# Matrix exponential.
+# ---------------------------------------------------------------------------
+
+# Coefficients b_0..b_m of the [m/m] Pade approximant to exp, and the 1-norm
+# bounds theta_m below which degree m needs no scaling for double precision
+# (Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3).
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152
+
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """The [m/m] Pade approximant to exp on a stack, r = (v - u)^-1 (v + u)."""
+    b = _PADE[m]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:
+        powers = [eye, a2]  # even powers a^0 .. a^(m-1)
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * i + 1] * p for i, p in enumerate(powers))
+        v = sum(b[2 * i] * p for i, p in enumerate(powers))
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of one matrix or a stack (..., n, n) by scaling and
+    squaring (Higham 2005, Algorithm 2.3).  The Pade degree follows the
+    largest 1-norm in the stack; above theta_13 each matrix is scaled by its
+    own power of two and squared back."""
+    a = np.asarray(a)
+    shape = a.shape
+    a = a.reshape((-1,) + shape[-2:]).astype(np.result_type(a.dtype, float))
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    largest = norms.max(initial=0.0)
+    for m, theta in _THETA:
+        if largest <= theta:
+            return _pade(a, m).reshape(shape)
+    s = np.ceil(np.log2(np.maximum(norms, _THETA_13) / _THETA_13)).astype(int)
+    r = _pade(a / np.exp2(s)[:, None, None], 13)
+    for i in range(s.max()):
+        sq = s > i
+        r[sq] = r[sq] @ r[sq]
+    return r.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +451,15 @@ def real_imag_parts(x) -> tuple[np.ndarray, np.ndarray | None]:
     return a, b
 
 
-def _stencil(direction: np.ndarray, g: np.ndarray, h: float):
-    """Group points and weights of one Richardson-extrapolated central
-    difference along a real direction."""
-    pts = []
+def _stencil(direction: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left translations (4, 3, 3) and weights (4,) of one
+    Richardson-extrapolated central difference along a real direction:
+    d/dt f(exp(-t X) g) at 0 is about sum_i w_i f(steps_i g)."""
+    ts, weights = [], []
     for hh, rw in ((h, -1.0 / 3.0), (h / 2, 4.0 / 3.0)):
-        step = expm(-hh * direction)
-        pts.append((step @ g, rw / (2 * hh)))
-        pts.append((np.linalg.inv(step) @ g, -rw / (2 * hh)))
-    return pts
+        ts += [-hh, hh]
+        weights += [rw / (2 * hh), -rw / (2 * hh)]
+    return expm(np.multiply.outer(ts, direction)), np.array(weights)
 
 
 def fd_derivative(f, x, g: np.ndarray, h: float = 1e-3) -> complex:
@@ -395,19 +471,25 @@ def fd_derivative(f, x, g: np.ndarray, h: float = 1e-3) -> complex:
     for direction, weight in ((a, 1.0), (b, 1j)):
         if direction is None:
             continue
-        total += weight * sum(w * f(p) for p, w in _stencil(direction, g, h))
+        steps, ws = _stencil(direction, h)
+        total += weight * sum(w * f(step @ g) for step, w in zip(steps, ws))
     return total
 
 
+def random_group_points(seeds) -> np.ndarray:
+    """Stack of exp(z), one per seed (an integer or a Generator), for
+    pseudo-random z in the real form with norm <= 1."""
+    coeffs = np.array(
+        [np.random.default_rng(seed).uniform(-1.0, 1.0, size=8) for seed in seeds]
+    )
+    z = sum(c[:, None, None] * b for c, b in zip(coeffs.T, _G_REAL_BASIS))
+    nrm = np.sqrt((np.abs(z) ** 2).sum(axis=(-2, -1)))
+    return expm(z / np.maximum(nrm, 1.0)[:, None, None])
+
+
 def random_group_point(seed) -> np.ndarray:
-    """exp of a pseudo-random element of the real form with norm <= 1."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    coeffs = rng.uniform(-1.0, 1.0, size=8)
-    z = sum(c * b for c, b in zip(coeffs, _G_REAL_BASIS))
-    nrm = np.linalg.norm(z)
-    if nrm > 1.0:
-        z /= nrm
-    return expm(z)
+    """The one-point case of `random_group_points`."""
+    return random_group_points([seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -415,41 +497,78 @@ def random_group_point(seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _decompose_for_eval(g: np.ndarray) -> tuple[EulerAngles, float]:
+def _decompose_for_eval(g: np.ndarray) -> tuple[EulerAngles, np.ndarray]:
     fac = iwasawa(g)
     return euler_from_k(fac.kappa), fac.r ** (-3)
+
+
+def _read_only(*arrays) -> None:
+    """Freeze arrays that a cache hands to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
+@lru_cache(maxsize=16)
+def _sweep_base(seed: int, samples: int) -> tuple[np.ndarray, EulerAngles, np.ndarray]:
+    """The seeded base points of a sweep with their Euler coordinates and
+    r^(-3) factors."""
+    g = random_group_points(1_000_003 * seed + i for i in range(samples))
+    angles, rm3 = _decompose_for_eval(g)
+    _read_only(g, rm3, *vars(angles).values())
+    return g, angles, rm3
+
+
+@lru_cache(maxsize=64)
+def _sweep_stencils(gen: LieGen, seed: int, samples: int) -> tuple[EulerAngles, np.ndarray]:
+    """Decomposed stencil points (samples, P) around the base points of a
+    sweep, and their weights with the complex combination of the
+    generator's real parts and the r^(-3) factors folded in."""
+    g = _sweep_base(seed, samples)[0]
+    steps, weights = [], []
+    for direction, weight in zip(real_imag_parts(gen), (1.0, 1j)):
+        if direction is None:
+            continue
+        st, ws = _stencil(direction, 1e-3)
+        steps.append(st)
+        weights.append(weight * ws)
+    angles, rm3 = _decompose_for_eval(np.concatenate(steps) @ g[:, None])
+    weights = np.concatenate(weights) * rm3
+    _read_only(weights, *vars(angles).values())
+    return angles, weights
 
 
 def _fd_sweep(k, j_max, samples, tol, seed, gens, act_fn, label) -> list[CheckResult]:
     """Compare the exact operator prediction against finite differences for
     every admissible index with j <= j_max, every generator in gens, at
     `samples` seeded random group points.  One result row per (generator,
-    index) with the max relative error over the points."""
+    index) with the max relative error over the points; a sweep over no
+    index is a single failing row."""
     indices = list(admissible_indices(k, j_max))
-    base = [random_group_point(1_000_003 * seed + i) for i in range(samples)]
-    base_eval = [_decompose_for_eval(g) for g in base]
+    if not indices:
+        return [
+            CheckResult(
+                name=f"{label}[k={k}] admissible indices with j <= {j_max}",
+                passed=False,
+                detail="empty sweep: no index to compare",
+                params={"k": k},
+            )
+        ]
+    _, base_angles, base_rm3 = _sweep_base(seed, samples)
+    base_values: dict[WignerIndex, np.ndarray] = {}
+
+    def at_base(tgt):
+        if tgt not in base_values:
+            base_values[tgt] = eval_wigner(tgt, base_angles)
+        return base_values[tgt]
+
     results = []
     for gen in gens:
-        a, b = real_imag_parts(gen)
-        stencils = []
-        for g in base:
-            pts = []
-            for direction, weight in ((a, 1.0), (b, 1j)):
-                if direction is None:
-                    continue
-                for p, w in _stencil(direction, g, 1e-3):
-                    pts.append((_decompose_for_eval(p), weight * w))
-            stencils.append(pts)
+        angles, weights = _sweep_stencils(gen, seed, samples)
         for idx in indices:
             image = act_fn(gen, idx)
-            worst = 0.0
-            for (angles0, rm3_0), pts in zip(base_eval, stencils):
-                pred = sum(
-                    coeff.to_complex() * rm3_0 * eval_wigner(tgt, angles0)
-                    for tgt, coeff in image
-                )
-                fd = sum(w * rm3 * eval_wigner(idx, ang) for (ang, rm3), w in pts)
-                worst = max(worst, abs(fd - pred) / max(1.0, abs(pred)))
+            pred = base_rm3 * sum(coeff.to_complex() * at_base(tgt) for tgt, coeff in image)
+            fd = (weights * eval_wigner(idx, angles)).sum(axis=-1)
+            worst = float((np.abs(fd - pred) / np.maximum(1.0, np.abs(pred))).max())
             results.append(
                 CheckResult(
                     name=f"{label}[k={k},{gen.value},{idx}]",
@@ -505,6 +624,13 @@ def _trap_nodes(count: int) -> tuple[np.ndarray, float]:
     return np.arange(count) * (FOUR_PI / count), FOUR_PI / count
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre_theta(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes in cos(theta), as angles, with their weights."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    return np.arccos(x), w
+
+
 def quadrature_ip(idx1: WignerIndex, idx2: WignerIndex, nodes: int = 0) -> complex:
     """Invariant inner product int W1 conj(W2) by product quadrature:
     trapezoid over the full 4*pi periods of the three angle variables (exact
@@ -518,28 +644,18 @@ def quadrature_ip(idx1: WignerIndex, idx2: WignerIndex, nodes: int = 0) -> compl
     ng = max(4, (j2a + j2b) // 2 + 2)
 
     zg, wz = _trap_nodes(nz)
-    pg, wp = _trap_nodes(nang)
-    sg, ws = _trap_nodes(nang)
-    xg, wx = np.polynomial.legendre.leggauss(ng)
-    theta = np.arccos(xg)
-
-    def grid(idx):
-        j2, n2, m12, m22 = idx.doubled()
-        sh, ch = np.sin(theta / 2), np.cos(theta / 2)
-        prof = np.zeros_like(theta)
-        for c, es, ec in _theta_terms(j2, m12, m22):
-            prof = prof + c * sh**es * ch**ec
-        return (
-            np.exp(0.5j * n2 * zg)[:, None, None, None]
-            * np.exp(0.5j * m22 * pg)[None, :, None, None]
-            * prof[None, None, :, None]
-            * np.exp(0.5j * m12 * sg)[None, None, None, :]
-        )
-
-    integrand = grid(idx1) * np.conj(grid(idx2))
-    weights = wz * wp * ws * wx[None, None, :, None]
+    ag, wa = _trap_nodes(nang)
+    theta, wx = _gauss_legendre_theta(ng)
+    grid = EulerAngles(
+        zeta=zg[:, None, None, None],
+        phi=ag[None, :, None, None],
+        theta=theta[None, None, :, None],
+        psi=ag[None, None, None, :],
+    )
+    integrand = eval_wigner(idx1, grid) * np.conj(eval_wigner(idx2, grid))
+    weights = wz * wa * wa * wx[None, None, :, None]
     total = complex((integrand * weights).sum())
-    haar = wz * nz * wp * nang * ws * nang * wx.sum()
+    haar = wz * nz * wa * nang * wa * nang * wx.sum()
     return total / haar
 
 
@@ -580,14 +696,8 @@ def orthogonality_report(k: int = 0, j_max=Fraction(3, 2), tol: float = 1e-10) -
 # Self-consistency suites.
 # ---------------------------------------------------------------------------
 
-
-def _random_angles(rng) -> EulerAngles:
-    return EulerAngles(
-        zeta=float(rng.uniform(0.0, FOUR_PI)),
-        phi=float(rng.uniform(-math.pi, math.pi)),
-        theta=float(rng.uniform(0.0, math.pi)),
-        psi=float(rng.uniform(-math.pi, 3 * math.pi)),
-    )
+# sampling ranges of (zeta, phi, theta, psi)
+_ANGLE_RANGES = ((0.0, FOUR_PI), (-math.pi, math.pi), (0.0, math.pi), (-math.pi, 3 * math.pi))
 
 
 def homomorphism_report(pairs: int = 20, seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
@@ -597,18 +707,16 @@ def homomorphism_report(pairs: int = 20, seed: int = 0, tol: float = 1e-9) -> li
     rng = np.random.default_rng(seed)
     results = []
     for j2, n2 in ((1, 1), (2, 0), (3, -3), (4, 2)):
-        worst_h = worst_u = 0.0
-        for _ in range(pairs):
-            e1, e2 = _random_angles(rng), _random_angles(rng)
-            k1, k2 = k_from_angles(e1), k_from_angles(e2)
-            d1 = wigner_matrix(j2, n2, e1)
-            d2 = wigner_matrix(j2, n2, e2)
-            d12 = wigner_matrix(j2, n2, euler_from_k(k1 @ k2))
-            worst_h = max(worst_h, float(np.abs(d12 - d1 @ d2).max()))
-            worst_u = max(
-                worst_u,
-                float(np.abs(d1 @ d1.conj().T - np.eye(j2 + 1)).max()),
-            )
+        # drawn point by point, e1 then e2 for each pair
+        draws = np.array(
+            [[rng.uniform(lo, hi) for lo, hi in _ANGLE_RANGES] for _ in range(2 * pairs)]
+        ).reshape(pairs, 2, 4)
+        e1, e2 = (EulerAngles(*draws[:, i].T) for i in (0, 1))
+        d1 = wigner_matrix(j2, n2, e1)
+        d2 = wigner_matrix(j2, n2, e2)
+        d12 = wigner_matrix(j2, n2, euler_from_k(k_from_angles(e1) @ k_from_angles(e2)))
+        worst_h = float(np.abs(d12 - d1 @ d2).max())
+        worst_u = float(np.abs(d1 @ np.swapaxes(d1.conj(), -1, -2) - np.eye(j2 + 1)).max())
         results.append(
             CheckResult(
                 name=f"homomorphism D(k1 k2) = D(k1) D(k2) [2j={j2}, 2n={n2}]",
@@ -630,13 +738,11 @@ def homomorphism_report(pairs: int = 20, seed: int = 0, tol: float = 1e-9) -> li
 
 def iwasawa_report(points: int = 1000, seed: int = 0, tol: float = 1e-10) -> list[CheckResult]:
     """Reconstruction and membership residuals over random group points."""
-    worst_recon = worst_member = 0.0
-    for i in range(points):
-        g = random_group_point(7_900_003 * seed + i)
-        worst_member = max(worst_member, membership_residual(g))
-        fac = iwasawa(g)
-        recon = fac.kappa @ an_gamma(fac.r, fac.nu, fac.s)
-        worst_recon = max(worst_recon, float(np.abs(recon - g).max()))
+    g = random_group_points(7_900_003 * seed + i for i in range(points))
+    worst_member = float(np.max(membership_residual(g)))
+    fac = iwasawa(g)
+    recon = fac.kappa @ an_gamma(fac.r, fac.nu, fac.s)
+    worst_recon = float(np.abs(recon - g).max())
     return [
         CheckResult(
             name=f"membership residual over {points} random points",

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import su21coh
 
 from su21coh.cli import main
 
@@ -109,3 +115,42 @@ def test_oracle_reports_deterministic(tmp_path, capsys):
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--j-max", "-1"],  # would sweep zero indices
+        ["--j-max", "1/3"],  # not a half-integer
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+    ],
+)
+def test_oracle_rejects_vacuous_or_malformed_input(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--k", "0", "--samples", "1"] + argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-theorem", "--k", "0"],
+        ["export-generators", "--k", "0"],
+    ],
+)
+def test_unwritable_out_path(tmp_path, argv, capsys):
+    target = tmp_path / "missing-dir" / "x.json"
+    assert main(argv + ["--out", str(target)]) == 2
+    assert f"cannot write {target}" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(su21coh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, su21coh.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from su21coh import oracle
@@ -16,13 +17,10 @@ from su21coh.oracle import (
     adjudicate_variant,
     eval_section,
     eval_wigner,
-    eval_wigner_literal,
     euler_from_k,
     fd_derivative,
     gbinom,
     iwasawa,
-    jacobi,
-    jacobi_recurrence,
     k_from_angles,
     m_matrix,
     membership_residual,
@@ -33,6 +31,63 @@ from su21coh.oracle import (
 )
 from su21coh.report import all_passed
 from su21coh.wigner import WignerIndex, admissible_indices, chi_index, psi_index
+
+
+# Reference evaluations kept out of the package: the Jacobi polynomial by its
+# explicit sum and by the three-term recurrence, and the printed
+# matrix-coefficient formula evaluated literally through it.
+
+
+def jacobi(alpha: int, beta: int, c: int, x: float) -> float:
+    """Jacobi polynomial P_c^(alpha,beta)(x) by the explicit finite sum,
+    valid for the (possibly negative) integer parameters arising from
+    matrix-coefficient indices."""
+    if c < 0:
+        raise ValueError("degree must be nonnegative")
+    total = 0.0
+    for s in range(c + 1):
+        coeff = gbinom(c + alpha, c - s) * gbinom(c + beta, s)
+        if coeff:
+            total += coeff * ((x - 1.0) / 2.0) ** s * ((x + 1.0) / 2.0) ** (c - s)
+    return total
+
+
+def jacobi_recurrence(alpha: int, beta: int, c: int, x: float) -> float:
+    """Three-term recurrence evaluation, for alpha, beta >= 0."""
+    if alpha < 0 or beta < 0:
+        raise ValueError("recurrence oracle requires alpha, beta >= 0")
+    p_prev = 1.0
+    if c == 0:
+        return p_prev
+    p = (alpha + 1) + (alpha + beta + 2) * (x - 1.0) / 2.0
+    for n in range(2, c + 1):
+        a1 = 2 * n * (n + alpha + beta) * (2 * n + alpha + beta - 2)
+        a2 = (2 * n + alpha + beta - 1) * (alpha * alpha - beta * beta)
+        a3 = (2 * n + alpha + beta - 1) * (2 * n + alpha + beta) * (2 * n + alpha + beta - 2)
+        a4 = 2 * (n + alpha - 1) * (n + beta - 1) * (2 * n + alpha + beta)
+        p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
+    return p
+
+
+def eval_wigner_literal(idx: WignerIndex, e: EulerAngles) -> complex:
+    """The printed formula, evaluated literally through `jacobi` (a
+    cross-check of the regrouped evaluation away from theta in {0, pi})."""
+    j2, n2, m12, m22 = idx.doubled()
+    jp, jm = (j2 + m12) // 2, (j2 - m12) // 2
+    kp, km = (j2 + m22) // 2, (j2 - m22) // 2
+    dm, dp = (m12 - m22) // 2, (m12 + m22) // 2
+    c_norm = math.sqrt(math.factorial(jp) * math.factorial(jm)) * math.sqrt(
+        math.factorial(kp) * math.factorial(km)
+    )
+    sh, ch = math.sin(e.theta / 2), math.cos(e.theta / 2)
+    d_val = (
+        sh**dm
+        * ch**dp
+        / (math.factorial(kp) * math.factorial(km))
+        * jacobi(dm, dp, jm, math.cos(e.theta))
+    )
+    phase = cmath.exp(0.5j * (n2 * e.zeta + m12 * e.psi + m22 * e.phi))
+    return c_norm * phase * d_val
 
 
 def test_gbinom():
@@ -295,3 +350,110 @@ def test_quadrature_orthogonality_spot():
 
 def test_homomorphism_suite():
     assert all_passed(oracle.homomorphism_report(pairs=8, seed=3))
+
+
+def _index_window(j2_max):
+    """Every structurally valid index with 2j <= j2_max (one n per j)."""
+    for j2 in range(j2_max + 1):
+        for m12 in range(-j2, j2 + 1, 2):
+            for m22 in range(-j2, j2 + 1, 2):
+                yield WignerIndex.of(j2, j2 - 8, m12, m22)
+
+
+def test_batched_eval_wigner_matches_scalar_and_literal():
+    rng = np.random.default_rng(11)
+    count = 40
+    theta = np.concatenate([[0.0, math.pi], rng.uniform(0.15, 2.95, count - 2)])
+    e = EulerAngles(
+        rng.uniform(0, 12, count), rng.uniform(-3, 3, count), theta, rng.uniform(-3, 9, count)
+    )
+    for idx in _index_window(5):
+        batch = eval_wigner(idx, e)
+        assert batch.shape == (count,)
+        for i in range(count):
+            point = EulerAngles(
+                float(e.zeta[i]), float(e.phi[i]), float(e.theta[i]), float(e.psi[i])
+            )
+            one = eval_wigner(idx, point)
+            assert isinstance(one, complex)
+            assert abs(batch[i] - one) <= 1e-14
+            j2, _, m12, m22 = idx.doubled()
+            # the literal formula has a pole at theta = 0 when m1 < m2 and at
+            # theta = pi when m1 + m2 < 0; elsewhere it must agree
+            if (i == 0 and m12 < m22) or (i == 1 and m12 + m22 < 0):
+                continue
+            assert abs(batch[i] - eval_wigner_literal(idx, point)) <= 1e-14
+
+
+def test_eval_wigner_broadcasts_over_a_product_grid():
+    idx = WignerIndex.of(3, -3, 1, -1)
+    zeta, phi = np.array([0.1, 2.0]), np.array([-1.0, 0.4, 2.5])
+    grid = eval_wigner(idx, EulerAngles(zeta[:, None], phi[None, :], 0.7, 1.9))
+    assert grid.shape == (2, 3)
+    for a, z in enumerate(zeta):
+        for b, p in enumerate(phi):
+            assert abs(grid[a, b] - eval_wigner(idx, EulerAngles(z, p, 0.7, 1.9))) <= 1e-14
+
+
+def test_expm_matches_scipy():
+    rng = np.random.default_rng(12)
+    for norm in (1e-3, 0.1, 0.5, 1.0):
+        a = rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3))
+        a *= norm / np.linalg.norm(a, axis=(1, 2))[:, None, None]
+        got = oracle.expm(a)
+        assert got.shape == a.shape
+        assert np.abs(got - scipy.linalg.expm(a)).max() <= 1e-14
+        assert np.abs(oracle.expm(a[0]) - got[0]).max() == 0.0
+    # the finite-difference steps +-h X along every real direction
+    for gen in LieGen:
+        for direction in real_imag_parts(gen):
+            if direction is None:
+                continue
+            for h in (1e-3, -1e-3, 5e-4, -5e-4):
+                ref = scipy.linalg.expm(h * direction)
+                assert np.abs(oracle.expm(h * direction) - ref).max() <= 1e-14
+
+
+def test_expm_scaling_and_squaring():
+    # norms beyond theta_13 take per-matrix scaling; compare relatively
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(20, 3, 3)) + 1j * rng.normal(size=(20, 3, 3))
+    a *= rng.uniform(0.01, 20.0, 20)[:, None, None] / np.linalg.norm(a, axis=(1, 2))[:, None, None]
+    ref = scipy.linalg.expm(a)
+    err = np.abs(oracle.expm(a) - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert err.max() <= 1e-13
+
+
+def test_stacked_iwasawa_and_euler_match_pointwise():
+    g = oracle.random_group_points(range(40))
+    fac = iwasawa(g)
+    angles = euler_from_k(fac.kappa)
+    for i in range(40):
+        one = iwasawa(g[i])
+        assert np.abs(fac.kappa[i] - one.kappa).max() <= 1e-14
+        assert abs(fac.r[i] - one.r) <= 1e-14 and abs(fac.nu[i] - one.nu) <= 1e-14
+        e = euler_from_k(one.kappa)
+        assert abs(angles.theta[i] - e.theta) <= 1e-14
+        assert abs(angles.zeta[i] - e.zeta) <= 1e-14
+    # the degenerate-theta convention holds element-wise inside a stack
+    kaps = np.stack([m_matrix(0.4), k_from_angles(EulerAngles(1.3, 0.7, math.pi, -2.1)),
+                     k_from_angles(EulerAngles(0.2, 0.5, 1.1, 0.9))])
+    e = euler_from_k(kaps)
+    assert list(e.phi[:2]) == [0.0, 0.0] and e.phi[2] != 0.0
+    assert np.abs(k_from_angles(e) - kaps).max() <= 1e-12
+
+
+def test_stack_with_one_bad_matrix_raises():
+    g = oracle.random_group_points(range(5))
+    g[3] = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(NotInGroup):
+        iwasawa(g)
+    kaps = np.stack([k_from_angles(EulerAngles(0.1 * i, 0.2, 0.3, 0.4)) for i in range(5)])
+    kaps[2] = an_gamma(2.0)
+    with pytest.raises(NotInK):
+        euler_from_k(kaps)
+
+
+def test_empty_sweep_fails():
+    res = oracle.check_compact_action(0, j_max=Fraction(-1), samples=2)
+    assert len(res) == 1 and not all_passed(res)
