@@ -6,16 +6,14 @@ float; the oracle side (oracle) never touches the exact engine except to read
 off generator matrices and operator coefficients for comparison.
 """
 
-from .scalars import ComplexRadical, NegativeRadicand, RadicalScalar, sqrt_rational
-from .lie import LieGen, Mat3, NotInLieAlgebra, bracket, builtin_matrices
+from .scalars import ComplexRadical, NegativeRadicand, RadicalScalar
+from .lie import LieGen, Mat3, NotInLieAlgebra, bracket, gen_matrix, wedge_action
 from .wigner import (
-    HalfInt,
     InadmissibleResult,
-    KVector,
     OutOfRange,
     WignerIndex,
-    act_l,
-    act_p,
+    act_l_index,
+    act_p_index,
     admissible,
     chi_index,
     psi0_index,
@@ -43,19 +41,17 @@ __all__ = [
     "ComplexRadical",
     "RadicalScalar",
     "NegativeRadicand",
-    "sqrt_rational",
     "LieGen",
     "Mat3",
     "NotInLieAlgebra",
     "bracket",
-    "builtin_matrices",
-    "HalfInt",
+    "gen_matrix",
+    "wedge_action",
     "WignerIndex",
-    "KVector",
     "InadmissibleResult",
     "OutOfRange",
-    "act_l",
-    "act_p",
+    "act_l_index",
+    "act_p_index",
     "admissible",
     "chi_index",
     "psi_index",

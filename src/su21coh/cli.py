@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import cochains, lie, oracle
 from .report import CheckResult, all_passed, summarize
+from .wigner import DEFAULT_VARIANT, VARIANTS
 
 
 def _parse_k_spec(text: str) -> list[int]:
@@ -39,6 +40,16 @@ def _parse_jmax(text: str) -> Fraction:
     if j < 0 or (2 * j).denominator != 1:
         raise argparse.ArgumentTypeError(f"j-max must be a nonnegative half-integer, got {text!r}")
     return j
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return seed
 
 
 def _parse_tol(text: str) -> float:
@@ -131,7 +142,7 @@ def cmd_oracle(args) -> int:
                 passed=accepted is not None,
                 detail=f"accepted={accepted}; "
                 + ", ".join(
-                    f"{v}: err={verdict[v]['max_rel_err']:.2e}" for v in ("plus1", "plus2")
+                    f"{v}: err={verdict[v]['max_rel_err']:.2e}" for v in VARIANTS
                 ),
             )
         )
@@ -169,40 +180,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_k):
+    def k_option(p, default_k):
         p.add_argument("--k", "--k-range", type=_parse_k_spec, default=_parse_k_spec(default_k),
                        help=f"single value or inclusive range lo..hi (default {default_k})")
+
+    def report_options(p):
         p.add_argument("--format", choices=("text", "structured"), default="text")
         p.add_argument("--out", default=None, help="also write the report to this path")
         p.add_argument("--verbose", "-v", action="store_true")
 
     p = sub.add_parser("verify-structure", help="exact bracket/table suite")
-    common(p, "0")
+    report_options(p)
     p.add_argument("--inject-error", action="store_true",
                    help="corrupt one fixture cell (test mode; forces exit 1)")
     p.set_defaults(func=cmd_verify_structure)
 
     p = sub.add_parser("verify-theorem", help="exact cocycle identities and non-exactness")
-    common(p, "0..10")
-    p.add_argument("--thm37-variant", choices=("plus1", "plus2"), default="plus1")
+    k_option(p, "0..10")
+    report_options(p)
+    p.add_argument("--thm37-variant", choices=VARIANTS, default=DEFAULT_VARIANT)
     p.add_argument("--perturb", action="store_true",
                    help="shift the leading psi coefficient by +1 (test mode)")
     p.set_defaults(func=cmd_verify_theorem)
 
     p = sub.add_parser("export-generators", help="write the three cocycles as JSON")
-    p.add_argument("--k", "--k-range", type=_parse_k_spec, default=_parse_k_spec("0"))
+    k_option(p, "0")
     p.add_argument("--out", required=True, help="destination path for the JSON export")
-    p.add_argument("--format", choices=("text", "structured"), default="structured")
-    p.add_argument("--verbose", "-v", action="store_true")
     p.set_defaults(func=cmd_export_generators)
 
     p = sub.add_parser("oracle", help="finite-difference and quadrature validation")
-    common(p, "0..3")
+    k_option(p, "0..3")
+    report_options(p)
     p.add_argument("--j-max", type=_parse_jmax, default=Fraction(5, 2))
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--tol", type=_parse_tol, default=1e-6)
-    p.add_argument("--thm37-variant", choices=("auto", "plus1", "plus2"), default="auto")
+    p.add_argument("--thm37-variant", choices=("auto",) + VARIANTS, default="auto")
     p.set_defaults(func=cmd_oracle)
 
     return parser

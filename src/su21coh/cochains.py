@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie import L_GENS, P_GENS, LieGen, bracket, gen_matrix, project_to_p
+from .lie import L_GENS, P_GENS, LieGen, bracket, gen_matrix, project_to_p, wedge_action
 from .polynomials import Monomial, PolyVector, act_poly, monomial_basis, monomial_xy
 from .report import CheckResult
 from .scalars import ComplexRadical, RadicalScalar
@@ -53,14 +53,11 @@ def tensor_term(idx: WignerIndex, mono: Monomial, coeff=1) -> TensorElement:
 def act_tensor(gen: LieGen, t: TensorElement, variant: str = DEFAULT_VARIANT) -> TensorElement:
     """Leibniz action: generator on the function slot plus generator on the
     polynomial slot."""
-    act_index = act_l_index if gen in L_GENS else act_p_index
+    compact = gen in L_GENS
     mat = gen_matrix(gen)
     out: list = []
     for (idx, mono), coeff in t.items():
-        if gen in L_GENS:
-            moved = act_index(gen, idx)
-        else:
-            moved = act_index(gen, idx, variant)
+        moved = act_l_index(gen, idx) if compact else act_p_index(gen, idx, variant)
         for tgt, c in moved:
             out.append(((tgt, mono), c * coeff))
         for pm, pc in act_poly(mat, PolyVector({mono: coeff})).items():
@@ -68,10 +65,10 @@ def act_tensor(gen: LieGen, t: TensorElement, variant: str = DEFAULT_VARIANT) ->
     return TensorElement(out)
 
 
-def act_tensor_seq(gens, t: TensorElement, variant: str = DEFAULT_VARIANT) -> TensorElement:
+def act_tensor_seq(gens, t: TensorElement) -> TensorElement:
     """Apply generators right-to-left: gens = (a, b) computes a.(b.t)."""
     for gen in reversed(tuple(gens)):
-        t = act_tensor(gen, t, variant)
+        t = act_tensor(gen, t)
     return t
 
 
@@ -193,49 +190,15 @@ def differential(psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _bracket_coords(u: LieGen, i: int) -> tuple[tuple[int, ComplexRadical], ...]:
-    """[u, X_i] over the X basis, recomputed from matrices (1-based slots)."""
-    dec = project_to_p(bracket(gen_matrix(u), gen_matrix(P_GENS[i - 1])))
-    return tuple((a + 1, c) for a, c in enumerate(dec) if not c.is_zero())
-
-
-def l_action_on_wedge(u: LieGen, w: Wedge) -> dict[Wedge, ComplexRadical]:
-    """u.(X_{i1} ^ ... ^ X_{iq}) expanded over basis wedges, via the Leibniz
-    rule slot by slot."""
-    out: dict[Wedge, ComplexRadical] = {}
-    w = tuple(w)
-    for t in range(len(w)):
-        for a, c in _bracket_coords(u, w[t]):
-            slots = w[:t] + (a,) + w[t + 1 :]
-            if len(set(slots)) < len(slots):
-                continue
-            order = sorted(range(len(slots)), key=lambda s: slots[s])
-            inversions = sum(
-                1
-                for p in range(len(order))
-                for q in range(p + 1, len(order))
-                if order[p] > order[q]
-            )
-            key = tuple(sorted(slots))
-            signed = c if inversions % 2 == 0 else -c
-            acc = out.get(key, ComplexRadical()) + signed
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
-
-
-def check_equivariance(psi: Cochain, variant: str = DEFAULT_VARIANT) -> list[CheckResult]:
+def check_equivariance(psi: Cochain) -> list[CheckResult]:
     """Exact check of u.(psi(w)) = psi(u.w) for the four compact generators
     and every basis wedge."""
     results = []
     for u in L_GENS:
         for w in basis_wedges(psi.degree):
-            lhs = act_tensor(u, psi.value(w), variant)
+            lhs = act_tensor(u, psi.value(w))
             rhs = TensorElement()
-            for w2, c in l_action_on_wedge(u, w).items():
+            for w2, c in wedge_action(u, w).items():
                 rhs = rhs + psi.value(w2).scaled(c)
             ok = lhs == rhs
             results.append(
@@ -248,8 +211,8 @@ def check_equivariance(psi: Cochain, variant: str = DEFAULT_VARIANT) -> list[Che
     return results
 
 
-def is_equivariant(psi: Cochain, variant: str = DEFAULT_VARIANT) -> bool:
-    return all(r.passed for r in check_equivariance(psi, variant))
+def is_equivariant(psi: Cochain) -> bool:
+    return all(r.passed for r in check_equivariance(psi))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +382,7 @@ def verify_closedness(
         results.append(
             CheckResult(
                 name=f"equivariance({label}) [k={k}]",
-                passed=is_equivariant(coch, variant),
+                passed=is_equivariant(coch),
             )
         )
     results.append(
@@ -449,10 +412,10 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
     expected = {chi_index(k, l) for l in range(k + 2)}
     found = set()
     for t in targets:
-        tj, tn, tm1, tm2 = t.doubled()
+        tj, tn, tm1, tm2 = t
         for gen, dm1 in ((LieGen.X3, +1), (LieGen.X4, -1)):
             for dj in (-1, +1):
-                cand = WignerIndex.of(tj + dj, tn + 3, tm1 + dm1, tm2 + 1)
+                cand = WignerIndex(tj + dj, tn + 3, tm1 + dm1, tm2 + 1)
                 if not cand.structurally_valid() or not admissible(cand, k):
                     continue
                 image = dict(act_p_index(gen, cand, variant))
@@ -469,13 +432,10 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
     # (b) lowering kernel inside span{ W_chi(l) (x) x^(k-l) y^l }
     basis_keys = [(chi_index(k, l), monomial_xy(k, l)) for l in range(k + 1)]
     images = [
-        act_tensor(LieGen.U1_MINUS_IU2, TensorElement({key: ComplexRadical.of(1)}), variant)
+        act_tensor(LieGen.U1_MINUS_IU2, TensorElement({key: ComplexRadical.of(1)}))
         for key in basis_keys
     ]
-    row_keys = sorted(
-        {key for img in images for key in img.support()},
-        key=lambda key: (key[0].doubled(), tuple(key[1])),
-    )
+    row_keys = sorted({key for img in images for key in img.support()})
     rows = [[img.get(key) for img in images] for key in row_keys]
     kernel = nullspace(rows, len(basis_keys))
     one_dim = len(kernel) == 1
@@ -522,10 +482,6 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
     return results
 
 
-def verify_theorem(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckResult]:
-    return verify_closedness(k, variant) + verify_nonexactness(k, variant)
-
-
 # ---------------------------------------------------------------------------
 # Randomized equivariant 1-cochains (for the d.d = 0 property suite).
 # ---------------------------------------------------------------------------
@@ -564,7 +520,7 @@ def _seed_kernel(k: int, side: str, jmax2: int):
         if (j2 - m12) % 2:
             j2 += 1
         while j2 <= jmax2:
-            idx = WignerIndex.of(j2, n2, m12, m22)
+            idx = WignerIndex(j2, n2, m12, m22)
             if admissible(idx, k):
                 keys.append((idx, mono))
             j2 += 2
@@ -582,10 +538,7 @@ def _seed_kernel(k: int, side: str, jmax2: int):
         )
     rows = []
     for pos in (0, 1):
-        row_keys = sorted(
-            {key for cons in constraints for key in cons[pos].support()},
-            key=lambda key: (key[0].doubled(), tuple(key[1])),
-        )
+        row_keys = sorted({key for cons in constraints for key in cons[pos].support()})
         for rk in row_keys:
             rows.append([cons[pos].get(rk) for cons in constraints])
     return tuple(keys), tuple(tuple(v) for v in nullspace(rows, len(keys)))
@@ -635,11 +588,11 @@ def cochain_to_dict(psi: Cochain) -> dict:
         terms = sorted(
             val.items(),
             key=lambda item: (
-                item[0][0].j.twice,
-                item[0][0].m1.twice,
-                tuple(item[0][1]),
-                item[0][0].n.twice,
-                item[0][0].m2.twice,
+                item[0][0].j2,
+                item[0][0].m12,
+                item[0][1],
+                item[0][0].n2,
+                item[0][0].m22,
             ),
         )
         entries.append(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalars import ComplexRadical, RadicalScalar
 
@@ -193,11 +194,6 @@ Y_BASIS = (Y1, Y2, Y3, Y4)
 X_BASIS = (X1, X2, X3, X4)
 
 
-def builtin_matrices() -> dict[LieGen, Mat3]:
-    """The eight generator matrices, keyed by symbol."""
-    return dict(_GEN_MATRICES)
-
-
 def gen_matrix(gen: LieGen) -> Mat3:
     return _GEN_MATRICES[gen]
 
@@ -234,19 +230,6 @@ def project_to_p(a: Mat3) -> tuple[ComplexRadical, ComplexRadical, ComplexRadica
     return coeffs
 
 
-def p_bracket_decompositions() -> dict[tuple[LieGen, LieGen], tuple[ComplexRadical, ...]]:
-    """[U, X] expanded over X1..X4 for every compact generator U and every X.
-
-    Recomputed from the matrices; this is the machine's own version of the
-    printed action table.
-    """
-    out = {}
-    for u in L_GENS:
-        for x in P_GENS:
-            out[(u, x)] = project_to_p(bracket(gen_matrix(u), gen_matrix(x)))
-    return out
-
-
 def is_in_g(a: Mat3, j: Mat3 = J_DIAG) -> bool:
     """Membership in su(2,1) for the Hermitian form j: conj(a)^T j + j a = 0, tr a = 0."""
     lhs = (a.conj_transpose() @ j) + (j @ a)
@@ -257,14 +240,6 @@ def is_in_k(a: Mat3) -> bool:
     """Membership in the compact subalgebra l (diagonal form, block shape)."""
     off_block = (a[0, 2], a[1, 2], a[2, 0], a[2, 1])
     return is_in_g(a, J_DIAG) and all(x.is_zero() for x in off_block)
-
-
-def is_unitary_numeric(m, tol: float = 1e-12) -> bool:
-    """Numeric unitarity check for a numpy matrix."""
-    import numpy as np
-
-    m = np.asarray(m, dtype=complex)
-    return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -319,31 +294,33 @@ def table3_fixture() -> dict[tuple[tuple[int, int], LieGen], list[tuple[ComplexR
     return t
 
 
-def _p_coords(x: LieGen, u: LieGen) -> dict[int, ComplexRadical]:
-    """[u, x] over the X basis as a sparse 1-based coordinate dict."""
-    decomp = project_to_p(bracket(gen_matrix(u), gen_matrix(x)))
-    return {a + 1: c for a, c in enumerate(decomp) if not c.is_zero()}
+@lru_cache(maxsize=None)
+def bracket_coords(u: LieGen, i: int) -> tuple[tuple[int, ComplexRadical], ...]:
+    """[u, X_i] over the X basis, recomputed from matrices (1-based slots)."""
+    dec = project_to_p(bracket(gen_matrix(u), gen_matrix(P_GENS[i - 1])))
+    return tuple((a + 1, c) for a, c in enumerate(dec) if not c.is_zero())
 
 
-def wedge_action(u: LieGen, pair: tuple[int, int]) -> dict[tuple[int, int], ComplexRadical]:
-    """U.(X_i ^ X_j) = [U,X_i] ^ X_j + X_i ^ [U,X_j], from recomputed brackets."""
-    i, j = pair
-    out: dict[tuple[int, int], ComplexRadical] = {}
-
-    def put(a, b, coeff):
-        if a == b or coeff.is_zero():
-            return
-        key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-        acc = out.get(key, ComplexRadical()) + (coeff if sign > 0 else -coeff)
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
-
-    for a, c in _p_coords(P_GENS[i - 1], u).items():
-        put(a, j, c)
-    for b, c in _p_coords(P_GENS[j - 1], u).items():
-        put(i, b, c)
+def wedge_action(u: LieGen, w: tuple[int, ...]) -> dict[tuple[int, ...], ComplexRadical]:
+    """u.(X_{i1} ^ ... ^ X_{iq}) expanded over basis wedges, via the Leibniz
+    rule slot by slot."""
+    out: dict[tuple[int, ...], ComplexRadical] = {}
+    w = tuple(w)
+    for t in range(len(w)):
+        for a, c in bracket_coords(u, w[t]):
+            slots = w[:t] + (a,) + w[t + 1 :]
+            if len(set(slots)) < len(slots):
+                continue
+            inversions = sum(
+                1 for p in range(len(slots)) for q in range(p + 1, len(slots))
+                if slots[p] > slots[q]
+            )
+            key = tuple(sorted(slots))
+            acc = out.get(key, ComplexRadical()) + (c if inversions % 2 == 0 else -c)
+            if acc.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = acc
     return out
 
 
@@ -355,7 +332,7 @@ def verify_table1(fixture=None) -> list:
     if fixture is None:
         fixture = table1_fixture()
     for (x, u), printed in fixture.items():
-        computed = _p_coords(x, u)
+        computed = dict(bracket_coords(u, P_GENS.index(x) + 1))
         expected = {P_GENS.index(tgt) + 1: c for c, tgt in printed}
         ok = computed == expected
         results.append(

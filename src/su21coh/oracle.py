@@ -30,6 +30,7 @@ from .lie import L_GENS, P_GENS, LieGen
 from .report import CheckResult
 from .wigner import (
     DEFAULT_VARIANT,
+    VARIANTS,
     WignerIndex,
     act_l_index,
     act_p_index,
@@ -188,7 +189,7 @@ def eval_wigner(idx: WignerIndex, e: EulerAngles):
     grid (coordinates broadcast along different axes) each exponential is
     taken on its own axis only.
     """
-    j2, n2, m12, m22 = idx.doubled()
+    j2, n2, m12, m22 = idx
     if not idx.structurally_valid():
         raise ValueError(f"invalid index {idx}")
     sh, ch = np.sin(e.theta / 2), np.cos(e.theta / 2)
@@ -204,7 +205,7 @@ def wigner_matrix(j2: int, n2: int, e: EulerAngles) -> np.ndarray:
     array coordinates a stack (..., 2j+1, 2j+1)."""
     ms = range(-j2, j2 + 1, 2)
     vals = np.array(
-        [[eval_wigner(WignerIndex.of(j2, n2, m12, m22), e) for m22 in ms] for m12 in ms]
+        [[eval_wigner(WignerIndex(j2, n2, m12, m22), e) for m22 in ms] for m12 in ms]
     )
     return np.moveaxis(vals, (0, 1), (-2, -1))
 
@@ -417,31 +418,12 @@ def expm(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _gen_split(gen: LieGen) -> tuple[int, int | None]:
-    """Indices into the real basis list for gen = A + iB with A, B real."""
-    table = {
-        LieGen.U0: ((0, 1.0), None),
-        LieGen.U3: ((3, 1.0), None),
-        LieGen.U1_PLUS_IU2: ((1, 1.0), (2, 1.0)),
-        LieGen.U1_MINUS_IU2: ((1, 1.0), (2, -1.0)),
-        LieGen.X1: ((4, 0.5), (5, -0.5)),
-        LieGen.X3: ((4, 0.5), (5, 0.5)),
-        LieGen.X2: ((6, 0.5), (7, -0.5)),
-        LieGen.X4: ((6, 0.5), (7, 0.5)),
-    }
-    return table[gen]
-
-
 def real_imag_parts(x) -> tuple[np.ndarray, np.ndarray | None]:
     """Split a complexified algebra element into X = A + i*B with A, B in the
     real form.  Accepts a generator symbol or any numpy matrix in the
     complexified algebra."""
     if isinstance(x, LieGen):
-        (ia, ca), part_b = _gen_split(x)
-        a = ca * _G_REAL_BASIS[ia]
-        b = part_b[1] * _G_REAL_BASIS[part_b[0]] if part_b is not None else None
-        return a, b
+        x = lie.gen_matrix(x).to_numpy()
     x = np.asarray(x, dtype=complex)
     cx = -(J_DIAG_NP @ x.conj().T @ J_DIAG_NP)  # conjugation fixing the real form
     a = (x + cx) / 2
@@ -451,29 +433,22 @@ def real_imag_parts(x) -> tuple[np.ndarray, np.ndarray | None]:
     return a, b
 
 
-def _stencil(direction: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Left translations (4, 3, 3) and weights (4,) of one
-    Richardson-extrapolated central difference along a real direction:
-    d/dt f(exp(-t X) g) at 0 is about sum_i w_i f(steps_i g)."""
-    ts, weights = [], []
-    for hh, rw in ((h, -1.0 / 3.0), (h / 2, 4.0 / 3.0)):
-        ts += [-hh, hh]
-        weights += [rw / (2 * hh), -rw / (2 * hh)]
-    return expm(np.multiply.outer(ts, direction)), np.array(weights)
-
-
-def fd_derivative(f, x, g: np.ndarray, h: float = 1e-3) -> complex:
-    """Left-invariant derivative d/dt f(exp(-t x) g) at t = 0 by central
-    differences with one Richardson step; complex directions combine the two
-    real sub-directions linearly."""
-    a, b = real_imag_parts(x)
-    total = 0j
-    for direction, weight in ((a, 1.0), (b, 1j)):
+def _fd_steps(x, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left translations (P, 3, 3) and complex weights (P,) of a central
+    difference with one Richardson step along x = A + iB:
+    d/dt f(exp(-t x) g) at 0 is about sum_i w_i f(steps_i g), the two real
+    directions A and B combined linearly."""
+    steps, weights = [], []
+    for direction, weight in zip(real_imag_parts(x), (1.0, 1j)):
         if direction is None:
             continue
-        steps, ws = _stencil(direction, h)
-        total += weight * sum(w * f(step @ g) for step, w in zip(steps, ws))
-    return total
+        ts, ws = [], []
+        for hh, rw in ((h, -1.0 / 3.0), (h / 2, 4.0 / 3.0)):
+            ts += [-hh, hh]
+            ws += [rw / (2 * hh), -rw / (2 * hh)]
+        steps.append(expm(np.multiply.outer(ts, direction)))
+        weights.append(weight * np.array(ws))
+    return np.concatenate(steps), np.concatenate(weights)
 
 
 def random_group_points(seeds) -> np.ndarray:
@@ -524,15 +499,9 @@ def _sweep_stencils(gen: LieGen, seed: int, samples: int) -> tuple[EulerAngles, 
     sweep, and their weights with the complex combination of the
     generator's real parts and the r^(-3) factors folded in."""
     g = _sweep_base(seed, samples)[0]
-    steps, weights = [], []
-    for direction, weight in zip(real_imag_parts(gen), (1.0, 1j)):
-        if direction is None:
-            continue
-        st, ws = _stencil(direction, 1e-3)
-        steps.append(st)
-        weights.append(weight * ws)
-    angles, rm3 = _decompose_for_eval(np.concatenate(steps) @ g[:, None])
-    weights = np.concatenate(weights) * rm3
+    steps, weights = _fd_steps(gen, 1e-3)
+    angles, rm3 = _decompose_for_eval(steps @ g[:, None])
+    weights = weights * rm3
     _read_only(weights, *vars(angles).values())
     return angles, weights
 
@@ -592,11 +561,8 @@ def check_noncompact_action(k: int, j_max=Fraction(5, 2), samples: int = 20,
                      variant: str = DEFAULT_VARIANT, gens=P_GENS) -> list[CheckResult]:
     """Finite-difference validation of the noncompact-generator action for
     the chosen coefficient variant."""
-
-    def act(gen, idx):
-        return act_p_index(gen, idx, variant)
-
-    return _fd_sweep(k, j_max, samples, tol, seed, gens, act, f"dp:{variant}")
+    return _fd_sweep(k, j_max, samples, tol, seed, gens,
+                     lambda gen, idx: act_p_index(gen, idx, variant), f"dp:{variant}")
 
 
 def adjudicate_variant(k_max: int = 1, j_max=Fraction(3, 2), samples: int = 5,
@@ -604,7 +570,7 @@ def adjudicate_variant(k_max: int = 1, j_max=Fraction(3, 2), samples: int = 5,
     """Run the noncompact sweep under both coefficient variants and report
     which one the finite differences accept."""
     verdict = {}
-    for variant in ("plus1", "plus2"):
+    for variant in VARIANTS:
         worst = 0.0
         for k in range(k_max + 1):
             res = check_noncompact_action(k, j_max, samples, tol, seed, variant)
@@ -637,8 +603,8 @@ def quadrature_ip(idx1: WignerIndex, idx2: WignerIndex, nodes: int = 0) -> compl
     for the trigonometric frequencies involved once the node counts clear the
     bandwidth), Gauss-Legendre in cos(theta), normalized so that the total
     measure is 1."""
-    j2a, n2a, *_ = idx1.doubled()
-    j2b, n2b, *_ = idx2.doubled()
+    j2a, n2a, *_ = idx1
+    j2b, n2b, *_ = idx2
     nz = max(nodes, abs(n2a) + abs(n2b) + 4)
     nang = max(nodes, j2a + j2b + 4)
     ng = max(4, (j2a + j2b) // 2 + 2)
@@ -679,7 +645,7 @@ def orthogonality_report(k: int = 0, j_max=Fraction(3, 2), tol: float = 1e-10) -
     norm_dev = 0.0
     for a in indices:
         val = quadrature_ip(a, a)
-        expected = 1.0 / (a.j.twice + 1)  # computed fixture: 1/(2j+1)
+        expected = 1.0 / (a.j2 + 1)  # computed fixture: 1/(2j+1)
         norm_dev = max(norm_dev, abs(val - expected))
     results.append(
         CheckResult(

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .lie import LieGen, Mat3, gen_matrix
-from .scalars import ComplexRadical
 from .sparse import LinComb
 
 
@@ -71,19 +70,6 @@ def act_poly_gen(gen: LieGen, p: PolyVector) -> PolyVector:
     return act_poly(gen_matrix(gen), p)
 
 
-def eval_poly(p: PolyVector, v) -> complex:
-    """Numeric evaluation at a point v = (x, y, z)."""
-    x, y, z = (complex(t) for t in v)
-    total = 0j
-    for (a, b, c), coeff in p.items():
-        total += coeff.to_complex() * x**a * y**b * z**c
-    return total
-
-
 def monomial_basis(k: int) -> list[Monomial]:
     """All degree-k monomials, lexicographic in (a, b)."""
     return [Monomial(a, b, k - a - b) for a in range(k + 1) for b in range(k - a + 1)]
-
-
-def one() -> PolyVector:
-    return PolyVector({Monomial(0, 0, 0): ComplexRadical.of(1)})

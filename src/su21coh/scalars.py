@@ -328,13 +328,3 @@ class ComplexRadical:
         if self.re.is_zero():
             return f"i*({self.im!r})"
         return f"({self.re!r}) + i*({self.im!r})"
-
-
-ZERO = ComplexRadical()
-ONE = ComplexRadical.of(1)
-I = ComplexRadical.i()
-
-
-def sqrt_rational(q) -> RadicalScalar:
-    """Module-level alias for RadicalScalar.sqrt."""
-    return RadicalScalar.sqrt(q)

@@ -27,10 +27,6 @@ class LinComb:
                     clean[key] = coeff
         self._terms = clean
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def items(self):
         return self._terms.items()
 

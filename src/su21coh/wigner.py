@@ -1,6 +1,6 @@
-"""Symbolic K-finite vectors of the induced module as exact sparse
-combinations of Wigner indices, with the raising/lowering actions of the
-compact generators and the four noncompact lowering/raising operators.
+"""Wigner indices of the K-finite vectors of the induced module, with the
+raising/lowering actions of the compact generators and the four noncompact
+lowering/raising operators on a single index.
 
 An index (j, n, m1, m2) names the matrix-coefficient function on U(2); the
 induced module for the weight parameter k >= 0 contains exactly the indices
@@ -15,13 +15,11 @@ touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .lie import L_GENS, LieGen
+from .lie import LieGen
 from .scalars import ComplexRadical, RadicalScalar
-from .sparse import LinComb
 
 
 class InadmissibleResult(ArithmeticError):
@@ -37,77 +35,21 @@ class OutOfRange(ValueError):
     """Named index family requested outside its defining range."""
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """An exact half-integer, stored doubled."""
-
-    twice: int
-
-    def __add__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt(self.twice + other.twice)
-        if isinstance(other, int):
-            return HalfInt(self.twice + 2 * other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt(self.twice - other.twice)
-        if isinstance(other, int):
-            return HalfInt(self.twice - 2 * other)
-        return NotImplemented
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def __abs__(self):
-        return HalfInt(abs(self.twice))
-
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def as_integer(self) -> int:
-        if self.twice % 2:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice // 2
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __str__(self) -> str:
-        return str(self.twice // 2) if self.twice % 2 == 0 else f"{self.twice}/2"
-
-    def __repr__(self) -> str:
-        return f"HalfInt({self.twice})"
-
-
-def half(twice: int) -> HalfInt:
-    """The half-integer twice/2."""
-    return HalfInt(twice)
-
-
-def whole(n: int) -> HalfInt:
-    return HalfInt(2 * n)
+def _half(twice: int) -> str:
+    """A doubled integer printed as the half-integer it stands for."""
+    return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
 class WignerIndex(NamedTuple):
-    j: HalfInt
-    n: HalfInt
-    m1: HalfInt
-    m2: HalfInt
+    """(j, n, m1, m2), each stored doubled."""
 
-    @classmethod
-    def of(cls, j2: int, n2: int, m12: int, m22: int) -> "WignerIndex":
-        """Build from doubled integers."""
-        return cls(HalfInt(j2), HalfInt(n2), HalfInt(m12), HalfInt(m22))
-
-    def doubled(self) -> tuple[int, int, int, int]:
-        return (self.j.twice, self.n.twice, self.m1.twice, self.m2.twice)
+    j2: int
+    n2: int
+    m12: int
+    m22: int
 
     def structurally_valid(self) -> bool:
-        j2, n2, m12, m22 = self.doubled()
+        j2, n2, m12, m22 = self
         return (
             j2 >= 0
             and abs(m12) <= j2
@@ -118,18 +60,19 @@ class WignerIndex(NamedTuple):
         )
 
     def to_dict(self) -> dict:
-        j2, n2, m12, m22 = self.doubled()
+        j2, n2, m12, m22 = self
         return {"j2": j2, "n2": n2, "m1_2": m12, "m2_2": m22}
 
     def __str__(self) -> str:
-        return f"W[j={self.j},n={self.n},m1={self.m1},m2={self.m2}]"
+        j2, n2, m12, m22 = self
+        return f"W[j={_half(j2)},n={_half(n2)},m1={_half(m12)},m2={_half(m22)}]"
 
 
 def admissible(idx: WignerIndex, k: int) -> bool:
     """Both membership conditions for the induced module at parameter k."""
     if not idx.structurally_valid():
         return False
-    j2, n2, _, m22 = idx.doubled()
+    j2, n2, _, m22 = idx
     c = 4 * k + 6  # doubled 2k+3
     return (-3 * j2 - c <= n2 <= 3 * j2 - c) and (3 * m22 - c == n2)
 
@@ -140,34 +83,13 @@ def admissible_indices(k: int, j_max) -> Iterator[WignerIndex]:
     The central-character condition pins n to m2, and the torus window is
     then automatic, so this is a plain sweep over (j, m1, m2).
     """
-    jmax2 = j_max.twice if isinstance(j_max, HalfInt) else int(2 * Fraction(j_max))
+    jmax2 = int(2 * Fraction(j_max))
     for j2 in range(0, jmax2 + 1):
         for m12 in range(-j2, j2 + 1, 2):
             for m22 in range(-j2, j2 + 1, 2):
-                idx = WignerIndex.of(j2, 3 * m22 - (4 * k + 6), m12, m22)
+                idx = WignerIndex(j2, 3 * m22 - (4 * k + 6), m12, m22)
                 assert admissible(idx, k)
                 yield idx
-
-
-class KVector(LinComb):
-    """Finite exact linear combination of Wigner indices."""
-
-    def to_list(self) -> list[dict]:
-        """Serialization: [{j2, n2, m1_2, m2_2, coeff}, ...] in index order."""
-        ordered = sorted(self.items(), key=lambda item: item[0].doubled())
-        return [dict(idx.to_dict(), coeff=c.to_dict()) for idx, c in ordered]
-
-    @classmethod
-    def from_list(cls, data) -> "KVector":
-        return cls(
-            [
-                (
-                    WignerIndex.of(d["j2"], d["n2"], d["m1_2"], d["m2_2"]),
-                    ComplexRadical.from_dict(d["coeff"]),
-                )
-                for d in data
-            ]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +98,7 @@ class KVector(LinComb):
 
 
 def act_l_index(gen: LieGen, idx: WignerIndex) -> list[tuple[WignerIndex, ComplexRadical]]:
-    j2, n2, m12, m22 = idx.doubled()
+    j2, n2, m12, m22 = idx
     if gen is LieGen.U0:
         coeff = ComplexRadical.i_times(Fraction(n2, 2))
         return [(idx, coeff)] if n2 else []
@@ -195,17 +117,9 @@ def act_l_index(gen: LieGen, idx: WignerIndex) -> list[tuple[WignerIndex, Comple
         # raising at m1 = j / lowering at m1 = -j annihilates; the would-be
         # target falls outside |m1| <= j exactly in this case
         return []
-    target = WignerIndex.of(j2, n2, m12 + shift, m22)
+    target = WignerIndex(j2, n2, m12 + shift, m22)
     coeff = ComplexRadical(None, -RadicalScalar.sqrt(product))
     return [(target, coeff)]
-
-
-def act_l(gen: LieGen, v: KVector) -> KVector:
-    out: list = []
-    for idx, c in v.items():
-        for tgt, coeff in act_l_index(gen, idx):
-            out.append((tgt, coeff * c))
-    return KVector(out)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +142,7 @@ def act_p_index(
 ) -> list[tuple[WignerIndex, ComplexRadical]]:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    j2, n2, m12, m22 = idx.doubled()
+    j2, n2, m12, m22 = idx
     d = (m22 - n2) // 2  # m2 - n, an integer for any valid index
     jp = (j2 + m12) // 2  # j + m1
     jm = (j2 - m12) // 2  # j - m1
@@ -264,7 +178,7 @@ def act_p_index(
     for sign, root, lin, (dj, dn, dm1, dm2) in spec:
         if root == 0 or lin == 0:
             continue
-        target = WignerIndex.of(j2 + dj, n2 + dn, m12 + dm1, m22 + dm2)
+        target = WignerIndex(j2 + dj, n2 + dn, m12 + dm1, m22 + dm2)
         if not target.structurally_valid():
             raise InadmissibleResult(
                 f"{gen.value} on {idx} produced nonzero coefficient on invalid {target}"
@@ -272,18 +186,6 @@ def act_p_index(
         scale = RadicalScalar.sqrt(root) * Fraction(sign * lin, denom)
         out.append((target, ComplexRadical(scale)))
     return out
-
-
-def act_p(gen: LieGen, v: KVector, variant: str = DEFAULT_VARIANT) -> KVector:
-    out: list = []
-    for idx, c in v.items():
-        for tgt, coeff in act_p_index(gen, idx, variant):
-            out.append((tgt, coeff * c))
-    return KVector(out)
-
-
-def act(gen: LieGen, v: KVector, variant: str = DEFAULT_VARIANT) -> KVector:
-    return act_l(gen, v) if gen in L_GENS else act_p(gen, v, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +197,7 @@ def psi_index(k: int, l: int) -> WignerIndex:
     """Index family carrying the (1,1)-type cocycle; l in {-1, ..., k+1}."""
     if not -1 <= l <= k + 1:
         raise OutOfRange(f"l={l} outside [-1, {k + 1}]")
-    idx = WignerIndex.of(k + 2, -k, -k + 2 * l, k + 2)
+    idx = WignerIndex(k + 2, -k, -k + 2 * l, k + 2)
     assert admissible(idx, k)
     return idx
 
@@ -308,7 +210,7 @@ def psi0_index(k: int, l: int) -> WignerIndex:
     """
     if not 0 <= l <= k:
         raise OutOfRange(f"l={l} outside [0, {k}]")
-    idx = WignerIndex.of(k, -k - 6, -k + 2 * l, k)
+    idx = WignerIndex(k, -k - 6, -k + 2 * l, k)
     assert admissible(idx, k)
     return idx
 
@@ -317,7 +219,7 @@ def psi0_tilde_index(k: int, l: int) -> WignerIndex:
     """Companion family with j shifted up by one; l in {0, ..., k+1}."""
     if not 0 <= l <= k + 1:
         raise OutOfRange(f"l={l} outside [0, {k + 1}]")
-    idx = WignerIndex.of(k + 2, -k - 6, -k + 2 * l, k)
+    idx = WignerIndex(k + 2, -k - 6, -k + 2 * l, k)
     assert admissible(idx, k)
     return idx
 
@@ -326,6 +228,6 @@ def chi_index(k: int, l: int) -> WignerIndex:
     """Index family carrying the primitive 1-cochain; l in {0, ..., k+1}."""
     if not 0 <= l <= k + 1:
         raise OutOfRange(f"l={l} outside [0, {k + 1}]")
-    idx = WignerIndex.of(k + 1, -k - 3, -(k + 1) + 2 * l, k + 1)
+    idx = WignerIndex(k + 1, -k - 3, -(k + 1) + 2 * l, k + 1)
     assert admissible(idx, k)
     return idx

@@ -6,8 +6,10 @@ reproduce exactly.
 
 from fractions import Fraction
 
+from su21coh.cochains import TensorElement
+from su21coh.polynomials import monomial_basis
 from su21coh.scalars import ComplexRadical, RadicalScalar
-from su21coh.wigner import KVector, admissible_indices
+from su21coh.wigner import admissible_indices
 
 # Squarefree radicands <= 50 (1 = rational part).
 SQUAREFREE_POOL = [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 21, 22, 26, 30, 33, 35, 38, 42, 46]
@@ -34,14 +36,16 @@ def random_complex_radical(rng, max_terms=2, bound=1000) -> ComplexRadical:
     )
 
 
-def random_kvector(k: int, rng, j_max=Fraction(5, 2), max_terms=3) -> KVector:
-    indices = list(admissible_indices(k, j_max))
+def random_tensor(k: int, rng, j_max=Fraction(5, 2), max_terms=3) -> TensorElement:
+    """A few admissible (index, degree-k monomial) terms with small Gaussian
+    integer coefficients."""
+    keys = [(idx, mono) for idx in admissible_indices(k, j_max) for mono in monomial_basis(k)]
     n_terms = int(rng.integers(1, max_terms + 1))
-    picks = rng.choice(len(indices), size=min(n_terms, len(indices)), replace=False)
-    return KVector(
+    picks = rng.choice(len(keys), size=min(n_terms, len(keys)), replace=False)
+    return TensorElement(
         [
             (
-                indices[int(p)],
+                keys[int(p)],
                 ComplexRadical(
                     Fraction(int(rng.integers(-5, 6))), Fraction(int(rng.integers(-5, 6)))
                 ),

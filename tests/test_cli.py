@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -124,6 +125,7 @@ def test_oracle_reports_deterministic(tmp_path, capsys):
         ["--j-max", "1/3"],  # not a half-integer
         ["--tol", "nan"],
         ["--tol", "inf"],
+        ["--seed", "-1"],
     ],
 )
 def test_oracle_rejects_vacuous_or_malformed_input(argv, capsys):
@@ -154,3 +156,41 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+# Golden values: the export bytes and the ordered check names are part of the
+# interface, so refactors must leave them byte-identical.
+EXPORT_K10_SHA256 = "6f5e6234ca4aee9838d6258fae18e2c6fb18163a53e49f6488bea9a7168043cb"
+CHECK_NAMES_SHA256 = {
+    "verify-structure": (71, "4eb16e3964522d652b9de50bd8c07f9e7cbf3824553583fe4e549249ee04f979"),
+    "verify-theorem": (52, "79b72d7f1c352dbbb92243ddf7a25601c753ea212a394fdf2f33ab00166b8091"),
+}
+
+
+def test_golden_export_and_check_names(tmp_path, capsys):
+    path = tmp_path / "gen10.json"
+    assert main(["export-generators", "--k", "10", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_K10_SHA256
+    capsys.readouterr()
+    for argv in (["verify-structure"], ["verify-theorem", "--k", "0..3"]):
+        assert main(argv + ["--format", "structured"]) == 0
+        names = [c["check"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+        assert (len(names), digest) == CHECK_NAMES_SHA256[argv[0]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-structure", "--k", "0"],
+        ["export-generators", "--k", "0", "--out", "x.json", "--format", "text"],
+        ["export-generators", "--k", "0", "--out", "x.json", "--verbose"],
+    ],
+)
+def test_ignored_options_are_gone(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()

@@ -18,7 +18,6 @@ from su21coh.oracle import (
     eval_section,
     eval_wigner,
     euler_from_k,
-    fd_derivative,
     gbinom,
     iwasawa,
     k_from_angles,
@@ -72,7 +71,7 @@ def jacobi_recurrence(alpha: int, beta: int, c: int, x: float) -> float:
 def eval_wigner_literal(idx: WignerIndex, e: EulerAngles) -> complex:
     """The printed formula, evaluated literally through `jacobi` (a
     cross-check of the regrouped evaluation away from theta in {0, pi})."""
-    j2, n2, m12, m22 = idx.doubled()
+    j2, n2, m12, m22 = idx
     jp, jm = (j2 + m12) // 2, (j2 - m12) // 2
     kp, km = (j2 + m22) // 2, (j2 - m22) // 2
     dm, dp = (m12 - m22) // 2, (m12 + m22) // 2
@@ -121,7 +120,7 @@ def test_jacobi_matches_scipy_for_nonneg_params():
 
 def test_eval_wigner_j0():
     e = EulerAngles(0.9, -1.2, 2.2, 3.3)
-    idx = WignerIndex.of(0, -6, 0, 0)
+    idx = WignerIndex(0, -6, 0, 0)
     assert abs(eval_wigner(idx, e) - cmath.exp(-3j * 0.9)) < 1e-14
 
 
@@ -129,9 +128,9 @@ def test_eval_wigner_theta0_fixture():
     # diagonal compact element: only m1 = m2 entries survive, with unit profile
     for n2 in (-3, 1):
         e = EulerAngles(0.31, 0.0, 0.0, 0.0)
-        val = eval_wigner(WignerIndex.of(1, n2, 1, 1), e)
+        val = eval_wigner(WignerIndex(1, n2, 1, 1), e)
         assert abs(val - cmath.exp(0.5j * n2 * 0.31)) < 1e-14
-        off = eval_wigner(WignerIndex.of(1, n2, -1, 1), e)
+        off = eval_wigner(WignerIndex(1, n2, -1, 1), e)
         assert off == 0.0
 
 
@@ -145,7 +144,7 @@ def test_regrouped_matches_literal_formula():
         m22 -= (m22 - j2) % 2
         n2 = int(rng.integers(-9, 10))
         n2 -= (n2 - j2) % 2
-        idx = WignerIndex.of(j2, n2, m12, m22)
+        idx = WignerIndex(j2, n2, m12, m22)
         e = EulerAngles(
             float(rng.uniform(0, 12)), float(rng.uniform(-3, 3)),
             float(rng.uniform(0.15, 2.95)), float(rng.uniform(-3, 9)),
@@ -210,7 +209,7 @@ def test_m_element_phases_match_index_window():
     e = euler_from_k(m_matrix(t))
     assert e.theta == 0.0
     for idx in admissible_indices(k, Fraction(3, 2)):
-        if idx.m1 != idx.m2:
+        if idx.m12 != idx.m22:
             continue
         val = eval_wigner(idx, e)
         assert abs(val - cmath.exp(-1j * (2 * k + 3) * t)) <= 1e-12
@@ -252,7 +251,7 @@ def test_eval_section_on_compact_points():
     kap = k_from_angles(e)
     assert abs(eval_section(idx, k, kap) - eval_wigner(idx, euler_from_k(kap))) <= 1e-12
     with pytest.raises(ValueError):
-        eval_section(WignerIndex.of(0, 0, 0, 0), 0, np.eye(3))
+        eval_section(WignerIndex(0, 0, 0, 0), 0, np.eye(3))
 
 
 def test_section_covariance_suites():
@@ -276,6 +275,13 @@ def test_real_imag_parts_generic_matrix():
             assert np.abs(part.conj().T @ J_DIAG_NP + J_DIAG_NP @ part).max() <= 1e-14
 
 
+def fd_derivative(f, x, g: np.ndarray, h: float = 1e-3) -> complex:
+    """Left-invariant derivative d/dt f(exp(-t x) g) at t = 0 at one point,
+    through the stencil the operator sweeps use."""
+    steps, weights = oracle._fd_steps(x, h)
+    return sum(w * f(step @ g) for step, w in zip(steps, weights))
+
+
 def test_fd_derivative_zero_direction():
     g = random_group_point(0)
     val = fd_derivative(lambda h: 1.0, np.zeros((3, 3)), g)
@@ -285,7 +291,7 @@ def test_fd_derivative_zero_direction():
 def test_fd_matches_compact_weight():
     # dl(U0) multiplies a section by i*n
     k = 0
-    idx = WignerIndex.of(1, -3, 1, 1)
+    idx = WignerIndex(1, -3, 1, 1)
     g = random_group_point(17)
     base = eval_section(idx, k, g)
     fd = fd_derivative(lambda p: eval_section(idx, k, p), LieGen.U0, g)
@@ -305,7 +311,7 @@ def test_fd_matches_noncompact_prediction():
 def test_fd_annihilation_at_bottom_weight():
     # lowering at m1 = -j: the derivative vanishes identically
     k = 3
-    idx = WignerIndex.of(3, -15, -3, 1)
+    idx = WignerIndex(3, -15, -3, 1)
     g = random_group_point(29)
     fd = fd_derivative(lambda p: eval_section(idx, k, p), LieGen.U1_MINUS_IU2, g)
     assert abs(fd) <= 1e-8
@@ -327,24 +333,24 @@ def test_adjudication():
 
 
 def test_quadrature_normalization_and_diagonal():
-    trivial = WignerIndex.of(0, -6, 0, 0)
+    trivial = WignerIndex(0, -6, 0, 0)
     assert abs(quadrature_ip(trivial, trivial) - 1.0) <= 1e-12
     # squared norm at 2j = 1: computed fixture 1/2, independent of n and of
     # the signs of (m1, m2)
     for n2 in (-3, 3):
         for m12 in (-1, 1):
             for m22 in (-1, 1):
-                idx = WignerIndex.of(1, n2, m12, m22)
+                idx = WignerIndex(1, n2, m12, m22)
                 assert abs(quadrature_ip(idx, idx) - 0.5) <= 1e-12
 
 
 def test_quadrature_orthogonality_spot():
-    a = WignerIndex.of(1, -3, 1, -1)
-    b = WignerIndex.of(1, -3, 1, 1)
+    a = WignerIndex(1, -3, 1, -1)
+    b = WignerIndex(1, -3, 1, 1)
     assert abs(quadrature_ip(a, b)) <= 1e-12
-    c = WignerIndex.of(3, -3, 1, -1)  # same (n, m) frequencies, different j
+    c = WignerIndex(3, -3, 1, -1)  # same (n, m) frequencies, different j
     assert abs(quadrature_ip(a, c)) <= 1e-12
-    d = WignerIndex.of(2, -6, 0, 0)  # half-odd frequency differences vs a
+    d = WignerIndex(2, -6, 0, 0)  # half-odd frequency differences vs a
     assert abs(quadrature_ip(a, d)) <= 1e-12
 
 
@@ -357,7 +363,7 @@ def _index_window(j2_max):
     for j2 in range(j2_max + 1):
         for m12 in range(-j2, j2 + 1, 2):
             for m22 in range(-j2, j2 + 1, 2):
-                yield WignerIndex.of(j2, j2 - 8, m12, m22)
+                yield WignerIndex(j2, j2 - 8, m12, m22)
 
 
 def test_batched_eval_wigner_matches_scalar_and_literal():
@@ -377,7 +383,7 @@ def test_batched_eval_wigner_matches_scalar_and_literal():
             one = eval_wigner(idx, point)
             assert isinstance(one, complex)
             assert abs(batch[i] - one) <= 1e-14
-            j2, _, m12, m22 = idx.doubled()
+            j2, _, m12, m22 = idx
             # the literal formula has a pole at theta = 0 when m1 < m2 and at
             # theta = pi when m1 + m2 < 0; elsewhere it must agree
             if (i == 0 and m12 < m22) or (i == 1 and m12 + m22 < 0):
@@ -386,7 +392,7 @@ def test_batched_eval_wigner_matches_scalar_and_literal():
 
 
 def test_eval_wigner_broadcasts_over_a_product_grid():
-    idx = WignerIndex.of(3, -3, 1, -1)
+    idx = WignerIndex(3, -3, 1, -1)
     zeta, phi = np.array([0.1, 2.0]), np.array([-1.0, 0.4, 2.5])
     grid = eval_wigner(idx, EulerAngles(zeta[:, None], phi[None, :], 0.7, 1.9))
     assert grid.shape == (2, 3)

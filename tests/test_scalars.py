@@ -13,7 +13,6 @@ from su21coh.scalars import (
     RadicalScalar,
     prime_factors,
     square_free_split,
-    sqrt_rational,
 )
 
 RS = RadicalScalar
@@ -53,7 +52,6 @@ def test_sqrt_rational():
     assert RS.sqrt(8) == RS({2: Fraction(2)})
     assert RS.sqrt(Fraction(3, 2)) == RS({6: Fraction(1, 2)})
     assert RS.sqrt(0).is_zero()
-    assert sqrt_rational(2) == RS.sqrt(2)
     with pytest.raises(NegativeRadicand):
         RS.sqrt(Fraction(-1, 4))
 
