@@ -20,16 +20,15 @@ from .wigner import DEFAULT_VARIANT, VARIANTS
 
 def _parse_k_spec(text: str) -> list[int]:
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            ks = list(range(int(lo), int(hi) + 1))
-        else:
-            ks = [int(text)]
+        lo, hi = text.split("..") if ".." in text else (text, text)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad k specification {text!r}") from None
-    if not ks or ks[0] < 0:
+    if min(lo, hi) < 0:
         raise argparse.ArgumentTypeError(f"k values must be >= 0, got {text!r}")
-    return ks
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty k range {text!r}: lo > hi")
+    return list(range(lo, hi + 1))
 
 
 def _parse_jmax(text: str) -> Fraction:

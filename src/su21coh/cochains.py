@@ -50,18 +50,23 @@ def tensor_term(idx: WignerIndex, mono: Monomial, coeff=1) -> TensorElement:
     return TensorElement({(idx, mono): ComplexRadical.of(coeff)})
 
 
+@lru_cache(maxsize=None)
+def _poly_image(gen: LieGen, mono: Monomial) -> tuple:
+    """(monomial, coefficient) pairs of gen acting on one monomial."""
+    return tuple(act_poly(gen_matrix(gen), PolyVector({mono: 1})).items())
+
+
 def act_tensor(gen: LieGen, t: TensorElement, variant: str = DEFAULT_VARIANT) -> TensorElement:
     """Leibniz action: generator on the function slot plus generator on the
     polynomial slot."""
     compact = gen in L_GENS
-    mat = gen_matrix(gen)
     out: list = []
     for (idx, mono), coeff in t.items():
         moved = act_l_index(gen, idx) if compact else act_p_index(gen, idx, variant)
         for tgt, c in moved:
             out.append(((tgt, mono), c * coeff))
-        for pm, pc in act_poly(mat, PolyVector({mono: coeff})).items():
-            out.append(((idx, pm), pc))
+        for pm, pc in _poly_image(gen, mono):
+            out.append(((idx, pm), pc * coeff))
     return TensorElement(out)
 
 
@@ -310,24 +315,30 @@ def hodge_type(psi: Cochain):
 
 
 def nullspace(rows: list[list[ComplexRadical]], ncols: int) -> list[list[ComplexRadical]]:
-    """Basis of the solution space of rows . x = 0, by Gauss-Jordan
-    elimination with exact division."""
-    work = [list(r) for r in rows]
-    pivot_cols: list[int] = []
-    r = 0
+    """Basis of the solution space of rows . x = 0, by sparse Gauss-Jordan
+    elimination with exact division.
+
+    Rows are held as {col: nonzero entry} dicts and every pivot column is
+    cleared above and below the pivot, so the pivot rows end up in reduced
+    row echelon form.  That form is unique, hence so is the returned basis:
+    one vector per free column, with a 1 there and minus the reduced
+    entries of that column at the pivot positions.
+    """
+    pending = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
+    reduced: list[tuple[int, dict[int, ComplexRadical]]] = []
     for col in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if not work[i][col].is_zero()), None)
+        pivot = next((i for i, row in enumerate(pending) if col in row), None)
         if pivot is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][col].inverse()
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not work[i][col].is_zero():
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivot_cols.append(col)
-        r += 1
+        prow = pending.pop(pivot)
+        inv = prow[col].inverse()
+        prow = {c: x * inv for c, x in prow.items()}
+        for _, row in reduced:
+            _eliminate(row, prow, col)
+        for row in pending:
+            _eliminate(row, prow, col)
+        reduced.append((col, prow))
+    pivot_cols = {col for col, _ in reduced}
     basis = []
     one = ComplexRadical.of(1)
     for free in range(ncols):
@@ -335,10 +346,25 @@ def nullspace(rows: list[list[ComplexRadical]], ncols: int) -> list[list[Complex
             continue
         vec = [ComplexRadical() for _ in range(ncols)]
         vec[free] = one
-        for row_i, pc in enumerate(pivot_cols):
-            vec[pc] = -work[row_i][free]
+        for pc, prow in reduced:
+            if free in prow:
+                vec[pc] = -prow[free]
         basis.append(vec)
     return basis
+
+
+def _eliminate(row: dict, prow: dict, col: int) -> None:
+    """row -= row[col] * prow in place, for a pivot row prow normalized at
+    col; entries that cancel are dropped."""
+    f = row.get(col)
+    if f is None:
+        return
+    for c, x in prow.items():
+        new = row[c] - f * x if c in row else -(f * x)
+        if new.is_zero():
+            del row[c]
+        else:
+            row[c] = new
 
 
 # ---------------------------------------------------------------------------

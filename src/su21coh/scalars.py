@@ -153,6 +153,8 @@ class RadicalScalar:
 
     def __mul__(self, other) -> "RadicalScalar":
         other = RadicalScalar.of(other)
+        if not self._terms or not other._terms:
+            return RadicalScalar()
         terms: dict[int, Fraction] = {}
         for d1, c1 in self._terms.items():
             for d2, c2 in other._terms.items():
@@ -278,11 +280,28 @@ class ComplexRadical:
         return ComplexRadical.of(other) + (-self)
 
     def __mul__(self, other) -> "ComplexRadical":
+        # The operator coefficients are mostly purely real or purely
+        # imaginary, so branch on the zero parts instead of always paying
+        # four real products.
         other = ComplexRadical.of(other)
-        return ComplexRadical(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b._terms:
+            if not d._terms:
+                return ComplexRadical(a * c)
+            if not c._terms:
+                return ComplexRadical(None, a * d)
+            return ComplexRadical(a * c, a * d)
+        if not a._terms:
+            if not d._terms:
+                return ComplexRadical(None, b * c)
+            if not c._terms:
+                return ComplexRadical(-(b * d))
+            return ComplexRadical(-(b * d), b * c)
+        if not d._terms:
+            return ComplexRadical(a * c, b * c)
+        if not c._terms:
+            return ComplexRadical(-(b * d), a * d)
+        return ComplexRadical(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 

@@ -78,9 +78,9 @@ def test_criterion_03_cocycles_closed():
 
 def test_criterion_04_nonexactness_mirror():
     ok = True
-    for k in range(6):
+    for k in range(11):
         ok = ok and all_passed(verify_nonexactness(k))
-    _report(4, "preimage family, 1-dim lowering kernel, nonzero X1-image, k=0..5", ok)
+    _report(4, "preimage family, 1-dim lowering kernel, nonzero X1-image, k=0..10", ok)
 
 
 def test_criterion_05_types_and_equivariance():

@@ -46,7 +46,7 @@ def test_structured_format(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--samples", "0"])
     assert exc.value.code == 2
@@ -59,6 +59,17 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--tol", "-1"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theorem", "--k", "5..2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "empty k range '5..2': lo > hi" in err and ">= 0" not in err
+    for spec in ("-1..2", "2..-1", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-theorem", f"--k={spec}"])
+        assert exc.value.code == 2
+        assert f"k values must be >= 0, got '{spec}'" in capsys.readouterr().err
 
 
 def test_export_generators(tmp_path, capsys):
@@ -165,6 +176,9 @@ CHECK_NAMES_SHA256 = {
     "verify-structure": (71, "4eb16e3964522d652b9de50bd8c07f9e7cbf3824553583fe4e549249ee04f979"),
     "verify-theorem": (52, "79b72d7f1c352dbbb92243ddf7a25601c753ea212a394fdf2f33ab00166b8091"),
 }
+# The verdicts of verify-theorem --k 0..12: (check, pass, detail) triples,
+# hashed without the rest of the JSON so that new report fields leave it alone.
+VERDICTS_K12_SHA256 = (169, "813d30f940ed22934911addc547810d3edcd4a9705c4130ceea7e3feb8cb9f37")
 
 
 def test_golden_export_and_check_names(tmp_path, capsys):
@@ -177,6 +191,11 @@ def test_golden_export_and_check_names(tmp_path, capsys):
         names = [c["check"] for c in json.loads(capsys.readouterr().out)["checks"]]
         digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
         assert (len(names), digest) == CHECK_NAMES_SHA256[argv[0]]
+    assert main(["verify-theorem", "--k", "0..12", "--format", "structured"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    triples = [f"{c['check']}\t{c['pass']}\t{c.get('detail', '')}" for c in checks]
+    digest = hashlib.sha256("\n".join(triples).encode()).hexdigest()
+    assert (len(triples), digest) == VERDICTS_K12_SHA256
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import random_complex_radical
+
 from su21coh.cochains import (
     Cochain,
     TensorElement,
@@ -176,8 +178,15 @@ def test_nonexactness_k0_details():
 
 
 def test_nonexactness_range():
-    for k in range(0, 6):
+    for k in range(0, 11):
         assert all_passed(verify_nonexactness(k))
+
+
+@pytest.mark.parametrize("k", [40, 80])
+def test_theorem_at_large_k(k):
+    results = verify_closedness(k) + verify_nonexactness(k)
+    assert len(results) == 13
+    assert [r.name for r in results if not r.passed] == []
 
 
 def test_sanity_inversion_for_exact_target():
@@ -199,6 +208,86 @@ def test_nullspace_small():
     assert len(basis) == 1
     vec = basis[0]
     assert vec[0] + two * vec[1] == CR() and vec[2] == CR()
+
+
+def dense_nullspace(rows, ncols):
+    """Reference: dense Gauss-Jordan elimination with exact division."""
+    work = [list(r) for r in rows]
+    pivot_cols: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if not work[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = work[r][col].inverse()
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and not work[i][col].is_zero():
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivot_cols.append(col)
+        r += 1
+    basis = []
+    one = ComplexRadical.of(1)
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec = [ComplexRadical() for _ in range(ncols)]
+        vec[free] = one
+        for row_i, pc in enumerate(pivot_cols):
+            vec[pc] = -work[row_i][free]
+        basis.append(vec)
+    return basis
+
+
+def _random_entry(rng, density):
+    """Zero with probability 1 - density; otherwise a random complex radical
+    whose real and imaginary parts are each zeroed at random."""
+    if rng.random() >= density:
+        return CR()
+    z = random_complex_radical(rng, max_terms=1, bound=20)
+    return CR(z.re if rng.random() < 0.6 else None, z.im if rng.random() < 0.6 else None)
+
+
+def _random_matrix(rng, nrows, ncols, density=0.6):
+    return [[_random_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _combine(rng, rows):
+    """A random combination of rows with nonzero coefficients."""
+    out = [CR() for _ in rows[0]]
+    for row in rows:
+        coeff = _random_entry(rng, 1.0) or CR.of(1)
+        out = [a + coeff * b for a, b in zip(out, row)]
+    return out
+
+
+def test_sparse_nullspace_matches_dense_reference():
+    rng = np.random.default_rng(2024)
+    cases = [([], 0), ([], 3), ([[CR(), CR()]], 2), ([[CR()] * 3] * 2, 3)]
+    for _ in range(10):
+        nrows, ncols = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        # generic, usually of full rank (and wide whenever ncols > nrows)
+        cases.append((_random_matrix(rng, nrows, ncols), ncols))
+        base = _random_matrix(rng, nrows, ncols, density=0.8)
+        # rank-deficient: append a combination of the rows, a duplicate row
+        # and a zero row, then shuffle
+        grown = base + [_combine(rng, base), list(base[0]), [CR()] * ncols]
+        order = rng.permutation(len(grown))
+        cases.append(([grown[int(i)] for i in order], ncols))
+    shapes = set()
+    for rows, ncols in cases:
+        got = nullspace(rows, ncols)
+        assert got == dense_nullspace(rows, ncols)
+        shapes.add((ncols - len(got), len(rows), ncols))
+        for vec in got:
+            for row in rows:
+                assert sum((a * x for a, x in zip(row, vec)), CR()).is_zero()
+    # the draw covers full-rank, rank-deficient and wide systems
+    assert any(0 < rank == min(nrows, ncols) for rank, nrows, ncols in shapes)
+    assert any(0 < rank < min(nrows, ncols) for rank, nrows, ncols in shapes)
+    assert any(0 < rank < ncols and nrows < ncols for rank, nrows, ncols in shapes)
 
 
 def test_dd_zero_on_random_equivariant():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_radical
+from conftest import random_complex_radical, random_radical
 from su21coh.scalars import (
     ComplexRadical,
     NegativeRadicand,
@@ -143,3 +144,27 @@ def test_to_float_homomorphism():
         tot = (a + b).to_float()
         assert abs(prod - fa * fb) <= 1e-12 * max(1.0, abs(fa * fb))
         assert abs(tot - (fa + fb)) <= 1e-12 * max(1.0, abs(fa + fb))
+
+
+def _nonzero_radical(rng):
+    x = random_radical(rng, max_terms=2, bound=1000)
+    return x if not x.is_zero() else RS.of(int(rng.integers(1, 10)))
+
+
+def test_complex_mul_over_zero_part_patterns():
+    # every zero/nonzero pattern of (a.re, a.im, b.re, b.im) against the
+    # four-product formula, plus the complex field laws
+    rng = np.random.default_rng(7)
+    for pattern in itertools.product((False, True), repeat=4):
+        for _ in range(8):
+            ar, ai, br, bi = (
+                _nonzero_radical(rng) if nonzero else RS.zero() for nonzero in pattern
+            )
+            a, b = CR(ar, ai), CR(br, bi)
+            assert a * b == CR(ar * br - ai * bi, ar * bi + ai * br)
+            assert a * b == b * a
+            c = random_complex_radical(rng)
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+            if not a.is_zero():
+                assert a * a.inverse() == CR.of(1)
