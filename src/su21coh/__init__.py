@@ -6,7 +6,7 @@ float; the oracle side (oracle) never touches the exact engine except to read
 off generator matrices and operator coefficients for comparison.
 """
 
-from .scalars import ComplexRadical, NegativeRadicand, RadicalScalar
+from .scalars import ComplexRadical, NegativeRadicand
 from .lie import LieGen, Mat3, NotInLieAlgebra, bracket, gen_matrix, wedge_action
 from .wigner import (
     InadmissibleResult,
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexRadical",
-    "RadicalScalar",
     "NegativeRadicand",
     "LieGen",
     "Mat3",

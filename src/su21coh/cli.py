@@ -84,7 +84,7 @@ def _emit(args, command: str, params: dict, results: list[CheckResult]) -> int:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = f"== {command} {params}\n" + summarize(results, verbose=args.verbose) + "\n"
-    if args.out and not _write(args.out, text):
+    if args.out is not None and not _write(args.out, text):
         return 2
     sys.stdout.write(text)
     return 0 if ok else 1

@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lie import L_GENS, P_GENS, LieGen, bracket, gen_matrix, project_to_p, wedge_action
-from .polynomials import Monomial, PolyVector, act_poly, monomial_basis, monomial_xy
+from .polynomials import Monomial, PolyVector, act_poly, monomial_xy
 from .report import CheckResult
-from .scalars import ComplexRadical, RadicalScalar
+from .scalars import ComplexRadical
 from .sparse import LinComb
 from .wigner import (
     DEFAULT_VARIANT,
@@ -68,13 +68,6 @@ def act_tensor(gen: LieGen, t: TensorElement, variant: str = DEFAULT_VARIANT) ->
         for pm, pc in _poly_image(gen, mono):
             out.append(((idx, pm), pc * coeff))
     return TensorElement(out)
-
-
-def act_tensor_seq(gens, t: TensorElement) -> TensorElement:
-    """Apply generators right-to-left: gens = (a, b) computes a.(b.t)."""
-    for gen in reversed(tuple(gens)):
-        t = act_tensor(gen, t)
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -225,30 +218,30 @@ def is_equivariant(psi: Cochain) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def alpha_coeff(k: int, l: int) -> RadicalScalar:
+def alpha_coeff(k: int, l: int) -> ComplexRadical:
     """(k-l+1)/(k+1) * sqrt(l+1) * sqrt(C(k+1, l))."""
     return (
-        RadicalScalar.of(Fraction(k - l + 1, k + 1))
-        * RadicalScalar.sqrt(l + 1)
-        * RadicalScalar.sqrt(math.comb(k + 1, l))
+        ComplexRadical.of(Fraction(k - l + 1, k + 1))
+        * ComplexRadical.sqrt(l + 1)
+        * ComplexRadical.sqrt(math.comb(k + 1, l))
     )
 
 
-def beta_coeff(k: int, l: int) -> RadicalScalar:
+def beta_coeff(k: int, l: int) -> ComplexRadical:
     """sqrt(C(k, l))."""
-    return RadicalScalar.sqrt(math.comb(k, l))
+    return ComplexRadical.sqrt(math.comb(k, l))
 
 
-def gamma_coeff(k: int, l: int) -> RadicalScalar:
+def gamma_coeff(k: int, l: int) -> ComplexRadical:
     """sqrt((k+1-l)/(k+1)) * sqrt(C(k, l))."""
-    return RadicalScalar.sqrt(Fraction(k + 1 - l, k + 1)) * RadicalScalar.sqrt(
+    return ComplexRadical.sqrt(Fraction(k + 1 - l, k + 1)) * ComplexRadical.sqrt(
         math.comb(k, l)
     )
 
 
 def chi3_element(k: int) -> TensorElement:
     return TensorElement(
-        [((chi_index(k, l), monomial_xy(k, l)), ComplexRadical(gamma_coeff(k, l))) for l in range(k + 1)]
+        [((chi_index(k, l), monomial_xy(k, l)), gamma_coeff(k, l)) for l in range(k + 1)]
     )
 
 
@@ -262,7 +255,7 @@ def build_chi(k: int) -> Cochain:
 
 def psi_w13_element(k: int) -> TensorElement:
     return TensorElement(
-        [((psi_index(k, l), monomial_xy(k, l)), ComplexRadical(alpha_coeff(k, l))) for l in range(k + 1)]
+        [((psi_index(k, l), monomial_xy(k, l)), alpha_coeff(k, l)) for l in range(k + 1)]
     )
 
 
@@ -279,7 +272,7 @@ def build_psi(k: int) -> Cochain:
 def build_psi0(k: int) -> Cochain:
     """2-cochain supported on X3^X4 alone."""
     w034 = TensorElement(
-        [((psi0_index(k, l), monomial_xy(k, l)), ComplexRadical(beta_coeff(k, l))) for l in range(k + 1)]
+        [((psi0_index(k, l), monomial_xy(k, l)), beta_coeff(k, l)) for l in range(k + 1)]
     )
     return Cochain(k, 2, {(3, 4): w034})
 
@@ -391,7 +384,7 @@ def verify_closedness(
         psi = psi + bump
     results = []
 
-    inv_sqrt = ComplexRadical(RadicalScalar.sqrt(Fraction(1, k + 2)))
+    inv_sqrt = ComplexRadical.sqrt(Fraction(1, k + 2))
     results.append(
         CheckResult(
             name=f"d(chi) = psi/sqrt(k+2) + psi0 [k={k}]",
@@ -479,16 +472,14 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
         if lead is not None:
             inv = lead.inverse()
             normalized = [c * inv for c in vec]
-            spans_chi = normalized == [
-                ComplexRadical(gamma_coeff(k, l)) for l in range(k + 1)
-            ]
+            spans_chi = normalized == [gamma_coeff(k, l) for l in range(k + 1)]
     results.append(
         CheckResult(name=f"kernel spanned by chi seed [k={k}]", passed=spans_chi)
     )
 
     # (c) the seed has nonzero X1-image, equal to the X1^X3 value of d(chi)
     x1_image = act_tensor(LieGen.X1, chi3_element(k), variant)
-    inv_sqrt = ComplexRadical(RadicalScalar.sqrt(Fraction(1, k + 2)))
+    inv_sqrt = ComplexRadical.sqrt(Fraction(1, k + 2))
     results.append(
         CheckResult(
             name=f"X1-image of chi seed nonzero [k={k}]",
@@ -506,98 +497,6 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
         )
     )
     return results
-
-
-# ---------------------------------------------------------------------------
-# Randomized equivariant 1-cochains (for the d.d = 0 property suite).
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _seed_kernel(k: int, side: str, jmax2: int):
-    """Exact basis of the space of admissible "seed" vectors for one half of
-    an equivariant 1-cochain.
-
-    side="lower": value on X3; weights (-3/2, -1/2), annihilated by the
-    lowering operator and by the square of the raising operator.
-    side="upper": value on X1; weights (+3/2, +1/2), with the roles of
-    raising and lowering exchanged.
-    """
-    if side == "lower":
-        u0w2, u3w2 = -3, -1
-        kill = LieGen.U1_MINUS_IU2
-        kill_sq = LieGen.U1_PLUS_IU2
-    else:
-        u0w2, u3w2 = 3, 1
-        kill = LieGen.U1_PLUS_IU2
-        kill_sq = LieGen.U1_MINUS_IU2
-
-    keys = []
-    for mono in monomial_basis(k):
-        a, b, c = mono
-        n2 = u0w2 - (a + b - 2 * c)
-        m12 = u3w2 - (a - b)
-        if (n2 + 4 * k + 6) % 3:
-            continue
-        m22 = (n2 + 4 * k + 6) // 3
-        if (m12 - m22) % 2:
-            continue
-        j2 = max(abs(m12), abs(m22))
-        if (j2 - m12) % 2:
-            j2 += 1
-        while j2 <= jmax2:
-            idx = WignerIndex(j2, n2, m12, m22)
-            if admissible(idx, k):
-                keys.append((idx, mono))
-            j2 += 2
-    if not keys:
-        return (), ()
-
-    constraints = []
-    for key in keys:
-        unit = TensorElement({key: ComplexRadical.of(1)})
-        constraints.append(
-            (
-                act_tensor(kill, unit),
-                act_tensor_seq((kill_sq, kill_sq), unit),
-            )
-        )
-    rows = []
-    for pos in (0, 1):
-        row_keys = sorted({key for cons in constraints for key in cons[pos].support()})
-        for rk in row_keys:
-            rows.append([cons[pos].get(rk) for cons in constraints])
-    return tuple(keys), tuple(tuple(v) for v in nullspace(rows, len(keys)))
-
-
-def random_equivariant_cochain(k: int, rng, jmax2: int | None = None) -> Cochain:
-    """Draw a random compact-equivariant 1-cochain with exact coefficients.
-
-    Seeds for the values on X3 and X1 are sampled from the exact kernels of
-    the weight/annihilation constraints; the values on X4 and X2 are the
-    determined raised/lowered partners.
-    """
-    if jmax2 is None:
-        jmax2 = k + 3
-
-    def draw(side):
-        keys, kernel = _seed_kernel(k, side, jmax2)
-        vec = TensorElement()
-        for basis_vec in kernel:
-            re, im = rng.integers(-3, 4), rng.integers(-3, 4)
-            coeff = ComplexRadical(Fraction(int(re)), Fraction(int(im)))
-            if coeff.is_zero():
-                continue
-            vec = vec + TensorElement(
-                [(key, c * coeff) for key, c in zip(keys, basis_vec)]
-            )
-        return vec
-
-    v3 = draw("lower")
-    w1 = draw("upper")
-    v4 = act_tensor(LieGen.U1_PLUS_IU2, v3).scaled(ComplexRadical.i())
-    w2 = act_tensor(LieGen.U1_MINUS_IU2, w1).scaled(ComplexRadical.i_times(-1))
-    return Cochain(k, 1, {(1,): w1, (2,): w2, (3,): v3, (4,): v4})
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import ComplexRadical, RadicalScalar
+from .scalars import ComplexRadical
 
 Half = Fraction(1, 2)
 
@@ -141,7 +141,7 @@ def _e(i: int, j: int, value=1) -> Mat3:
 
 _i = ComplexRadical.i()
 _ih = ComplexRadical.i_times(Half)
-_inv_sqrt2 = RadicalScalar.sqrt(Half)
+_inv_sqrt2 = ComplexRadical.sqrt(Half)
 
 ZERO_MAT = Mat3([[0, 0, 0]] * 3)
 IDENTITY = Mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -151,9 +151,9 @@ J_DIAG = Mat3([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
 J_PAR = Mat3([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 GAMMA = Mat3(
     [
-        [ComplexRadical(_inv_sqrt2), 0, ComplexRadical(_inv_sqrt2)],
+        [_inv_sqrt2, 0, _inv_sqrt2],
         [0, 1, 0],
-        [ComplexRadical(_inv_sqrt2), 0, ComplexRadical(-_inv_sqrt2)],
+        [_inv_sqrt2, 0, -_inv_sqrt2],
     ]
 )
 
@@ -247,30 +247,29 @@ def is_in_k(a: Mat3) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _cr(re=0, im=0) -> ComplexRadical:
-    return ComplexRadical(RadicalScalar.of(Fraction(re)), RadicalScalar.of(Fraction(im)))
+_it = ComplexRadical.i_times  # the printed table entries are all imaginary
 
 
 def table1_fixture() -> dict[tuple[LieGen, LieGen], list[tuple[ComplexRadical, LieGen]]]:
     """The action of l_C on p_C as printed: (X row, U column) -> sum c*X'."""
     i32, i12 = Fraction(3, 2), Fraction(1, 2)
     t = {
-        (LieGen.X1, LieGen.U0): [(_cr(0, i32), LieGen.X1)],
+        (LieGen.X1, LieGen.U0): [(_it(i32), LieGen.X1)],
         (LieGen.X1, LieGen.U1_PLUS_IU2): [],
-        (LieGen.X1, LieGen.U1_MINUS_IU2): [(_cr(0, 1), LieGen.X2)],
-        (LieGen.X1, LieGen.U3): [(_cr(0, i12), LieGen.X1)],
-        (LieGen.X2, LieGen.U0): [(_cr(0, i32), LieGen.X2)],
-        (LieGen.X2, LieGen.U1_PLUS_IU2): [(_cr(0, 1), LieGen.X1)],
+        (LieGen.X1, LieGen.U1_MINUS_IU2): [(_it(1), LieGen.X2)],
+        (LieGen.X1, LieGen.U3): [(_it(i12), LieGen.X1)],
+        (LieGen.X2, LieGen.U0): [(_it(i32), LieGen.X2)],
+        (LieGen.X2, LieGen.U1_PLUS_IU2): [(_it(1), LieGen.X1)],
         (LieGen.X2, LieGen.U1_MINUS_IU2): [],
-        (LieGen.X2, LieGen.U3): [(_cr(0, -i12), LieGen.X2)],
-        (LieGen.X3, LieGen.U0): [(_cr(0, -i32), LieGen.X3)],
-        (LieGen.X3, LieGen.U1_PLUS_IU2): [(_cr(0, -1), LieGen.X4)],
+        (LieGen.X2, LieGen.U3): [(_it(-i12), LieGen.X2)],
+        (LieGen.X3, LieGen.U0): [(_it(-i32), LieGen.X3)],
+        (LieGen.X3, LieGen.U1_PLUS_IU2): [(_it(-1), LieGen.X4)],
         (LieGen.X3, LieGen.U1_MINUS_IU2): [],
-        (LieGen.X3, LieGen.U3): [(_cr(0, -i12), LieGen.X3)],
-        (LieGen.X4, LieGen.U0): [(_cr(0, -i32), LieGen.X4)],
+        (LieGen.X3, LieGen.U3): [(_it(-i12), LieGen.X3)],
+        (LieGen.X4, LieGen.U0): [(_it(-i32), LieGen.X4)],
         (LieGen.X4, LieGen.U1_PLUS_IU2): [],
-        (LieGen.X4, LieGen.U1_MINUS_IU2): [(_cr(0, -1), LieGen.X3)],
-        (LieGen.X4, LieGen.U3): [(_cr(0, i12), LieGen.X4)],
+        (LieGen.X4, LieGen.U1_MINUS_IU2): [(_it(-1), LieGen.X3)],
+        (LieGen.X4, LieGen.U3): [(_it(i12), LieGen.X4)],
     }
     return t
 
@@ -281,16 +280,16 @@ _PAIR_ORDER = ((1, 2), (2, 3), (3, 4), (1, 3), (1, 4), (2, 4))
 def table3_fixture() -> dict[tuple[tuple[int, int], LieGen], list[tuple[ComplexRadical, tuple[int, int]]]]:
     """The induced action of l_C on the wedge basis X_i ^ X_j, as printed."""
     t: dict = {((i, j), u): [] for (i, j) in _PAIR_ORDER for u in L_GENS}
-    t[((1, 2), LieGen.U0)] = [(_cr(0, 3), (1, 2))]
-    t[((2, 3), LieGen.U1_PLUS_IU2)] = [(_cr(0, 1), (1, 3)), (_cr(0, -1), (2, 4))]
-    t[((2, 3), LieGen.U3)] = [(_cr(0, -1), (2, 3))]
-    t[((3, 4), LieGen.U0)] = [(_cr(0, -3), (3, 4))]
-    t[((1, 3), LieGen.U1_PLUS_IU2)] = [(_cr(0, -1), (1, 4))]
-    t[((1, 3), LieGen.U1_MINUS_IU2)] = [(_cr(0, 1), (2, 3))]
-    t[((1, 4), LieGen.U1_MINUS_IU2)] = [(_cr(0, -1), (1, 3)), (_cr(0, 1), (2, 4))]
-    t[((1, 4), LieGen.U3)] = [(_cr(0, 1), (1, 4))]
-    t[((2, 4), LieGen.U1_PLUS_IU2)] = [(_cr(0, 1), (1, 4))]
-    t[((2, 4), LieGen.U1_MINUS_IU2)] = [(_cr(0, -1), (2, 3))]
+    t[((1, 2), LieGen.U0)] = [(_it(3), (1, 2))]
+    t[((2, 3), LieGen.U1_PLUS_IU2)] = [(_it(1), (1, 3)), (_it(-1), (2, 4))]
+    t[((2, 3), LieGen.U3)] = [(_it(-1), (2, 3))]
+    t[((3, 4), LieGen.U0)] = [(_it(-3), (3, 4))]
+    t[((1, 3), LieGen.U1_PLUS_IU2)] = [(_it(-1), (1, 4))]
+    t[((1, 3), LieGen.U1_MINUS_IU2)] = [(_it(1), (2, 3))]
+    t[((1, 4), LieGen.U1_MINUS_IU2)] = [(_it(-1), (1, 3)), (_it(1), (2, 4))]
+    t[((1, 4), LieGen.U3)] = [(_it(1), (1, 4))]
+    t[((2, 4), LieGen.U1_PLUS_IU2)] = [(_it(1), (1, 4))]
+    t[((2, 4), LieGen.U1_MINUS_IU2)] = [(_it(-1), (2, 3))]
     return t
 
 
@@ -378,7 +377,7 @@ def verify_structure(inject_error: bool = False) -> list:
 
     fixture = table1_fixture()
     if inject_error:
-        fixture[(LieGen.X1, LieGen.U0)] = [(_cr(0, Fraction(5, 2)), LieGen.X1)]
+        fixture[(LieGen.X1, LieGen.U0)] = [(_it(Fraction(5, 2)), LieGen.X1)]
     results = verify_table1(fixture) + verify_table3()
 
     for a in range(4):

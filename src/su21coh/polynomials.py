@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lie import LieGen, Mat3, gen_matrix
+from .lie import Mat3
 from .sparse import LinComb
 
 
@@ -64,10 +64,6 @@ def act_poly(mat: Mat3, p: PolyVector) -> PolyVector:
                 target[j] += 1
                 out.append((Monomial(*target), coeff * entry * e))
     return PolyVector(out)
-
-
-def act_poly_gen(gen: LieGen, p: PolyVector) -> PolyVector:
-    return act_poly(gen_matrix(gen), p)
 
 
 def monomial_basis(k: int) -> list[Monomial]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .lie import LieGen
-from .scalars import ComplexRadical, RadicalScalar
+from .scalars import ComplexRadical
 
 
 class InadmissibleResult(ArithmeticError):
@@ -118,7 +118,7 @@ def act_l_index(gen: LieGen, idx: WignerIndex) -> list[tuple[WignerIndex, Comple
         # target falls outside |m1| <= j exactly in this case
         return []
     target = WignerIndex(j2, n2, m12 + shift, m22)
-    coeff = ComplexRadical(None, -RadicalScalar.sqrt(product))
+    coeff = -ComplexRadical.i_times(ComplexRadical.sqrt(product))
     return [(target, coeff)]
 
 
@@ -183,8 +183,7 @@ def act_p_index(
             raise InadmissibleResult(
                 f"{gen.value} on {idx} produced nonzero coefficient on invalid {target}"
             )
-        scale = RadicalScalar.sqrt(root) * Fraction(sign * lin, denom)
-        out.append((target, ComplexRadical(scale)))
+        out.append((target, ComplexRadical.sqrt(root) * Fraction(sign * lin, denom)))
     return out
 
 

@@ -5,11 +5,13 @@ reproduce exactly.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
-from su21coh.cochains import TensorElement
-from su21coh.polynomials import monomial_basis
-from su21coh.scalars import ComplexRadical, RadicalScalar
-from su21coh.wigner import admissible_indices
+from su21coh.cochains import Cochain, TensorElement, act_tensor, nullspace
+from su21coh.lie import LieGen, gen_matrix
+from su21coh.polynomials import PolyVector, act_poly, monomial_basis
+from su21coh.scalars import ComplexRadical
+from su21coh.wigner import WignerIndex, admissible, admissible_indices
 
 # Squarefree radicands <= 50 (1 = rational part).
 SQUAREFREE_POOL = [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 21, 22, 26, 30, 33, 35, 38, 42, 46]
@@ -21,19 +23,18 @@ def random_fraction(rng, bound=10**6) -> Fraction:
     return Fraction(num, den)
 
 
-def random_radical(rng, max_terms=3, bound=10**6) -> RadicalScalar:
+def random_radical(rng, max_terms=3, bound=10**6) -> ComplexRadical:
     n_terms = int(rng.integers(0, max_terms + 1))
     picks = rng.choice(len(SQUAREFREE_POOL), size=n_terms, replace=False)
     terms = {}
     for p in picks:
         terms[SQUAREFREE_POOL[int(p)]] = random_fraction(rng, bound)
-    return RadicalScalar(terms)
+    return ComplexRadical(terms)
 
 
 def random_complex_radical(rng, max_terms=2, bound=1000) -> ComplexRadical:
-    return ComplexRadical(
-        random_radical(rng, max_terms, bound), random_radical(rng, max_terms, bound)
-    )
+    re = random_radical(rng, max_terms, bound)
+    return re + ComplexRadical.i_times(random_radical(rng, max_terms, bound))
 
 
 def random_tensor(k: int, rng, j_max=Fraction(5, 2), max_terms=3) -> TensorElement:
@@ -46,10 +47,112 @@ def random_tensor(k: int, rng, j_max=Fraction(5, 2), max_terms=3) -> TensorEleme
         [
             (
                 keys[int(p)],
-                ComplexRadical(
-                    Fraction(int(rng.integers(-5, 6))), Fraction(int(rng.integers(-5, 6)))
-                ),
+                ComplexRadical.of(int(rng.integers(-5, 6)))
+                + ComplexRadical.i_times(int(rng.integers(-5, 6))),
             )
             for p in picks
         ]
     )
+
+
+def act_poly_gen(gen: LieGen, p: PolyVector) -> PolyVector:
+    return act_poly(gen_matrix(gen), p)
+
+
+def act_tensor_seq(gens, t: TensorElement) -> TensorElement:
+    """Apply generators right-to-left: gens = (a, b) computes a.(b.t)."""
+    for gen in reversed(tuple(gens)):
+        t = act_tensor(gen, t)
+    return t
+
+
+# ---------------------------------------------------------------------------
+# Randomized equivariant 1-cochains (for the d.d = 0 property suite).
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _seed_kernel(k: int, side: str, jmax2: int):
+    """Exact basis of the space of admissible "seed" vectors for one half of
+    an equivariant 1-cochain.
+
+    side="lower": value on X3; weights (-3/2, -1/2), annihilated by the
+    lowering operator and by the square of the raising operator.
+    side="upper": value on X1; weights (+3/2, +1/2), with the roles of
+    raising and lowering exchanged.
+    """
+    if side == "lower":
+        u0w2, u3w2 = -3, -1
+        kill = LieGen.U1_MINUS_IU2
+        kill_sq = LieGen.U1_PLUS_IU2
+    else:
+        u0w2, u3w2 = 3, 1
+        kill = LieGen.U1_PLUS_IU2
+        kill_sq = LieGen.U1_MINUS_IU2
+
+    keys = []
+    for mono in monomial_basis(k):
+        a, b, c = mono
+        n2 = u0w2 - (a + b - 2 * c)
+        m12 = u3w2 - (a - b)
+        if (n2 + 4 * k + 6) % 3:
+            continue
+        m22 = (n2 + 4 * k + 6) // 3
+        if (m12 - m22) % 2:
+            continue
+        j2 = max(abs(m12), abs(m22))
+        if (j2 - m12) % 2:
+            j2 += 1
+        while j2 <= jmax2:
+            idx = WignerIndex(j2, n2, m12, m22)
+            if admissible(idx, k):
+                keys.append((idx, mono))
+            j2 += 2
+    if not keys:
+        return (), ()
+
+    constraints = []
+    for key in keys:
+        unit = TensorElement({key: ComplexRadical.of(1)})
+        constraints.append(
+            (
+                act_tensor(kill, unit),
+                act_tensor_seq((kill_sq, kill_sq), unit),
+            )
+        )
+    rows = []
+    for pos in (0, 1):
+        row_keys = sorted({key for cons in constraints for key in cons[pos].support()})
+        for rk in row_keys:
+            rows.append([cons[pos].get(rk) for cons in constraints])
+    return tuple(keys), tuple(tuple(v) for v in nullspace(rows, len(keys)))
+
+
+def random_equivariant_cochain(k: int, rng, jmax2: int | None = None) -> Cochain:
+    """Draw a random compact-equivariant 1-cochain with exact coefficients.
+
+    Seeds for the values on X3 and X1 are sampled from the exact kernels of
+    the weight/annihilation constraints; the values on X4 and X2 are the
+    determined raised/lowered partners.
+    """
+    if jmax2 is None:
+        jmax2 = k + 3
+
+    def draw(side):
+        keys, kernel = _seed_kernel(k, side, jmax2)
+        vec = TensorElement()
+        for basis_vec in kernel:
+            re, im = rng.integers(-3, 4), rng.integers(-3, 4)
+            coeff = ComplexRadical.of(int(re)) + ComplexRadical.i_times(int(im))
+            if coeff.is_zero():
+                continue
+            vec = vec + TensorElement(
+                [(key, c * coeff) for key, c in zip(keys, basis_vec)]
+            )
+        return vec
+
+    v3 = draw("lower")
+    w1 = draw("upper")
+    v4 = act_tensor(LieGen.U1_PLUS_IU2, v3).scaled(ComplexRadical.i())
+    w2 = act_tensor(LieGen.U1_MINUS_IU2, w1).scaled(ComplexRadical.i_times(-1))
+    return Cochain(k, 1, {(1,): w1, (2,): w2, (3,): v3, (4,): v4})

@@ -9,11 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import random_radical
+from conftest import act_poly_gen, act_tensor_seq, random_equivariant_cochain, random_radical
 from su21coh import lie, oracle
 from su21coh.cochains import (
     act_tensor,
-    act_tensor_seq,
     build_chi,
     build_psi,
     build_psi0,
@@ -21,11 +20,10 @@ from su21coh.cochains import (
     differential,
     hodge_type,
     is_equivariant,
-    random_equivariant_cochain,
     verify_nonexactness,
 )
 from su21coh.lie import L_GENS, P_GENS, LieGen, bracket, gen_matrix
-from su21coh.polynomials import PolyVector, act_poly, act_poly_gen, monomial_basis
+from su21coh.polynomials import PolyVector, act_poly, monomial_basis
 from su21coh.report import all_passed
 from su21coh.scalars import ComplexRadical, RadicalScalar
 from su21coh.wigner import act_p_index, chi_index, psi0_index, psi0_tilde_index, psi_index
@@ -60,7 +58,7 @@ def test_criterion_02_differential_splitting():
     t0 = time.perf_counter()
     ok = True
     for k in range(11):
-        inv_sqrt = CR(RS.sqrt(Fraction(1, k + 2)))
+        inv_sqrt = RS.sqrt(Fraction(1, k + 2))
         residual = differential(build_chi(k)) - build_psi(k).scaled(inv_sqrt) - build_psi0(k)
         ok = ok and residual.is_zero() and not residual._entries
     elapsed = time.perf_counter() - t0
@@ -115,19 +113,19 @@ def test_criterion_07_noncompact_action_fixtures():
     for k in range(11):
         for l in range(k + 1):
             got = dict(act_p_index(LieGen.X1, chi_index(k, l)))
-            ok = ok and got == {psi_index(k, l): CR(RS.sqrt(Fraction(l + 1, k + 2)))}
+            ok = ok and got == {psi_index(k, l): RS.sqrt(Fraction(l + 1, k + 2))}
         for l in range(1, k + 2):
             got = dict(act_p_index(LieGen.X3, chi_index(k, l)))
             want = {
-                psi0_index(k, l - 1): CR(RS.sqrt(l) * RS.sqrt(k + 1) * Fraction(1, k + 2)),
-                psi0_tilde_index(k, l - 1): CR(RS.sqrt(k + 2 - l) * Fraction(k + 3, k + 2)),
+                psi0_index(k, l - 1): RS.sqrt(l) * RS.sqrt(k + 1) * Fraction(1, k + 2),
+                psi0_tilde_index(k, l - 1): RS.sqrt(k + 2 - l) * Fraction(k + 3, k + 2),
             }
             ok = ok and got == {a: b for a, b in want.items() if not b.is_zero()}
         for l in range(k + 1):
             got = dict(act_p_index(LieGen.X4, chi_index(k, l)))
             want = {
-                psi0_index(k, l): CR(RS.sqrt(k + 1 - l) * RS.sqrt(k + 1) * Fraction(-1, k + 2)),
-                psi0_tilde_index(k, l): CR(RS.sqrt(l + 1) * Fraction(k + 3, k + 2)),
+                psi0_index(k, l): RS.sqrt(k + 1 - l) * RS.sqrt(k + 1) * Fraction(-1, k + 2),
+                psi0_tilde_index(k, l): RS.sqrt(l + 1) * Fraction(k + 3, k + 2),
             }
             ok = ok and got == {a: b for a, b in want.items() if not b.is_zero()}
     _report(7, "noncompact action identities on the named families, k=0..10", ok)

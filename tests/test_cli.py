@@ -153,11 +153,14 @@ def test_oracle_rejects_vacuous_or_malformed_input(argv, capsys):
         ["export-generators", "--k", "0"],
     ],
 )
-def test_unwritable_out_path(tmp_path, argv, capsys):
-    target = tmp_path / "missing-dir" / "x.json"
-    assert main(argv + ["--out", str(target)]) == 2
-    assert f"cannot write {target}" in capsys.readouterr().err
-    assert not target.exists()
+@pytest.mark.parametrize("target", ["missing-dir/x.json", ""], ids=["missing_dir", "empty"])
+def test_unwritable_out_path(tmp_path, monkeypatch, argv, target, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", target]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {target}: " in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_leaves_scipy_out():
@@ -193,9 +196,34 @@ def test_golden_export_and_check_names(tmp_path, capsys):
         assert (len(names), digest) == CHECK_NAMES_SHA256[argv[0]]
     assert main(["verify-theorem", "--k", "0..12", "--format", "structured"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
+    assert _verdicts_digest(checks) == VERDICTS_K12_SHA256
+
+
+def _verdicts_digest(checks) -> tuple[int, str]:
     triples = [f"{c['check']}\t{c['pass']}\t{c.get('detail', '')}" for c in checks]
-    digest = hashlib.sha256("\n".join(triples).encode()).hexdigest()
-    assert (len(triples), digest) == VERDICTS_K12_SHA256
+    return len(triples), hashlib.sha256("\n".join(triples).encode()).hexdigest()
+
+
+# The negative controls: (checks, failing checks, sha256 of the verdict
+# triples).  Their details print exact scalars, so these also pin the text of
+# ComplexRadical's repr.
+NEGATIVE_CONTROLS = {
+    ("verify-structure", "--inject-error"): (
+        71, 1, "ec37f4ee0c3cbb3c5f8a5826f7689e5716668ba5c3f04d152f86146a451c96d3"),
+    ("verify-theorem", "--k", "0..3", "--thm37-variant", "plus2"): (
+        52, 8, "4a73bb053a2174e6c82a781e397cfa51b77e378f5c90d68cf5f80e5071160d5d"),
+    ("verify-theorem", "--k", "0..3", "--perturb"): (
+        52, 12, "76ac259922b086dd1594d55954533702bc016445f4e01afbed90723baeb2937f"),
+}
+
+
+@pytest.mark.parametrize("argv", list(NEGATIVE_CONTROLS), ids=["inject", "plus2", "perturb"])
+def test_negative_control_verdicts(argv, capsys):
+    assert main(list(argv) + ["--format", "structured"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    count, digest = _verdicts_digest(checks)
+    failing = sum(not c["pass"] for c in checks)
+    assert (count, failing, digest) == NEGATIVE_CONTROLS[argv]
 
 
 @pytest.mark.parametrize(

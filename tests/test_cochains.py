@@ -3,13 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_complex_radical
+from conftest import act_tensor_seq, random_complex_radical, random_equivariant_cochain
 
 from su21coh.cochains import (
     Cochain,
     TensorElement,
     act_tensor,
-    act_tensor_seq,
     alpha_coeff,
     basis_wedges,
     beta_coeff,
@@ -25,7 +24,6 @@ from su21coh.cochains import (
     is_equivariant,
     nullspace,
     psi_w13_element,
-    random_equivariant_cochain,
     tensor_term,
     verify_closedness,
     verify_nonexactness,
@@ -95,11 +93,11 @@ def test_differential_on_chi():
         chi = build_chi(k)
         d = differential(chi)
         assert d.value((1, 2)).is_zero()
-        inv_sqrt = CR(RS.sqrt(Fraction(1, k + 2)))
+        inv_sqrt = RS.sqrt(Fraction(1, k + 2))
         assert d.value((1, 3)) == psi_w13_element(k).scaled(inv_sqrt)
     # k = 0 special value: d(chi)(X1^X3) = 1/sqrt(2) * W0 (x) 1
     d0 = differential(build_chi(0))
-    expected = tensor_term(psi_index(0, 0), Monomial(0, 0, 0), CR(RS.sqrt(Fraction(1, 2))))
+    expected = tensor_term(psi_index(0, 0), Monomial(0, 0, 0), RS.sqrt(Fraction(1, 2)))
     assert d0.value((1, 3)) == expected
 
 
@@ -243,11 +241,12 @@ def dense_nullspace(rows, ncols):
 
 def _random_entry(rng, density):
     """Zero with probability 1 - density; otherwise a random complex radical
-    whose real and imaginary parts are each zeroed at random."""
+    whose real and imaginary terms are each dropped at random."""
     if rng.random() >= density:
         return CR()
     z = random_complex_radical(rng, max_terms=1, bound=20)
-    return CR(z.re if rng.random() < 0.6 else None, z.im if rng.random() < 0.6 else None)
+    keep_re, keep_im = rng.random() < 0.6, rng.random() < 0.6
+    return CR({d: c for d, c in z.items() if (keep_re if d > 0 else keep_im)})
 
 
 def _random_matrix(rng, nrows, ncols, density=0.6):

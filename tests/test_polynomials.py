@@ -8,10 +8,10 @@ from su21coh.polynomials import (
     Monomial,
     PolyVector,
     act_poly,
-    act_poly_gen,
     monomial_basis,
     monomial_xy,
 )
+from conftest import act_poly_gen
 from su21coh.scalars import ComplexRadical
 
 CR = ComplexRadical

@@ -39,7 +39,7 @@ def test_add_merges_like_radicands():
     assert RS.sqrt(2) + RS.sqrt(2) == RS({2: Fraction(2)})
     assert (RS.sqrt(2) + (-RS.sqrt(2))).is_zero()
     mixed = RS.one() + RS.sqrt(3)
-    assert mixed.triples() == [[1, 1, 1], [3, 1, 1]]
+    assert mixed.to_dict() == {"re": [[1, 1, 1], [3, 1, 1]], "im": []}
 
 
 def test_mul_reduces_to_squarefree():
@@ -76,28 +76,28 @@ def test_inverse_three_primes():
 def test_complex_field_basics():
     i = CR.i()
     assert i * i == CR.of(-1)
-    assert (CR.of(1) + CR(None, RS.sqrt(3))).conj() == CR.of(1) - CR(None, RS.sqrt(3))
+    assert (CR.of(1) + CR.i_times(RS.sqrt(3))).conj() == CR.of(1) - CR.i_times(RS.sqrt(3))
     assert i.inverse() == -i
     with pytest.raises(ZeroDivisionError):
         CR().inverse()
-    z = CR(RS.sqrt(2), RS.one() + RS.sqrt(3))
+    z = RS.sqrt(2) + CR.i_times(RS.one() + RS.sqrt(3))
     assert z * z.inverse() == CR.of(1)
 
 
 def test_to_float():
-    assert abs(RS.sqrt(2).to_float() - 1.4142135623730951) < 1e-15
-    assert RS.zero().to_float() == 0.0
+    assert abs(RS.sqrt(2).to_complex() - 1.4142135623730951) < 1e-15
+    assert RS.zero().to_complex() == 0.0
     # frozen from the exact value sqrt(6)/2
-    assert abs(RS.sqrt(Fraction(3, 2)).to_float() - 1.224744871391589) < 1e-12
-    z = CR(RS.sqrt(2), RS.of(Fraction(1, 3)))
+    assert abs(RS.sqrt(Fraction(3, 2)).to_complex() - 1.224744871391589) < 1e-12
+    z = RS.sqrt(2) + CR.i_times(Fraction(1, 3))
     assert abs(z.to_complex() - complex(math.sqrt(2), 1 / 3)) < 1e-15
 
 
 def test_serialization_roundtrip():
     x = RS({6: Fraction(-1, 2), 1: Fraction(3, 7), 2: Fraction(5)})
-    assert x.triples() == [[1, 3, 7], [2, 5, 1], [6, -1, 2]]
-    assert RS.from_triples(x.triples()) == x
-    z = CR(x, RS.sqrt(5))
+    assert x.to_dict() == {"re": [[1, 3, 7], [2, 5, 1], [6, -1, 2]], "im": []}
+    assert CR.from_dict(x.to_dict()) == x
+    z = x + CR.i_times(RS.sqrt(5))
     assert CR.from_dict(z.to_dict()) == z
     assert CR().to_dict() == {"re": [], "im": []}
 
@@ -139,9 +139,9 @@ def test_to_float_homomorphism():
     for _ in range(200):
         a = random_radical(rng, bound=100)
         b = random_radical(rng, bound=100)
-        fa, fb = a.to_float(), b.to_float()
-        prod = (a * b).to_float()
-        tot = (a + b).to_float()
+        fa, fb = a.to_complex(), b.to_complex()
+        prod = (a * b).to_complex()
+        tot = (a + b).to_complex()
         assert abs(prod - fa * fb) <= 1e-12 * max(1.0, abs(fa * fb))
         assert abs(tot - (fa + fb)) <= 1e-12 * max(1.0, abs(fa + fb))
 
@@ -152,7 +152,7 @@ def _nonzero_radical(rng):
 
 
 def test_complex_mul_over_zero_part_patterns():
-    # every zero/nonzero pattern of (a.re, a.im, b.re, b.im) against the
+    # every zero/nonzero pattern of (ar, ai, br, bi) against the
     # four-product formula, plus the complex field laws
     rng = np.random.default_rng(7)
     for pattern in itertools.product((False, True), repeat=4):
@@ -160,11 +160,70 @@ def test_complex_mul_over_zero_part_patterns():
             ar, ai, br, bi = (
                 _nonzero_radical(rng) if nonzero else RS.zero() for nonzero in pattern
             )
-            a, b = CR(ar, ai), CR(br, bi)
-            assert a * b == CR(ar * br - ai * bi, ar * bi + ai * br)
+            a, b = ar + CR.i_times(ai), br + CR.i_times(bi)
+            assert a * b == (ar * br - ai * bi) + CR.i_times(ar * bi + ai * br)
             assert a * b == b * a
             c = random_complex_radical(rng)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
             if not a.is_zero():
                 assert a * a.inverse() == CR.of(1)
+
+
+def test_signed_radicand_products():
+    # a negative radicand -a stands for i*sqrt(a)
+    i2, i3 = CR.i_times(RS.sqrt(2)), CR.i_times(RS.sqrt(3))
+    assert i2 == CR({-2: Fraction(1)})
+    assert i2 * i3 == -RS.sqrt(6)
+    assert CR.i() * CR.i() == CR.of(-1)
+    assert i2 * RS.sqrt(3) == CR.i_times(RS.sqrt(6))
+    assert RS.sqrt(3) * i2 == CR({-6: Fraction(1)})
+    assert i2 * i2 == CR.of(-2)
+    assert CR({-6: Fraction(1)}) * CR({-3: Fraction(1)}) == CR({2: Fraction(-3)})
+    assert CR({-2: Fraction(1)}) * RS.sqrt(2) == CR.i_times(2)
+
+
+def test_inverse_of_mixed_values():
+    x = RS.one() + CR.i_times(RS.sqrt(2)) + RS.sqrt(3)
+    # the same inverse as the earlier norm route over separate real and
+    # imaginary parts gave
+    assert x.inverse() == CR({3: Fraction(1, 6), -2: Fraction(-1, 4), -6: Fraction(1, 12)})
+    cases = [
+        x,
+        CR.i() + RS.sqrt(2) + CR.i_times(RS.sqrt(6)) + RS.sqrt(15),
+        CR({-30: Fraction(1), 1: Fraction(2), 5: Fraction(-3, 4)}),
+        CR({-1: Fraction(1), -2: Fraction(1), -3: Fraction(1)}),
+    ]
+    rng = np.random.default_rng(5)
+    cases += [random_complex_radical(rng, bound=50) for _ in range(40)]
+    for z in cases:
+        if not z.is_zero():
+            assert z * z.inverse() == CR.of(1)
+            assert z.inverse().inverse() == z
+
+
+def test_conj_flips_the_negative_radicands():
+    z = CR({1: Fraction(2), -1: Fraction(3), 6: Fraction(7), -6: Fraction(-5, 2)})
+    assert z.conj() == CR({1: Fraction(2), -1: Fraction(-3), 6: Fraction(7), -6: Fraction(5, 2)})
+    rng = np.random.default_rng(9)
+    for _ in range(100):
+        a, b = random_complex_radical(rng), random_complex_radical(rng)
+        assert (a * b).conj() == a.conj() * b.conj()
+        assert (a + b).conj() == a.conj() + b.conj()
+        assert all(d > 0 for d, _ in (a * a.conj()).items())
+        assert abs(a.conj().to_complex() - a.to_complex().conjugate()) <= 1e-9 * (
+            1 + abs(a.to_complex())
+        )
+
+
+def test_mixed_value_export_and_repr():
+    z = CR(
+        {3: Fraction(2), -6: Fraction(1, 2), 1: Fraction(3, 7), -2: Fraction(5), -1: Fraction(-1)}
+    )
+    assert z.to_dict() == {"re": [[1, 3, 7], [3, 2, 1]], "im": [[1, -1, 1], [2, 5, 1], [6, 1, 2]]}
+    assert CR.from_dict(z.to_dict()) == z
+    assert repr(z) == "(3/7 + 2*sqrt(3)) + i*(-1 + 5*sqrt(2) + 1/2*sqrt(6))"
+    assert repr(CR({-6: Fraction(-1, 2)})) == "i*(-1/2*sqrt(6))"
+    assert repr(RS.sqrt(2)) == "sqrt(2)" and repr(CR()) == "0"
+    assert abs(z.to_complex() - complex(3 / 7 + 2 * math.sqrt(3),
+                                        -1 + 5 * math.sqrt(2) + math.sqrt(6) / 2)) < 1e-12

@@ -62,7 +62,7 @@ def test_act_l_weights_and_shifts():
     k, l = 3, 1
     (tgt, coeff), = act_l_index(LieGen.U1_PLUS_IU2, chi_index(k, l))
     assert tgt == chi_index(k, l + 1)
-    assert coeff == CR(None, -(RS.sqrt(k + 1 - l) * RS.sqrt(l + 1)))
+    assert coeff == CR.i_times(-(RS.sqrt(k + 1 - l) * RS.sqrt(l + 1)))
 
 
 def test_act_p_annihilation_case():
@@ -75,7 +75,7 @@ def test_act_p_x1_on_chi_family():
         for l in range(k + 1):
             (tgt, coeff), = act_p_index(LieGen.X1, chi_index(k, l))
             assert tgt == psi_index(k, l)
-            assert coeff == CR(RS.sqrt(Fraction(l + 1, k + 2)))
+            assert coeff == RS.sqrt(Fraction(l + 1, k + 2))
 
 
 def test_act_p_x3_on_chi_family():
@@ -83,12 +83,10 @@ def test_act_p_x3_on_chi_family():
     for l in range(1, k + 2):
         out = dict(act_p_index(LieGen.X3, chi_index(k, l)))
         expected = {
-            psi0_tilde_index(k, l - 1): CR(RS.sqrt(k + 2 - l) * Fraction(k + 3, k + 2)),
+            psi0_tilde_index(k, l - 1): RS.sqrt(k + 2 - l) * Fraction(k + 3, k + 2),
         }
         if l >= 1:
-            expected[psi0_index(k, l - 1)] = CR(
-                RS.sqrt(l) * RS.sqrt(k + 1) * Fraction(1, k + 2)
-            )
+            expected[psi0_index(k, l - 1)] = RS.sqrt(l) * RS.sqrt(k + 1) * Fraction(1, k + 2)
         assert out == {key: val for key, val in expected.items() if not val.is_zero()}
 
 
