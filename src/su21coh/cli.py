@@ -41,14 +41,18 @@ def _parse_jmax(text: str) -> Fraction:
     return j
 
 
-def _parse_seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
-    return seed
+def _int_at_least(minimum: int, name: str):
+    """argparse type for an integer option that must be >= minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {name} {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 def _parse_tol(text: str) -> float:
@@ -211,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     k_option(p, "0..3")
     report_options(p)
     p.add_argument("--j-max", type=_parse_jmax, default=Fraction(5, 2))
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=_parse_seed, default=0)
+    p.add_argument("--samples", type=_int_at_least(1, "sample count"), default=20)
+    p.add_argument("--seed", type=_int_at_least(0, "seed"), default=0)
     p.add_argument("--tol", type=_parse_tol, default=1e-6)
     p.add_argument("--thm37-variant", choices=("auto",) + VARIANTS, default="auto")
     p.set_defaults(func=cmd_oracle)
@@ -221,10 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "samples", 1) <= 0:
-        parser.error("--samples must be positive")
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

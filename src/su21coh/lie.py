@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import ComplexRadical
+from .sparse import LinComb
 
 Half = Fraction(1, 2)
 
@@ -44,88 +45,56 @@ L_GENS = (LieGen.U0, LieGen.U1_PLUS_IU2, LieGen.U1_MINUS_IU2, LieGen.U3)
 P_GENS = (LieGen.X1, LieGen.X2, LieGen.X3, LieGen.X4)
 
 
-class Mat3:
-    """Immutable 3x3 matrix with exact ComplexRadical entries."""
+_UNITS = frozenset((i, j) for i in range(3) for j in range(3))
 
-    __slots__ = ("rows",)
 
-    def __init__(self, rows):
-        self.rows = tuple(tuple(ComplexRadical.of(x) for x in row) for row in rows)
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
-            raise ValueError("Mat3 requires 3x3 entries")
+class Mat3(LinComb):
+    """Immutable 3x3 matrix with exact ComplexRadical entries: a linear
+    combination of the matrix units E_ij, keyed by (row, col).
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
+    Built from three rows of three entries, or from a {(row, col): entry}
+    dict; zero entries are not stored.
+    """
 
-    def __add__(self, other):
-        return Mat3(
-            [[self.rows[i][j] + other.rows[i][j] for j in range(3)] for i in range(3)]
-        )
+    __slots__ = ()
 
-    def __sub__(self, other):
-        return Mat3(
-            [[self.rows[i][j] - other.rows[i][j] for j in range(3)] for i in range(3)]
-        )
+    def __init__(self, rows=None):
+        if rows is not None and not isinstance(rows, dict):
+            rows = [tuple(r) for r in rows]
+            if len(rows) != 3 or any(len(r) != 3 for r in rows):
+                raise ValueError("Mat3 requires 3x3 entries")
+            rows = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)}
+        elif rows and not _UNITS.issuperset(rows):
+            raise ValueError("Mat3 keys must be (row, col) with row, col in 0..2")
+        super().__init__(rows)
 
-    def __neg__(self):
-        return Mat3([[-x for x in row] for row in self.rows])
+    def __getitem__(self, ij) -> ComplexRadical:
+        return self.get(ij)
 
     def __matmul__(self, other):
         return Mat3(
-            [
-                [
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(3)),
-                        ComplexRadical(),
-                    )
-                    for j in range(3)
-                ]
-                for i in range(3)
-            ]
+            [[sum(self[i, k] * other[k, j] for k in range(3)) for j in range(3)] for i in range(3)]
         )
 
-    def scaled(self, c):
-        c = ComplexRadical.of(c)
-        return Mat3([[x * c for x in row] for row in self.rows])
-
-    def __mul__(self, c):
-        return self.scaled(c)
-
-    __rmul__ = __mul__
-
     def transpose(self):
-        return Mat3([[self.rows[j][i] for j in range(3)] for i in range(3)])
+        return Mat3({(j, i): x for (i, j), x in self.items()})
 
     def conj(self):
-        return Mat3([[x.conj() for x in row] for row in self.rows])
+        return Mat3({ij: x.conj() for ij, x in self.items()})
 
     def conj_transpose(self):
         return self.conj().transpose()
 
     def trace(self) -> ComplexRadical:
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.rows for x in row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mat3):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
+        return self[0, 0] + self[1, 1] + self[2, 2]
 
     def to_numpy(self):
         import numpy as np
 
-        return np.array(
-            [[x.to_complex() for x in row] for row in self.rows], dtype=complex
-        )
-
-    def __repr__(self):
-        return "Mat3(" + ", ".join(repr(list(r)) for r in self.rows) + ")"
+        out = np.zeros((3, 3), dtype=complex)
+        for ij, x in self.items():
+            out[ij] = x.to_complex()
+        return out
 
 
 def bracket(a: Mat3, b: Mat3) -> Mat3:
@@ -133,17 +102,10 @@ def bracket(a: Mat3, b: Mat3) -> Mat3:
     return (a @ b) - (b @ a)
 
 
-def _e(i: int, j: int, value=1) -> Mat3:
-    rows = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    rows[i][j] = value
-    return Mat3(rows)
-
-
 _i = ComplexRadical.i()
 _ih = ComplexRadical.i_times(Half)
 _inv_sqrt2 = ComplexRadical.sqrt(Half)
 
-ZERO_MAT = Mat3([[0, 0, 0]] * 3)
 IDENTITY = Mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 # Hermitian forms and the change of basis between them.
@@ -164,19 +126,19 @@ U2 = Mat3([[0, Half, 0], [-Half, 0, 0], [0, 0, 0]])
 U3 = Mat3([[_ih, 0, 0], [0, -_ih, 0], [0, 0, 0]])
 
 # Real basis of the Cartan complement p.
-Y1 = _e(0, 2) + _e(2, 0)
-Y2 = _e(0, 2, _i) + _e(2, 0, -_i)
-Y3 = _e(1, 2) + _e(2, 1)
-Y4 = _e(1, 2, _i) + _e(2, 1, -_i)
+Y1 = Mat3({(0, 2): 1, (2, 0): 1})
+Y2 = Mat3({(0, 2): _i, (2, 0): -_i})
+Y3 = Mat3({(1, 2): 1, (2, 1): 1})
+Y4 = Mat3({(1, 2): _i, (2, 1): -_i})
 
 # Complex generators: l_C is spanned by U0, U1 +- iU2, U3; p_C by X1..X4
 # with X1 = (Y1 - iY2)/2 etc., which collapse to elementary matrices.
 U1_PLUS_IU2 = U1 + U2.scaled(_i)
 U1_MINUS_IU2 = U1 - U2.scaled(_i)
-X1 = _e(0, 2)
-X2 = _e(1, 2)
-X3 = _e(2, 0)
-X4 = _e(2, 1)
+X1 = Mat3({(0, 2): 1})
+X2 = Mat3({(1, 2): 1})
+X3 = Mat3({(2, 0): 1})
+X4 = Mat3({(2, 1): 1})
 
 _GEN_MATRICES = {
     LieGen.U0: U0,
@@ -303,7 +265,7 @@ def bracket_coords(u: LieGen, i: int) -> tuple[tuple[int, ComplexRadical], ...]:
 def wedge_action(u: LieGen, w: tuple[int, ...]) -> dict[tuple[int, ...], ComplexRadical]:
     """u.(X_{i1} ^ ... ^ X_{iq}) expanded over basis wedges, via the Leibniz
     rule slot by slot."""
-    out: dict[tuple[int, ...], ComplexRadical] = {}
+    terms = []
     w = tuple(w)
     for t in range(len(w)):
         for a, c in bracket_coords(u, w[t]):
@@ -314,57 +276,48 @@ def wedge_action(u: LieGen, w: tuple[int, ...]) -> dict[tuple[int, ...], Complex
                 1 for p in range(len(slots)) for q in range(p + 1, len(slots))
                 if slots[p] > slots[q]
             )
-            key = tuple(sorted(slots))
-            acc = out.get(key, ComplexRadical()) + (c if inversions % 2 == 0 else -c)
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
+            terms.append((tuple(sorted(slots)), c if inversions % 2 == 0 else -c))
+    return dict(LinComb(terms).items())
+
+
+def _compare_cells(cells) -> list:
+    """One check per (name, computed, printed) table cell."""
+    from .report import CheckResult
+
+    return [
+        CheckResult(
+            name=name,
+            passed=computed == printed,
+            detail="" if computed == printed else f"computed {computed}, printed {printed}",
+        )
+        for name, computed, printed in cells
+    ]
 
 
 def verify_table1(fixture=None) -> list:
     """Recompute every printed (X, U) action cell from 3x3 brackets."""
-    from .report import CheckResult
-
-    results = []
     if fixture is None:
         fixture = table1_fixture()
-    for (x, u), printed in fixture.items():
-        computed = dict(bracket_coords(u, P_GENS.index(x) + 1))
-        expected = {P_GENS.index(tgt) + 1: c for c, tgt in printed}
-        ok = computed == expected
-        results.append(
-            CheckResult(
-                name=f"table1[{x.value},{u.value}]",
-                passed=ok,
-                detail="" if ok else f"computed {computed}, printed {expected}",
-            )
+    return _compare_cells(
+        (
+            f"table1[{x.value},{u.value}]",
+            dict(bracket_coords(u, P_GENS.index(x) + 1)),
+            {P_GENS.index(tgt) + 1: c for c, tgt in printed},
         )
-    return results
+        for (x, u), printed in fixture.items()
+    )
 
 
 def verify_table3() -> list:
     """Recompute every printed wedge-action cell from 3x3 brackets."""
-    from .report import CheckResult
-
-    results = []
-    fixture = table3_fixture()
-    for (pair, u), printed in fixture.items():
-        computed = wedge_action(u, pair)
-        expected: dict = {}
-        for c, tgt in printed:
-            expected[tgt] = expected.get(tgt, ComplexRadical()) + c
-        expected = {k: v for k, v in expected.items() if not v.is_zero()}
-        ok = computed == expected
-        results.append(
-            CheckResult(
-                name=f"table3[X{pair[0]}{pair[1]},{u.value}]",
-                passed=ok,
-                detail="" if ok else f"computed {computed}, printed {expected}",
-            )
+    return _compare_cells(
+        (
+            f"table3[X{pair[0]}{pair[1]},{u.value}]",
+            wedge_action(u, pair),
+            dict(LinComb((tgt, c) for c, tgt in printed).items()),
         )
-    return results
+        for (pair, u), printed in table3_fixture().items()
+    )
 
 
 def verify_structure(inject_error: bool = False) -> list:

@@ -40,6 +40,8 @@ from .wigner import (
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
+# residual bound of the membership and decomposition checks
+TOL = 1e-8
 
 
 class NotInGroup(ValueError):
@@ -87,15 +89,6 @@ def _scalar(x):
     return np.asarray(x).item() if np.ndim(x) == 0 else x
 
 
-def _det3(m: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of 3x3 matrices by cofactor expansion."""
-    return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-    )
-
-
 def _first_bad(bad: np.ndarray) -> tuple[tuple, str]:
     """Index of the first flagged point of a stack, and an error-message
     suffix naming it (empty for a single matrix)."""
@@ -130,22 +123,12 @@ def membership_residual(g: np.ndarray):
     (one value per matrix of a stack)."""
     g = np.asarray(g, dtype=complex)
     form = np.swapaxes(g.conj(), -1, -2) @ J_DIAG_NP @ g - J_DIAG_NP
-    return _scalar(np.maximum(np.abs(form).max(axis=(-2, -1)), np.abs(_det3(g) - 1.0)))
+    return _scalar(np.maximum(np.abs(form).max(axis=(-2, -1)), np.abs(np.linalg.det(g) - 1.0)))
 
 
 # ---------------------------------------------------------------------------
 # Matrix-coefficient evaluation.
 # ---------------------------------------------------------------------------
-
-
-def gbinom(n: int, r: int) -> int:
-    """Generalized binomial coefficient for integer (possibly negative) n."""
-    if r < 0:
-        return 0
-    num = 1
-    for t in range(r):
-        num *= n - t
-    return num // math.factorial(r)
 
 
 @lru_cache(maxsize=None)
@@ -172,9 +155,7 @@ def _theta_terms(j2: int, m12: int, m22: int) -> tuple[tuple[float, int, int], .
     c = jm  # polynomial degree j - m1
     terms = []
     for s in range(max(0, c - km), min(c, kp) + 1):
-        coef = gbinom(km, c - s) * gbinom(kp, s)
-        if not coef:
-            continue
+        coef = math.comb(km, c - s) * math.comb(kp, s)
         es, ec = 2 * s + dm, 2 * (c - s) + dp
         terms.append((pre * coef * (-1) ** s, es, ec))
     return tuple(terms)
@@ -219,7 +200,7 @@ def _wrap_psi(x):
     return (x + math.pi) % FOUR_PI - math.pi
 
 
-def euler_from_k(kappa: np.ndarray, tol: float = 1e-8) -> EulerAngles:
+def euler_from_k(kappa: np.ndarray) -> EulerAngles:
     """Invert the Euler parametrization on the compact subgroup, for one
     matrix or a stack; every matrix must pass the block-shape check.
 
@@ -230,7 +211,7 @@ def euler_from_k(kappa: np.ndarray, tol: float = 1e-8) -> EulerAngles:
     off = np.abs(kappa[..., [0, 1, 2, 2], [2, 2, 0, 1]]).max(axis=-1)
     u = kappa[..., :2, :2]
     unit = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(2)).max(axis=(-2, -1))
-    bad = ~((off <= tol) & (unit <= tol) & (np.abs(_det3(kappa) - 1.0) <= tol))
+    bad = ~((off <= TOL) & (unit <= TOL) & (np.abs(np.linalg.det(kappa) - 1.0) <= TOL))
     if bad.any():
         i, where = _first_bad(bad)
         raise NotInK(
@@ -288,39 +269,28 @@ def an_gamma(r, nu=0.0, s=0.0) -> np.ndarray:
     return GAMMA_NP @ (a_matrix(r) @ n_matrix(nu, s)) @ GAMMA_NP
 
 
-def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Modified Gram-Schmidt with positive real diagonal of R, on a stack."""
-    n = a.shape[-1]
-    q = np.zeros_like(a)
-    r = np.zeros_like(a)
-    for i in range(n):
-        v = a[..., :, i].copy()
-        for k in range(i):
-            r[..., k, i] = (q[..., :, k].conj() * v).sum(axis=-1)
-            v -= r[..., k, i, None] * q[..., :, k]
-        r[..., i, i] = np.sqrt((v.real**2 + v.imag**2).sum(axis=-1))
-        q[..., :, i] = v / r[..., i, i, None]
-    return q, r
-
-
-def iwasawa(g: np.ndarray, tol: float = 1e-8) -> IwasawaFactors:
+def iwasawa(g: np.ndarray) -> IwasawaFactors:
     """Factor g = kappa * (a n)^gamma with kappa compact, for one matrix or
-    a stack; every matrix must pass every check.
+    a stack; every matrix must pass every check to within TOL.
 
     Transport to the antidiagonal model (where the Borel is upper
-    triangular), QR-factorize there, and transport the unitary factor back.
-    The triangular factor must have diagonal (r, 1, 1/r); anything else is a
-    decomposition failure.
+    triangular) and QR-factorize there with numpy; the phases of the
+    diagonal of R move into Q, so R has a positive real diagonal.  The
+    unitary factor is transported back.  The triangular factor must have
+    diagonal (r, 1, 1/r); anything else is a decomposition failure.
     """
     g = np.asarray(g, dtype=complex)
     resid = np.asarray(membership_residual(g))
-    bad = ~(resid <= tol)
+    bad = ~(resid <= TOL)
     if bad.any():
         i, where = _first_bad(bad)
-        raise NotInGroup(f"membership residual{where} {resid[i]:.2e} > {tol}")
-    q, rr = _qr_positive(GAMMA_NP @ g @ GAMMA_NP)
+        raise NotInGroup(f"membership residual{where} {resid[i]:.2e} > {TOL}")
+    q, rr = np.linalg.qr(GAMMA_NP @ g @ GAMMA_NP)
+    d = np.diagonal(rr, axis1=-2, axis2=-1)
+    phase = d / np.abs(d)
+    q, rr = q * phase[..., None, :], rr * phase.conj()[..., :, None]
     r = rr[..., 0, 0].real
-    bad = ~((np.abs(rr[..., 1, 1] - 1.0) <= tol) & (np.abs(rr[..., 2, 2] - 1.0 / r) <= tol))
+    bad = ~((np.abs(rr[..., 1, 1] - 1.0) <= TOL) & (np.abs(rr[..., 2, 2] - 1.0 / r) <= TOL))
     if bad.any():
         i, where = _first_bad(bad)
         diag = np.diagonal(rr, axis1=-2, axis2=-1)[i]
@@ -328,8 +298,8 @@ def iwasawa(g: np.ndarray, tol: float = 1e-8) -> IwasawaFactors:
     nu = rr[..., 1, 2]
     xi = rr[..., 0, 2] / r
     bad = ~(
-        (np.abs(rr[..., 0, 1] / r + np.conj(nu)) <= tol)
-        & (np.abs(xi.real + np.abs(nu) ** 2 / 2) <= tol)
+        (np.abs(rr[..., 0, 1] / r + np.conj(nu)) <= TOL)
+        & (np.abs(xi.real + np.abs(nu) ** 2 / 2) <= TOL)
     )
     if bad.any():
         raise DecompositionFailure(
@@ -339,75 +309,56 @@ def iwasawa(g: np.ndarray, tol: float = 1e-8) -> IwasawaFactors:
     return IwasawaFactors(kappa=kappa, r=_scalar(r), nu=_scalar(nu), s=_scalar(xi.imag))
 
 
+def _decompose_for_eval(g: np.ndarray) -> tuple[EulerAngles, np.ndarray]:
+    """Euler coordinates of the compact Iwasawa factor of g, and r^(-3)."""
+    fac = iwasawa(g)
+    return euler_from_k(fac.kappa), fac.r ** (-3)
+
+
 def eval_section(idx: WignerIndex, k: int, g: np.ndarray):
     """Extension of the compact matrix coefficient to the whole group through
     the Iwasawa decomposition: the Borel factor contributes r^(-3), the
     unipotent part nothing."""
     if not admissible(idx, k):
         raise ValueError(f"{idx} not admissible for k={k}")
-    fac = iwasawa(g)
-    return fac.r ** (-3) * eval_wigner(idx, euler_from_k(fac.kappa))
+    angles, rm3 = _decompose_for_eval(g)
+    return rm3 * eval_wigner(idx, angles)
 
 
 # ---------------------------------------------------------------------------
 # Matrix exponential.
 # ---------------------------------------------------------------------------
 
-# Coefficients b_0..b_m of the [m/m] Pade approximant to exp, and the 1-norm
-# bounds theta_m below which degree m needs no scaling for double precision
+# Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and the
+# 1-norm bound theta_13 below which it needs no scaling for double precision
 # (Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3).
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
-_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA_13 = 5.371920351148152
-
-
-def _pade(a: np.ndarray, m: int) -> np.ndarray:
-    """The [m/m] Pade approximant to exp on a stack, r = (v - u)^-1 (v + u)."""
-    b = _PADE[m]
-    eye = np.eye(a.shape[-1])
-    a2 = a @ a
-    if m == 13:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    else:
-        powers = [eye, a2]  # even powers a^0 .. a^(m-1)
-        while len(powers) <= m // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * i + 1] * p for i, p in enumerate(powers))
-        v = sum(b[2 * i] * p for i, p in enumerate(powers))
-    return np.linalg.solve(v - u, v + u)
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of one matrix or a stack (..., n, n) by scaling and
-    squaring (Higham 2005, Algorithm 2.3).  The Pade degree follows the
-    largest 1-norm in the stack; above theta_13 each matrix is scaled by its
-    own power of two and squared back."""
+    squaring with the [13/13] Pade approximant (Higham 2005, Algorithm 2.3):
+    each matrix above theta_13 in 1-norm is scaled by its own power of two
+    and squared back."""
     a = np.asarray(a)
     shape = a.shape
     a = a.reshape((-1,) + shape[-2:]).astype(np.result_type(a.dtype, float))
     norms = np.abs(a).sum(axis=-2).max(axis=-1)
-    largest = norms.max(initial=0.0)
-    for m, theta in _THETA:
-        if largest <= theta:
-            return _pade(a, m).reshape(shape)
     s = np.ceil(np.log2(np.maximum(norms, _THETA_13) / _THETA_13)).astype(int)
-    r = _pade(a / np.exp2(s)[:, None, None], 13)
-    for i in range(s.max()):
+    a = a / np.exp2(s)[:, None, None]
+    b, eye = _PADE13, np.eye(shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for i in range(s.max(initial=0)):
         sq = s > i
         r[sq] = r[sq] @ r[sq]
     return r.reshape(shape)
@@ -470,11 +421,6 @@ def random_group_point(seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Operator validation sweeps.
 # ---------------------------------------------------------------------------
-
-
-def _decompose_for_eval(g: np.ndarray) -> tuple[EulerAngles, np.ndarray]:
-    fac = iwasawa(g)
-    return euler_from_k(fac.kappa), fac.r ** (-3)
 
 
 def _read_only(*arrays) -> None:
@@ -597,7 +543,7 @@ def _gauss_legendre_theta(count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arccos(x), w
 
 
-def quadrature_ip(idx1: WignerIndex, idx2: WignerIndex, nodes: int = 0) -> complex:
+def quadrature_ip(idx1: WignerIndex, idx2: WignerIndex) -> complex:
     """Invariant inner product int W1 conj(W2) by product quadrature:
     trapezoid over the full 4*pi periods of the three angle variables (exact
     for the trigonometric frequencies involved once the node counts clear the
@@ -605,8 +551,8 @@ def quadrature_ip(idx1: WignerIndex, idx2: WignerIndex, nodes: int = 0) -> compl
     measure is 1."""
     j2a, n2a, *_ = idx1
     j2b, n2b, *_ = idx2
-    nz = max(nodes, abs(n2a) + abs(n2b) + 4)
-    nang = max(nodes, j2a + j2b + 4)
+    nz = abs(n2a) + abs(n2b) + 4
+    nang = j2a + j2b + 4
     ng = max(4, (j2a + j2b) // 2 + 2)
 
     zg, wz = _trap_nodes(nz)

@@ -1,8 +1,9 @@
 """Shared sparse linear-combination container over ComplexRadical coefficients.
 
-Subclasses fix the key type (Wigner indices, monomials, index-monomial pairs)
-and inherit exact module arithmetic.  Zero coefficients are never stored, so
-equality of term dictionaries is equality of the represented vectors.
+Subclasses fix the key type (Wigner indices, monomials, index-monomial pairs,
+matrix cells) and inherit exact module arithmetic.  Zero coefficients are
+never stored, so equality of term dictionaries is equality of the represented
+vectors.
 """
 
 from __future__ import annotations

@@ -137,6 +137,8 @@ def test_oracle_reports_deterministic(tmp_path, capsys):
         ["--tol", "nan"],
         ["--tol", "inf"],
         ["--seed", "-1"],
+        ["--samples", "-2"],
+        ["--samples", "x"],
     ],
 )
 def test_oracle_rejects_vacuous_or_malformed_input(argv, capsys):
@@ -224,6 +226,21 @@ def test_negative_control_verdicts(argv, capsys):
     count, digest = _verdicts_digest(checks)
     failing = sum(not c["pass"] for c in checks)
     assert (count, failing, digest) == NEGATIVE_CONTROLS[argv]
+
+
+# The oracle's (check, pass) pairs at a small fixed setting.  Floats are left
+# out, so the hash pins the check list and the verdicts of the numerics (QR,
+# determinant, expm, Euler and Iwasawa maps) but not their last digits.
+ORACLE_VERDICTS_SHA256 = (495, "ce5fe19b93818e88da42033ff69abd4bc25c93d348cad9ab0c8f4dfd7dee859d")
+
+
+def test_oracle_verdicts_pinned(capsys):
+    argv = ["oracle", "--k", "0..1", "--j-max", "3/2", "--samples", "5", "--seed", "0",
+            "--format", "structured"]
+    assert main(argv) == 0
+    pairs = [f"{c['check']}\t{c['pass']}" for c in json.loads(capsys.readouterr().out)["checks"]]
+    digest = hashlib.sha256("\n".join(pairs).encode()).hexdigest()
+    assert (len(pairs), digest) == ORACLE_VERDICTS_SHA256
 
 
 @pytest.mark.parametrize(

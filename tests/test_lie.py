@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import random_complex_radical
 
 from su21coh.lie import (
     GAMMA,
@@ -142,3 +143,64 @@ def test_verify_table1_with_corrupt_fixture():
     fixture[(LieGen.X2, LieGen.U3)] = []
     res = verify_table1(fixture)
     assert sum(1 for r in res if not r.passed) == 1
+
+
+# Dense reference for Mat3: nested lists of entries read off the term dict,
+# multiplied by the schoolbook triple loop.
+
+
+def dense(m: Mat3) -> list:
+    terms = dict(m.items())
+    return [[terms.get((r, c), ComplexRadical()) for c in range(3)] for r in range(3)]
+
+
+def dense_matmul(a: list, b: list) -> list:
+    return [
+        [sum((a[r][t] * b[t][c] for t in range(3)), ComplexRadical()) for c in range(3)]
+        for r in range(3)
+    ]
+
+
+def unit(r: int, c: int) -> Mat3:
+    return Mat3({(r, c): 1})
+
+
+def test_mat3_matrix_unit_products():
+    cells = [(r, c) for r in range(3) for c in range(3)]
+    for r, s in cells:
+        for t, u in cells:
+            expected = unit(r, u) if s == t else Mat3()
+            product = unit(r, s) @ unit(t, u)
+            assert product == expected
+            assert dense(product) == dense_matmul(dense(unit(r, s)), dense(unit(t, u)))
+
+
+def test_mat3_random_products_match_dense_reference():
+    rng = np.random.default_rng(31)
+
+    def draw():
+        return Mat3([[random_complex_radical(rng, max_terms=3, bound=50) for _ in range(3)]
+                     for _ in range(3)])
+
+    for _ in range(8):
+        a, b, c = draw(), draw(), draw()
+        assert any(len(x.items()) > 1 for _, x in a.items())  # multi-term entries occur
+        ab = a @ b
+        assert dense(ab) == dense_matmul(dense(a), dense(b))
+        assert (ab @ c) == (a @ (b @ c))
+        assert ab.transpose() == b.transpose() @ a.transpose()
+        assert ab.trace() == (b @ a).trace()
+        assert (a + b - a) == b and (a - a).is_zero()
+        assert np.allclose(ab.to_numpy(), a.to_numpy() @ b.to_numpy())
+
+
+def test_mat3_constructors_agree_and_validate():
+    rows = [[1, 0, i], [0, ih, 0], [Fraction(2, 3), 0, 0]]
+    assert Mat3(rows) == Mat3({(0, 0): 1, (0, 2): i, (1, 1): ih, (2, 0): Fraction(2, 3)})
+    assert Mat3([[0, 0, 0]] * 3) == Mat3() == Mat3({(1, 1): 0})
+    for bad in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], [[0, 0, 0, 0]] * 3):
+        with pytest.raises(ValueError):
+            Mat3(bad)
+    for key in ((3, 0), (0, -1), (1,), "ab"):
+        with pytest.raises(ValueError):
+            Mat3({key: 1})

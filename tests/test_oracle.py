@@ -18,7 +18,6 @@ from su21coh.oracle import (
     eval_section,
     eval_wigner,
     euler_from_k,
-    gbinom,
     iwasawa,
     k_from_angles,
     m_matrix,
@@ -35,6 +34,16 @@ from su21coh.wigner import WignerIndex, admissible_indices, chi_index, psi_index
 # Reference evaluations kept out of the package: the Jacobi polynomial by its
 # explicit sum and by the three-term recurrence, and the printed
 # matrix-coefficient formula evaluated literally through it.
+
+
+def gbinom(n: int, r: int) -> int:
+    """Generalized binomial coefficient for integer (possibly negative) n."""
+    if r < 0:
+        return 0
+    num = 1
+    for t in range(r):
+        num *= n - t
+    return num // math.factorial(r)
 
 
 def jacobi(alpha: int, beta: int, c: int, x: float) -> float:
