@@ -152,14 +152,10 @@ def cmd_oracle(args) -> int:
         if accepted is None:
             return _emit(args, "oracle", {"variant": "auto"}, results)
         variant = accepted
-    for k in args.k:
-        results += oracle.check_compact_action(
-            k, j_max=args.j_max, samples=args.samples, tol=args.tol, seed=args.seed
-        )
-        results += oracle.check_noncompact_action(
-            k, j_max=args.j_max, samples=args.samples, tol=args.tol,
-            seed=args.seed, variant=variant,
-        )
+    results += oracle.check_action(
+        args.k, j_max=args.j_max, samples=args.samples, tol=args.tol,
+        seed=args.seed, variant=variant,
+    )
     results += oracle.homomorphism_report(seed=args.seed)
     results += oracle.iwasawa_report(seed=args.seed)
     results += oracle.orthogonality_report()

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import lie
 from .lie import L_GENS, P_GENS, LieGen
-from .report import CheckResult
+from .report import CheckResult, all_passed
 from .wigner import (
     DEFAULT_VARIANT,
     VARIANTS,
@@ -196,10 +196,6 @@ def wigner_matrix(j2: int, n2: int, e: EulerAngles) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _wrap_psi(x):
-    return (x + math.pi) % FOUR_PI - math.pi
-
-
 def euler_from_k(kappa: np.ndarray) -> EulerAngles:
     """Invert the Euler parametrization on the compact subgroup, for one
     matrix or a stack; every matrix must pass the block-shape check.
@@ -231,7 +227,8 @@ def euler_from_k(kappa: np.ndarray) -> EulerAngles:
     degenerate = theta_zero | theta_pi
     phi = np.where(degenerate, 0.0, phi0 + TWO_PI * m)
     psi = np.where(theta_zero, -2.0 * a, np.where(theta_pi, 2.0 * b, psi0 + TWO_PI * m))
-    return EulerAngles(_scalar(zeta), _scalar(phi), _scalar(theta), _scalar(_wrap_psi(psi)))
+    psi = (psi + math.pi) % FOUR_PI - math.pi  # back into the 4*pi period of psi
+    return EulerAngles(_scalar(zeta), _scalar(phi), _scalar(theta), _scalar(psi))
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +386,13 @@ def _fd_steps(x, h: float) -> tuple[np.ndarray, np.ndarray]:
     difference with one Richardson step along x = A + iB:
     d/dt f(exp(-t x) g) at 0 is about sum_i w_i f(steps_i g), the two real
     directions A and B combined linearly."""
-    steps, weights = [], []
-    for direction, weight in zip(real_imag_parts(x), (1.0, 1j)):
-        if direction is None:
-            continue
-        ts, ws = [], []
-        for hh, rw in ((h, -1.0 / 3.0), (h / 2, 4.0 / 3.0)):
-            ts += [-hh, hh]
-            ws += [rw / (2 * hh), -rw / (2 * hh)]
-        steps.append(expm(np.multiply.outer(ts, direction)))
-        weights.append(weight * np.array(ws))
-    return np.concatenate(steps), np.concatenate(weights)
+    ts, ws = [], []
+    for hh, rw in ((h, -1.0 / 3.0), (h / 2, 4.0 / 3.0)):
+        ts += [-hh, hh]
+        ws += [rw / (2 * hh), -rw / (2 * hh)]
+    parts = [(d, w) for d, w in zip(real_imag_parts(x), (1.0, 1j)) if d is not None]
+    steps = [expm(np.multiply.outer(ts, direction)) for direction, _ in parts]
+    return np.concatenate(steps), np.concatenate([w * np.array(ws) for _, w in parts])
 
 
 def random_group_points(seeds) -> np.ndarray:
@@ -423,52 +416,22 @@ def random_group_point(seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _read_only(*arrays) -> None:
-    """Freeze arrays that a cache hands to every caller."""
-    for a in arrays:
-        a.setflags(write=False)
-
-
-@lru_cache(maxsize=16)
-def _sweep_base(seed: int, samples: int) -> tuple[np.ndarray, EulerAngles, np.ndarray]:
-    """The seeded base points of a sweep with their Euler coordinates and
-    r^(-3) factors."""
-    g = random_group_points(1_000_003 * seed + i for i in range(samples))
-    angles, rm3 = _decompose_for_eval(g)
-    _read_only(g, rm3, *vars(angles).values())
-    return g, angles, rm3
-
-
-@lru_cache(maxsize=64)
-def _sweep_stencils(gen: LieGen, seed: int, samples: int) -> tuple[EulerAngles, np.ndarray]:
-    """Decomposed stencil points (samples, P) around the base points of a
-    sweep, and their weights with the complex combination of the
-    generator's real parts and the r^(-3) factors folded in."""
-    g = _sweep_base(seed, samples)[0]
-    steps, weights = _fd_steps(gen, 1e-3)
-    angles, rm3 = _decompose_for_eval(steps @ g[:, None])
-    weights = weights * rm3
-    _read_only(weights, *vars(angles).values())
-    return angles, weights
-
-
-def _fd_sweep(k, j_max, samples, tol, seed, gens, act_fn, label) -> list[CheckResult]:
+def _fd_sweep(k, j_max, tol, variant, base, stencils) -> list[CheckResult]:
     """Compare the exact operator prediction against finite differences for
-    every admissible index with j <= j_max, every generator in gens, at
-    `samples` seeded random group points.  One result row per (generator,
-    index) with the max relative error over the points; a sweep over no
-    index is a single failing row."""
+    every admissible index with j <= j_max and every decomposed stencil.
+    One result row per (generator, index) with the max relative error over
+    the points; a sweep over no index is a single failing row."""
     indices = list(admissible_indices(k, j_max))
     if not indices:
         return [
             CheckResult(
-                name=f"{label}[k={k}] admissible indices with j <= {j_max}",
+                name=f"fd[k={k}] admissible indices with j <= {j_max}",
                 passed=False,
                 detail="empty sweep: no index to compare",
                 params={"k": k},
             )
         ]
-    _, base_angles, base_rm3 = _sweep_base(seed, samples)
+    base_angles, base_rm3 = base
     base_values: dict[WignerIndex, np.ndarray] = {}
 
     def at_base(tgt):
@@ -477,10 +440,11 @@ def _fd_sweep(k, j_max, samples, tol, seed, gens, act_fn, label) -> list[CheckRe
         return base_values[tgt]
 
     results = []
-    for gen in gens:
-        angles, weights = _sweep_stencils(gen, seed, samples)
+    for gen, angles, weights in stencils:
+        compact = gen in L_GENS
+        label = "dl" if compact else f"dp:{variant}"
         for idx in indices:
-            image = act_fn(gen, idx)
+            image = act_l_index(gen, idx) if compact else act_p_index(gen, idx, variant)
             pred = base_rm3 * sum(coeff.to_complex() * at_base(tgt) for tgt, coeff in image)
             fd = (weights * eval_wigner(idx, angles)).sum(axis=-1)
             worst = float((np.abs(fd - pred) / np.maximum(1.0, np.abs(pred))).max())
@@ -496,32 +460,36 @@ def _fd_sweep(k, j_max, samples, tol, seed, gens, act_fn, label) -> list[CheckRe
     return results
 
 
-def check_compact_action(k: int, j_max=Fraction(5, 2), samples: int = 20,
-                        tol: float = 1e-6, seed: int = 0) -> list[CheckResult]:
-    """Finite-difference validation of the compact-generator action."""
-    return _fd_sweep(k, j_max, samples, tol, seed, L_GENS, act_l_index, "dl")
-
-
-def check_noncompact_action(k: int, j_max=Fraction(5, 2), samples: int = 20,
-                     tol: float = 1e-6, seed: int = 0,
-                     variant: str = DEFAULT_VARIANT, gens=P_GENS) -> list[CheckResult]:
-    """Finite-difference validation of the noncompact-generator action for
-    the chosen coefficient variant."""
-    return _fd_sweep(k, j_max, samples, tol, seed, gens,
-                     lambda gen, idx: act_p_index(gen, idx, variant), f"dp:{variant}")
+def check_action(ks, j_max=Fraction(5, 2), samples: int = 20, tol: float = 1e-6,
+                 seed: int = 0, variant: str = DEFAULT_VARIANT,
+                 gens=L_GENS + P_GENS) -> list[CheckResult]:
+    """Finite-difference validation of the action of each generator in gens
+    (the noncompact ones with the chosen coefficient variant), for every k in
+    ks, at `samples` seeded random group points.  The points and each
+    generator's stencil around them are decomposed once and serve every k."""
+    g = random_group_points(1_000_003 * seed + i for i in range(samples))
+    base = _decompose_for_eval(g)
+    stencils = []
+    for gen in gens:
+        steps, weights = _fd_steps(gen, 1e-3)
+        angles, rm3 = _decompose_for_eval(steps @ g[:, None])
+        stencils.append((gen, angles, weights * rm3))
+    results = []
+    for k in ks:
+        results += _fd_sweep(k, j_max, tol, variant, base, stencils)
+    return results
 
 
 def adjudicate_variant(k_max: int = 1, j_max=Fraction(3, 2), samples: int = 5,
                        tol: float = 1e-6, seed: int = 0) -> dict:
     """Run the noncompact sweep under both coefficient variants and report
-    which one the finite differences accept."""
+    which one the finite differences accept; a variant whose sweep compares
+    nothing fails, with error inf."""
     verdict = {}
     for variant in VARIANTS:
-        worst = 0.0
-        for k in range(k_max + 1):
-            res = check_noncompact_action(k, j_max, samples, tol, seed, variant)
-            worst = max(worst, max(r.max_err for r in res))
-        verdict[variant] = {"max_rel_err": worst, "pass": worst <= tol}
+        res = check_action(range(k_max + 1), j_max, samples, tol, seed, variant, P_GENS)
+        worst = max((r.max_err for r in res if r.max_err is not None), default=math.inf)
+        verdict[variant] = {"max_rel_err": worst, "pass": all_passed(res)}
     accepted = [v for v, r in verdict.items() if r["pass"]]
     verdict["accepted"] = accepted[0] if len(accepted) == 1 else None
     return verdict

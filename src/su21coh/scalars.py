@@ -144,7 +144,8 @@ class ComplexRadical:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "ComplexRadical":
-        other = ComplexRadical.of(other)
+        if (other := _operand(other)) is None:
+            return NotImplemented
         terms = dict(self._terms)
         for d, c in other._terms.items():
             if d in terms:
@@ -161,10 +162,13 @@ class ComplexRadical:
         return _wrap({d: -c for d, c in self._terms.items()})
 
     def __sub__(self, other) -> "ComplexRadical":
-        return self + (-ComplexRadical.of(other))
+        if (other := _operand(other)) is None:
+            return NotImplemented
+        return self + (-other)
 
     def __mul__(self, other) -> "ComplexRadical":
-        other = ComplexRadical.of(other)
+        if (other := _operand(other)) is None:
+            return NotImplemented
         terms: dict[int, Fraction] = {}
         for d1, c1 in self._terms.items():
             for d2, c2 in other._terms.items():
@@ -258,6 +262,13 @@ class ComplexRadical:
 
 
 _new = object.__new__
+
+
+def _operand(x) -> ComplexRadical | None:
+    """x as a ComplexRadical; None for other types, whose own methods decide."""
+    if isinstance(x, ComplexRadical):
+        return x
+    return ComplexRadical.of(x) if isinstance(x, (int, Fraction)) else None
 
 
 def _wrap(terms: dict[int, Fraction]) -> ComplexRadical:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from .scalars import ComplexRadical
 
+_ZERO = ComplexRadical.zero()  # read for every absent key; no ComplexRadical is mutated
+
 
 class LinComb:
     __slots__ = ("_terms",)
@@ -35,7 +37,7 @@ class LinComb:
         return self._terms.keys()
 
     def get(self, key) -> ComplexRadical:
-        return self._terms.get(key, ComplexRadical())
+        return self._terms.get(key, _ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -137,15 +137,14 @@ def test_criterion_08_fd_adjudication():
     plus1_ok = True
     worst = 0.0
     for k in range(4):
-        res = oracle.check_compact_action(k, j_max=j_max, samples=20, tol=1e-6, seed=k)
-        res += oracle.check_noncompact_action(k, j_max=j_max, samples=20, tol=1e-6, seed=k,
-                                       variant="plus1")
+        res = oracle.check_action([k], j_max=j_max, samples=20, tol=1e-6, seed=k,
+                                  variant="plus1")
         plus1_ok = plus1_ok and all_passed(res)
         worst = max(worst, max(r.max_err for r in res))
     plus2_fails = False
     for k in range(4):
-        res = oracle.check_noncompact_action(k, j_max=j_max, samples=20, tol=1e-6, seed=k,
-                                      variant="plus2", gens=(LieGen.X3,))
+        res = oracle.check_action([k], j_max=j_max, samples=20, tol=1e-6, seed=k,
+                                  variant="plus2", gens=(LieGen.X3,))
         plus2_fails = plus2_fails or not all_passed(res)
     elapsed = time.perf_counter() - t0
     _report(

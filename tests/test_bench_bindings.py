@@ -1,0 +1,43 @@
+"""The traced benchmark wraps su21coh functions by name (bench/tracer.py).
+
+A rename of a wrapped function breaks only traced runs, and pytest does not
+collect bench/, so this runs two short commands under the installed tracer
+in a fresh interpreter.  It reads bench/ and changes nothing there.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import su21coh
+
+REPO = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import su21coh.cli as cli
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+codes = [
+    cli.main(["verify-structure"]),
+    cli.main(["oracle", "--k", "0", "--j-max", "0", "--samples", "1"]),
+]
+print(json.dumps({"codes": codes, "spans": tracer.names}))
+"""
+
+
+def test_traced_commands_run():
+    src = str(Path(su21coh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(REPO / "bench")], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert record["codes"] == [0, 0]
+    assert {"lie.verify_structure", "oracle.fd_sweep", "oracle.eval_wigner"} <= set(
+        record["spans"])

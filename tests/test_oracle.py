@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.special
 
 from su21coh import oracle
-from su21coh.lie import LieGen
+from su21coh.lie import L_GENS, P_GENS, LieGen
 from su21coh.oracle import (
     EulerAngles,
     NotInGroup,
@@ -327,18 +327,45 @@ def test_fd_annihilation_at_bottom_weight():
 
 
 def test_operator_sweeps_small():
-    res = oracle.check_compact_action(0, j_max=Fraction(3, 2), samples=4, seed=1)
+    res = oracle.check_action([0], j_max=Fraction(3, 2), samples=4, seed=1, gens=L_GENS)
     assert all_passed(res)
-    res = oracle.check_noncompact_action(0, j_max=Fraction(3, 2), samples=4, seed=1, variant="plus1")
+    res = oracle.check_action([0], j_max=Fraction(3, 2), samples=4, seed=1, variant="plus1",
+                              gens=P_GENS)
     assert all_passed(res)
-    res = oracle.check_noncompact_action(0, j_max=Fraction(3, 2), samples=4, seed=1, variant="plus2")
+    res = oracle.check_action([0], j_max=Fraction(3, 2), samples=4, seed=1, variant="plus2",
+                              gens=P_GENS)
     assert not all_passed(res)
+
+
+def test_sweep_over_many_k_matches_one_k_at_a_time():
+    def rows(res):
+        return [(r.name, r.passed, r.max_err) for r in res]
+
+    together = oracle.check_action(range(4), j_max=Fraction(3, 2), samples=4, seed=1)
+    apart = [
+        row
+        for k in range(4)
+        for row in rows(oracle.check_action([k], j_max=Fraction(3, 2), samples=4, seed=1))
+    ]
+    assert rows(together) == apart
+    # per k: the compact rows (U0, U1+iU2, U1-iU2, U3), then the noncompact rows
+    per_gen = len(list(admissible_indices(0, Fraction(3, 2))))
+    gens = [r.params["gen"] for r in together[: 8 * per_gen]]
+    assert gens == [g.value for g in L_GENS + P_GENS for _ in range(per_gen)]
 
 
 def test_adjudication():
     verdict = adjudicate_variant(k_max=0, samples=3, seed=2)
     assert verdict["accepted"] == "plus1"
     assert verdict["plus1"]["pass"] and not verdict["plus2"]["pass"]
+
+
+def test_adjudication_of_an_empty_sweep_fails():
+    verdict = adjudicate_variant(k_max=0, j_max=Fraction(-1), samples=2)
+    assert verdict["accepted"] is None
+    for variant in ("plus1", "plus2"):
+        assert not verdict[variant]["pass"]
+        assert verdict[variant]["max_rel_err"] == math.inf
 
 
 def test_quadrature_normalization_and_diagonal():
@@ -470,5 +497,7 @@ def test_stack_with_one_bad_matrix_raises():
 
 
 def test_empty_sweep_fails():
-    res = oracle.check_compact_action(0, j_max=Fraction(-1), samples=2)
+    res = oracle.check_action([0], j_max=Fraction(-1), samples=2, gens=L_GENS)
     assert len(res) == 1 and not all_passed(res)
+    res = oracle.check_action([0, 1], j_max=Fraction(-1), samples=2)
+    assert [r.params["k"] for r in res] == [0, 1] and not any(r.passed for r in res)

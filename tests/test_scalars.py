@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_complex_radical, random_radical
+from su21coh.lie import LieGen, gen_matrix
+from su21coh.polynomials import Monomial, PolyVector
 from su21coh.scalars import (
     ComplexRadical,
     NegativeRadicand,
@@ -15,6 +17,7 @@ from su21coh.scalars import (
     prime_factors,
     square_free_split,
 )
+from su21coh.sparse import LinComb
 
 RS = RadicalScalar
 CR = ComplexRadical
@@ -227,3 +230,32 @@ def test_mixed_value_export_and_repr():
     assert repr(RS.sqrt(2)) == "sqrt(2)" and repr(CR()) == "0"
     assert abs(z.to_complex() - complex(3 / 7 + 2 * math.sqrt(3),
                                         -1 + 5 * math.sqrt(2) + math.sqrt(6) / 2)) < 1e-12
+
+
+def test_scalar_times_module_element_defers_to_the_module():
+    # a type the field does not absorb gets its reflected method
+    x1 = gen_matrix(LieGen.X1)
+    assert CR.i() * x1 == x1 * CR.i()
+    p = PolyVector({Monomial(1, 2, 0): RS.sqrt(2), Monomial(0, 0, 3): CR.of(3)})
+    assert CR.i() * p == p * CR.i()
+    assert CR.i() * p == PolyVector(
+        {Monomial(1, 2, 0): CR.i_times(RS.sqrt(2)), Monomial(0, 0, 3): CR.i_times(3)}
+    )
+    with pytest.raises(TypeError):
+        CR.i() + x1
+    with pytest.raises(TypeError):
+        CR.i() - x1
+    with pytest.raises(TypeError):
+        CR.of(1) * 1.5
+    with pytest.raises(TypeError):
+        1.5 * CR.of(1)
+    assert CR.of(3) - 1 == CR.of(2) and Fraction(1, 2) * CR.of(4) == CR.of(2)
+
+
+def test_missing_key_reads_a_zero_that_stays_zero():
+    v = LinComb({"a": RS.sqrt(2)})
+    z = v.get("b")
+    assert z.is_zero() and z == 0
+    assert (z + RS.sqrt(3)) * CR.i() + (-z) - RS.one() == CR.i_times(RS.sqrt(3)) - 1
+    assert v.get("b").is_zero() and LinComb().get("a").is_zero()
+    assert v.get("a") == RS.sqrt(2)
