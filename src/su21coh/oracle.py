@@ -460,13 +460,10 @@ def _fd_sweep(k, j_max, tol, variant, base, stencils) -> list[CheckResult]:
     return results
 
 
-def check_action(ks, j_max=Fraction(5, 2), samples: int = 20, tol: float = 1e-6,
-                 seed: int = 0, variant: str = DEFAULT_VARIANT,
-                 gens=L_GENS + P_GENS) -> list[CheckResult]:
-    """Finite-difference validation of the action of each generator in gens
-    (the noncompact ones with the chosen coefficient variant), for every k in
-    ks, at `samples` seeded random group points.  The points and each
-    generator's stencil around them are decomposed once and serve every k."""
+def _fd_points(samples: int, seed: int, gens) -> tuple[tuple, list]:
+    """The decomposed seeded base points and, per generator in gens, its
+    decomposed stencil around them: the inputs `_fd_sweep` shares across k
+    and variants."""
     g = random_group_points(1_000_003 * seed + i for i in range(samples))
     base = _decompose_for_eval(g)
     stencils = []
@@ -474,6 +471,17 @@ def check_action(ks, j_max=Fraction(5, 2), samples: int = 20, tol: float = 1e-6,
         steps, weights = _fd_steps(gen, 1e-3)
         angles, rm3 = _decompose_for_eval(steps @ g[:, None])
         stencils.append((gen, angles, weights * rm3))
+    return base, stencils
+
+
+def check_action(ks, j_max=Fraction(5, 2), samples: int = 20, tol: float = 1e-6,
+                 seed: int = 0, variant: str = DEFAULT_VARIANT,
+                 gens=L_GENS + P_GENS) -> list[CheckResult]:
+    """Finite-difference validation of the action of each generator in gens
+    (the noncompact ones with the chosen coefficient variant), for every k in
+    ks, at `samples` seeded random group points.  The points and each
+    generator's stencil around them are decomposed once and serve every k."""
+    base, stencils = _fd_points(samples, seed, gens)
     results = []
     for k in ks:
         results += _fd_sweep(k, j_max, tol, variant, base, stencils)
@@ -482,12 +490,14 @@ def check_action(ks, j_max=Fraction(5, 2), samples: int = 20, tol: float = 1e-6,
 
 def adjudicate_variant(k_max: int = 1, j_max=Fraction(3, 2), samples: int = 5,
                        tol: float = 1e-6, seed: int = 0) -> dict:
-    """Run the noncompact sweep under both coefficient variants and report
-    which one the finite differences accept; a variant whose sweep compares
-    nothing fails, with error inf."""
+    """Run the noncompact sweep under both coefficient variants, on one set
+    of decomposed points, and report which one the finite differences
+    accept; a variant whose sweep compares nothing fails, with error inf."""
+    base, stencils = _fd_points(samples, seed, P_GENS)
     verdict = {}
     for variant in VARIANTS:
-        res = check_action(range(k_max + 1), j_max, samples, tol, seed, variant, P_GENS)
+        res = [r for k in range(k_max + 1)
+               for r in _fd_sweep(k, j_max, tol, variant, base, stencils)]
         worst = max((r.max_err for r in res if r.max_err is not None), default=math.inf)
         verdict[variant] = {"max_rel_err": worst, "pass": all_passed(res)}
     accepted = [v for v, r in verdict.items() if r["pass"]]

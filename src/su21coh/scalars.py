@@ -57,12 +57,11 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+def _num_den(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    return x.numerator, x.denominator
 
 
 def _real_repr(terms) -> str:
@@ -79,13 +78,25 @@ def _real_repr(terms) -> str:
 
 
 class ComplexRadical:
-    """An exact complex number  sum_d c_d * sqrt(d)  (d squarefree, c_d in Q)."""
+    """An exact complex number  sum_d c_d * sqrt(d)  (d squarefree, c_d in Q),
+    stored as integer numerators c_d = _terms[d] / _den over one _den > 0 with
+    gcd(_den, *numerators) == 1; zero is ({}, 1)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
-        # terms maps squarefree radicand (either sign) -> nonzero rational coefficient
-        self._terms = {d: c for d, c in (terms or {}).items() if c}
+        """From {squarefree radicand (either sign): int or Fraction}; zero
+        coefficients are dropped.  Reduced coefficients over the lcm of their
+        denominators already have gcd(den, *numerators) == 1."""
+        terms = terms or {}
+        for d in terms:
+            if not isinstance(d, int):
+                raise TypeError(f"radicand must be an int, got {d!r}")
+            if not d or square_free_split(abs(d))[0] != 1:
+                raise ValueError(f"radicand must be nonzero and squarefree, got {d}")
+        den = math.lcm(1, *(_num_den(c)[1] for c in terms.values()))
+        self._terms = {d: c.numerator * (den // c.denominator) for d, c in terms.items() if c}
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -95,24 +106,25 @@ class ComplexRadical:
 
     @classmethod
     def one(cls) -> "ComplexRadical":
-        return _wrap({1: Fraction(1)})
+        return _wrap({1: 1})
 
     @classmethod
     def i(cls) -> "ComplexRadical":
-        return _wrap({-1: Fraction(1)})
+        return _wrap({-1: 1})
 
     @classmethod
     def of(cls, x) -> "ComplexRadical":
         """Embed an int, Fraction or ComplexRadical."""
         if isinstance(x, ComplexRadical):
             return x
-        q = _as_fraction(x)
-        return _wrap({1: q} if q else {})
+        n, m = _num_den(x)
+        return _wrap({1: n} if n else {}, m)
 
     @classmethod
     def i_times(cls, x) -> "ComplexRadical":
         """i*x: sqrt(d) -> sqrt(-d), and i*i*sqrt(a) = -sqrt(a) for d = -a."""
-        return _wrap({-d: -c if d < 0 else c for d, c in cls.of(x)._terms.items()})
+        x = cls.of(x)
+        return _wrap({-d: -n if d < 0 else n for d, n in x._terms.items()}, x._den)
 
     @classmethod
     def sqrt(cls, q) -> "ComplexRadical":
@@ -122,44 +134,49 @@ class ComplexRadical:
         squarefree part.  A negative q is refused rather than read as i*sqrt(-q):
         the coefficient formulas only take roots of nonnegative quantities.
         """
-        q = _as_fraction(q)
-        if q < 0:
+        a, b = _num_den(q)
+        if a < 0:
             raise NegativeRadicand(f"sqrt of negative rational {q}")
-        if q == 0:
+        if a == 0:
             return _wrap({})
-        s, d = square_free_split(q.numerator * q.denominator)
-        return _wrap({d: Fraction(s, q.denominator)})
+        s, d = square_free_split(a * b)
+        return _reduced({d: s}, b)
 
     # -- structure ---------------------------------------------------------
 
-    def items(self):
-        return self._terms.items()
+    def items(self) -> list[tuple[int, Fraction]]:
+        """(radicand, rational coefficient) pairs."""
+        return [(d, Fraction(n, self._den)) for d, n in self._terms.items()]
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def conj(self) -> "ComplexRadical":
-        return _wrap({d: -c if d < 0 else c for d, c in self._terms.items()})
+        return _wrap({d: -n if d < 0 else n for d, n in self._terms.items()}, self._den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "ComplexRadical":
         if (other := _operand(other)) is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for d, c in other._terms.items():
+        # rescale both numerator sets to the lcm of the denominators
+        g = math.gcd(self._den, other._den)
+        s1, s2 = other._den // g, self._den // g
+        terms = {d: n * s1 for d, n in self._terms.items()}
+        for d, n in other._terms.items():
+            n *= s2
             if d in terms:
-                c += terms[d]
-                if not c:
+                n += terms[d]
+                if not n:
                     del terms[d]
                     continue
-            terms[d] = c
-        return _wrap(terms)
+            terms[d] = n
+        return _reduced(terms, self._den * s1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ComplexRadical":
-        return _wrap({d: -c for d, c in self._terms.items()})
+        return _wrap({d: -n for d, n in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "ComplexRadical":
         if (other := _operand(other)) is None:
@@ -169,20 +186,20 @@ class ComplexRadical:
     def __mul__(self, other) -> "ComplexRadical":
         if (other := _operand(other)) is None:
             return NotImplemented
-        terms: dict[int, Fraction] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
+        terms: dict[int, int] = {}
+        for d1, n1 in self._terms.items():
+            for d2, n2 in other._terms.items():
                 # sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)*(d2/g)) with g = gcd(|d1|, |d2|);
                 # the product of coprime squarefree integers is squarefree, and
                 # two negative radicands contribute i*i = -1.
                 g = math.gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
-                c = -c1 * c2 * g if d1 < 0 and d2 < 0 else c1 * c2 * g
-                terms[d] = terms[d] + c if d in terms else c
+                n = -n1 * n2 * g if d1 < 0 and d2 < 0 else n1 * n2 * g
+                terms[d] = terms[d] + n if d in terms else n
         if len(self._terms) > 1 and len(other._terms) > 1:
             # only then can two products land on one radicand and cancel
-            terms = {d: c for d, c in terms.items() if c}
-        return _wrap(terms)
+            terms = {d: n for d, n in terms.items() if n}
+        return _reduced(terms, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -200,28 +217,31 @@ class ComplexRadical:
         if not terms:
             raise ZeroDivisionError("inverse of zero ComplexRadical")
         if len(terms) == 1:
-            ((d, c),) = terms.items()
-            return _wrap({d: 1 / (c * d)})
+            # (n/D)*sqrt(d) inverts to D*sqrt(d)/(n*d)
+            ((d, n),) = terms.items()
+            return _reduced({d: self._den if n * d > 0 else -self._den}, abs(n * d))
         flippers = {d: set(prime_factors(abs(d))) | ({-1} if d < 0 else set()) for d in terms}
         gens = sorted(set().union(*flippers.values()))
         acc = ComplexRadical.one()
         for mask in range(1, 1 << len(gens)):
             flips = {gens[i] for i in range(len(gens)) if mask >> i & 1}
             acc = acc * _wrap(
-                {d: -c if len(flippers[d] & flips) % 2 else c for d, c in terms.items()}
+                {d: -n if len(flippers[d] & flips) % 2 else n for d, n in terms.items()},
+                self._den,
             )
-        norm = (self * acc)._terms[1]
-        return acc * _wrap({1: 1 / norm})
+        norm = self * acc  # rational: norm._terms[1] / norm._den
+        n = norm._terms[1]
+        return acc * _wrap({1: norm._den if n > 0 else -norm._den}, abs(n))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ComplexRadical.of(other)
         if not isinstance(other, ComplexRadical):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._terms.items()), self._den))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -229,15 +249,16 @@ class ComplexRadical:
     # -- numeric bridge and serialization ----------------------------------
 
     def to_complex(self) -> complex:
-        terms = self._terms.items()
+        # int / int is correctly rounded, the same bits as float(Fraction(n, den))
+        den, terms = self._den, self._terms.items()
         return complex(
-            sum(float(c) * math.sqrt(d) for d, c in terms if d > 0),
-            sum(float(c) * math.sqrt(-d) for d, c in terms if d < 0),
+            sum(n / den * math.sqrt(d) for d, n in terms if d > 0),
+            sum(n / den * math.sqrt(-d) for d, n in terms if d < 0),
         )
 
     def _parts(self) -> tuple[list, list]:
-        """(real, imaginary) (|d|, c) pairs, each sorted by |d|."""
-        ordered = sorted(self._terms.items(), key=lambda t: abs(t[0]))
+        """(real, imaginary) (|d|, Fraction) pairs, each sorted by |d|."""
+        ordered = sorted(self.items(), key=lambda t: abs(t[0]))
         return [(d, c) for d, c in ordered if d > 0], [(-d, c) for d, c in ordered if d < 0]
 
     def to_dict(self) -> dict:
@@ -249,8 +270,15 @@ class ComplexRadical:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ComplexRadical":
-        parts = ((1, data.get("re", [])), (-1, data.get("im", [])))
-        return cls({sign * int(d): Fraction(int(n), int(m)) for sign, t in parts for d, n, m in t})
+        terms = {}
+        for sign, part in ((1, "re"), (-1, "im")):
+            for d, n, m in data.get(part, []):
+                if any(type(v) is not int for v in (d, n, m)) or d <= 0 or sign * d in terms:
+                    raise ValueError(f"{part} entry {[d, n, m]}: need ints and a new |d| > 0")
+                if not m:
+                    raise ValueError(f"{part} entry {[d, n, m]}: zero denominator")
+                terms[sign * d] = Fraction(n, m)
+        return cls(terms)
 
     def __repr__(self) -> str:
         re, im = self._parts()
@@ -271,11 +299,23 @@ def _operand(x) -> ComplexRadical | None:
     return ComplexRadical.of(x) if isinstance(x, (int, Fraction)) else None
 
 
-def _wrap(terms: dict[int, Fraction]) -> ComplexRadical:
-    """A ComplexRadical on a zero-free terms dict, taken as is."""
+def _wrap(terms: dict[int, int], den: int = 1) -> ComplexRadical:
+    """A ComplexRadical on zero-free numerators over den > 0, already in
+    lowest terms, taken as is."""
     x = _new(ComplexRadical)
     x._terms = terms
+    x._den = den
     return x
+
+
+def _reduced(terms: dict[int, int], den: int) -> ComplexRadical:
+    """A ComplexRadical on zero-free numerators over den > 0, after dividing
+    out gcd(den, *numerators); zero comes back with den 1."""
+    g = math.gcd(den, *terms.values())
+    if g != 1:
+        terms = {d: n // g for d, n in terms.items()}
+        den //= g
+    return _wrap(terms, den)
 
 
 # bench/tracer.py binds RadicalScalar.__mul__/__add__/sqrt/inverse by name,

@@ -360,6 +360,16 @@ def test_adjudication():
     assert verdict["plus1"]["pass"] and not verdict["plus2"]["pass"]
 
 
+def test_adjudication_decomposes_the_points_once(monkeypatch):
+    # the base points and the four X1..X4 stencils serve both variants
+    calls = []
+    real = oracle._decompose_for_eval
+    monkeypatch.setattr(oracle, "_decompose_for_eval", lambda g: calls.append(g) or real(g))
+    verdict = adjudicate_variant(k_max=1, samples=2)
+    assert len(calls) == 1 + len(P_GENS) == 5
+    assert verdict["accepted"] == "plus1"
+
+
 def test_adjudication_of_an_empty_sweep_fails():
     verdict = adjudicate_variant(k_max=0, j_max=Fraction(-1), samples=2)
     assert verdict["accepted"] is None

@@ -60,6 +60,31 @@ def test_sqrt_rational():
         RS.sqrt(Fraction(-1, 4))
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: CR({4: Fraction(1)}), ValueError),  # not squarefree: would be != CR.of(2)
+        (lambda: CR({2: 0.5}), TypeError),  # a float coefficient
+        (lambda: CR({0: Fraction(3)}), ValueError),
+        (lambda: CR({2.0: Fraction(1)}), TypeError),  # a non-integer radicand
+        (lambda: CR({-12: 1}), ValueError),
+        (lambda: CR.from_dict({"re": [[8, 1, 1]]}), ValueError),
+        (lambda: CR.from_dict({"re": [[-2, 1, 1]]}), ValueError),  # not a real-part |d|
+        (lambda: CR.from_dict({"im": [[0, 1, 1]]}), ValueError),
+        (lambda: CR.from_dict({"re": [[2, 1, 0]]}), ValueError),
+        (lambda: CR.from_dict({"re": [[2.7, 1, 1]]}), ValueError),  # was read as sqrt(2)
+        (lambda: CR.from_dict({"im": [[2, 1.9, 1]]}), ValueError),  # was read as i*sqrt(2)
+        (lambda: CR.from_dict({"re": [[2, 1, 1], [2, 3, 1]]}), ValueError),  # was 3*sqrt(2)
+    ],
+    ids=["sqrt4", "float-coeff", "radicand0", "float-radicand", "neg-non-squarefree",
+         "dict-sqrt8", "dict-negative-re", "dict-zero-im", "dict-zero-den",
+         "dict-float-radicand", "dict-float-numerator", "dict-repeated-radicand"],
+)
+def test_malformed_terms_are_refused(build, error):
+    with pytest.raises(error, match="radicand|interpret|entry"):
+        build()
+
+
 def test_inverse_single_term():
     assert RS({2: Fraction(2)}).inverse() == RS({2: Fraction(1, 4)})
 
