@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def k_option(p, default_k):
-        p.add_argument("--k", "--k-range", type=_parse_k_spec, default=_parse_k_spec(default_k),
+        p.add_argument("--k", type=_parse_k_spec, default=_parse_k_spec(default_k),
                        help=f"single value or inclusive range lo..hi (default {default_k})")
 
     def report_options(p):

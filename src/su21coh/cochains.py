@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie import L_GENS, P_GENS, LieGen, bracket, gen_matrix, project_to_p, wedge_action
+from .lie import L_GENS, P_GENS, LieGen, bracket_coords, gen_matrix, wedge_action
 from .polynomials import Monomial, PolyVector, act_poly, monomial_xy
 from .report import CheckResult
 from .scalars import ComplexRadical
@@ -107,9 +107,6 @@ class Cochain:
     def value(self, w: Wedge) -> TensorElement:
         return self._entries.get(tuple(w), TensorElement())
 
-    def entries(self):
-        return self._entries.items()
-
     def support(self):
         return set(self._entries)
 
@@ -155,8 +152,7 @@ class Cochain:
 @lru_cache(maxsize=1)
 def _check_p_brackets_central() -> bool:
     for a, b in itertools.combinations(range(4), 2):
-        dec = project_to_p(bracket(gen_matrix(P_GENS[a]), gen_matrix(P_GENS[b])))
-        if not all(c.is_zero() for c in dec):
+        if bracket_coords(P_GENS[a], b + 1):
             raise BracketNotInL(f"[X{a + 1}, X{b + 1}] has a nonzero noncompact part")
     return True
 

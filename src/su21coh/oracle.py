@@ -6,9 +6,10 @@ numerical Iwasawa decomposition, and validates the exact raising/lowering
 operators by central finite differences.  Also provides a quadrature check
 of pairwise orthogonality under the normalized invariant measure.
 
-The numeric routines work on arrays: Euler coordinates may be arrays of any
-(broadcastable) shape, and group elements may be stacks (..., 3, 3).  A
-single point is the one-point case and returns plain Python numbers.
+The numeric routines work on stacks: Euler coordinates may be arrays of any
+(broadcastable) shape, and group elements are stacks (..., 3, 3).  A single
+point is a one-point stack; a lone (3, 3) matrix or float coordinates give
+numpy scalars or 0-d arrays.
 
 Everything here is deliberately independent of the exact engine: the only
 shared input is the list of generator matrices, which are read off from the
@@ -17,7 +18,6 @@ exact module and converted to machine numbers.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,11 +84,6 @@ class IwasawaFactors:
     s: float | np.ndarray  # imaginary part of the corner entry
 
 
-def _scalar(x):
-    """A zero-dimensional result as a Python number; arrays pass through."""
-    return np.asarray(x).item() if np.ndim(x) == 0 else x
-
-
 def _first_bad(bad: np.ndarray) -> tuple[tuple, str]:
     """Index of the first flagged point of a stack, and an error-message
     suffix naming it (empty for a single matrix)."""
@@ -123,7 +118,7 @@ def membership_residual(g: np.ndarray):
     (one value per matrix of a stack)."""
     g = np.asarray(g, dtype=complex)
     form = np.swapaxes(g.conj(), -1, -2) @ J_DIAG_NP @ g - J_DIAG_NP
-    return _scalar(np.maximum(np.abs(form).max(axis=(-2, -1)), np.abs(np.linalg.det(g) - 1.0)))
+    return np.maximum(np.abs(form).max(axis=(-2, -1)), np.abs(np.linalg.det(g) - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +158,7 @@ def _theta_terms(j2: int, m12: int, m22: int) -> tuple[tuple[float, int, int], .
 
 def eval_wigner(idx: WignerIndex, e: EulerAngles):
     """Value of the matrix-coefficient function named by idx at the given
-    Euler coordinates: a complex number at one point, an array of the
-    broadcast shape of the coordinates otherwise.
+    Euler coordinates, in the broadcast shape of the coordinates.
 
     The phase is a product of one exponential per angle, so on a product
     grid (coordinates broadcast along different axes) each exponential is
@@ -178,7 +172,7 @@ def eval_wigner(idx: WignerIndex, e: EulerAngles):
     phase = (
         np.exp(0.5j * n2 * e.zeta) * np.exp(0.5j * m12 * e.psi) * np.exp(0.5j * m22 * e.phi)
     )
-    return _scalar(phase * profile)
+    return phase * profile
 
 
 def wigner_matrix(j2: int, n2: int, e: EulerAngles) -> np.ndarray:
@@ -228,7 +222,7 @@ def euler_from_k(kappa: np.ndarray) -> EulerAngles:
     phi = np.where(degenerate, 0.0, phi0 + TWO_PI * m)
     psi = np.where(theta_zero, -2.0 * a, np.where(theta_pi, 2.0 * b, psi0 + TWO_PI * m))
     psi = (psi + math.pi) % FOUR_PI - math.pi  # back into the 4*pi period of psi
-    return EulerAngles(_scalar(zeta), _scalar(phi), _scalar(theta), _scalar(psi))
+    return EulerAngles(zeta, phi, theta, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +250,10 @@ def n_matrix(nu, s) -> np.ndarray:
     return out
 
 
-def m_matrix(t: float) -> np.ndarray:
-    """Compact-torus element, fixed by the basis-change involution."""
-    return np.diag([cmath.exp(1j * t), cmath.exp(-2j * t), cmath.exp(1j * t)])
+def m_matrix(t) -> np.ndarray:
+    """Compact-torus elements diag(e^(it), e^(-2it), e^(it)), fixed by the
+    basis-change involution."""
+    return np.exp(1j * np.multiply.outer(t, [1.0, -2.0, 1.0]))[..., None] * np.eye(3)
 
 
 def an_gamma(r, nu=0.0, s=0.0) -> np.ndarray:
@@ -277,7 +272,7 @@ def iwasawa(g: np.ndarray) -> IwasawaFactors:
     diagonal (r, 1, 1/r); anything else is a decomposition failure.
     """
     g = np.asarray(g, dtype=complex)
-    resid = np.asarray(membership_residual(g))
+    resid = membership_residual(g)
     bad = ~(resid <= TOL)
     if bad.any():
         i, where = _first_bad(bad)
@@ -303,7 +298,7 @@ def iwasawa(g: np.ndarray) -> IwasawaFactors:
             f"unipotent factor{_first_bad(bad)[1]} fails its consistency relations"
         )
     kappa = GAMMA_NP @ q @ GAMMA_NP
-    return IwasawaFactors(kappa=kappa, r=_scalar(r), nu=_scalar(nu), s=_scalar(xi.imag))
+    return IwasawaFactors(kappa=kappa, r=r, nu=nu, s=xi.imag)
 
 
 def _decompose_for_eval(g: np.ndarray) -> tuple[EulerAngles, np.ndarray]:
@@ -381,11 +376,12 @@ def real_imag_parts(x) -> tuple[np.ndarray, np.ndarray | None]:
     return a, b
 
 
-def _fd_steps(x, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _fd_steps(x) -> tuple[np.ndarray, np.ndarray]:
     """Left translations (P, 3, 3) and complex weights (P,) of a central
-    difference with one Richardson step along x = A + iB:
+    difference with step h = 1e-3 and one Richardson step along x = A + iB:
     d/dt f(exp(-t x) g) at 0 is about sum_i w_i f(steps_i g), the two real
     directions A and B combined linearly."""
+    h = 1e-3
     ts, ws = [], []
     for hh, rw in ((h, -1.0 / 3.0), (h / 2, 4.0 / 3.0)):
         ts += [-hh, hh]
@@ -406,14 +402,14 @@ def random_group_points(seeds) -> np.ndarray:
     return expm(z / np.maximum(nrm, 1.0)[:, None, None])
 
 
-def random_group_point(seed) -> np.ndarray:
-    """The one-point case of `random_group_points`."""
-    return random_group_points([seed])[0]
-
-
 # ---------------------------------------------------------------------------
 # Operator validation sweeps.
 # ---------------------------------------------------------------------------
+
+
+def _within(name: str, err: float, tol: float, **params) -> CheckResult:
+    """A check that passes when its error is at most tol."""
+    return CheckResult(name=name, passed=err <= tol, max_err=err, tol=tol, params=params)
 
 
 def _fd_sweep(k, j_max, tol, variant, base, stencils) -> list[CheckResult]:
@@ -449,13 +445,7 @@ def _fd_sweep(k, j_max, tol, variant, base, stencils) -> list[CheckResult]:
             fd = (weights * eval_wigner(idx, angles)).sum(axis=-1)
             worst = float((np.abs(fd - pred) / np.maximum(1.0, np.abs(pred))).max())
             results.append(
-                CheckResult(
-                    name=f"{label}[k={k},{gen.value},{idx}]",
-                    passed=worst <= tol,
-                    max_err=worst,
-                    tol=tol,
-                    params={"k": k, "gen": gen.value},
-                )
+                _within(f"{label}[k={k},{gen.value},{idx}]", worst, tol, k=k, gen=gen.value)
             )
     return results
 
@@ -468,20 +458,19 @@ def _fd_points(samples: int, seed: int, gens) -> tuple[tuple, list]:
     base = _decompose_for_eval(g)
     stencils = []
     for gen in gens:
-        steps, weights = _fd_steps(gen, 1e-3)
+        steps, weights = _fd_steps(gen)
         angles, rm3 = _decompose_for_eval(steps @ g[:, None])
         stencils.append((gen, angles, weights * rm3))
     return base, stencils
 
 
 def check_action(ks, j_max=Fraction(5, 2), samples: int = 20, tol: float = 1e-6,
-                 seed: int = 0, variant: str = DEFAULT_VARIANT,
-                 gens=L_GENS + P_GENS) -> list[CheckResult]:
-    """Finite-difference validation of the action of each generator in gens
-    (the noncompact ones with the chosen coefficient variant), for every k in
-    ks, at `samples` seeded random group points.  The points and each
+                 seed: int = 0, variant: str = DEFAULT_VARIANT) -> list[CheckResult]:
+    """Finite-difference validation of the action of every generator (the
+    noncompact ones with the chosen coefficient variant), for every k in ks,
+    at `samples` seeded random group points.  The points and each
     generator's stencil around them are decomposed once and serve every k."""
-    base, stencils = _fd_points(samples, seed, gens)
+    base, stencils = _fd_points(samples, seed, L_GENS + P_GENS)
     results = []
     for k in ks:
         results += _fd_sweep(k, j_max, tol, variant, base, stencils)
@@ -549,37 +538,24 @@ def quadrature_ip(idx1: WignerIndex, idx2: WignerIndex) -> complex:
     return total / haar
 
 
-def orthogonality_report(k: int = 0, j_max=Fraction(3, 2), tol: float = 1e-10) -> list[CheckResult]:
-    """Pairwise orthogonality of all admissible indices with j <= j_max, plus
-    constancy of the squared norm along n and under (m1, m2) sign flips."""
-    indices = list(admissible_indices(k, j_max))
-    results = []
+def orthogonality_report() -> list[CheckResult]:
+    """Pairwise orthogonality, to 1e-10, of all indices admissible for k = 0
+    with j <= 3/2, plus constancy of the squared norm along n and under
+    (m1, m2) sign flips."""
+    indices = list(admissible_indices(0, Fraction(3, 2)))
     worst = 0.0
     for i, a in enumerate(indices):
         for b in indices[i + 1 :]:
             worst = max(worst, abs(quadrature_ip(a, b)))
-    results.append(
-        CheckResult(
-            name=f"pairwise orthogonality (j<=j_max, {len(indices)} indices)",
-            passed=worst <= tol,
-            max_err=worst,
-            tol=tol,
-        )
-    )
     norm_dev = 0.0
     for a in indices:
         val = quadrature_ip(a, a)
         expected = 1.0 / (a.j2 + 1)  # computed fixture: 1/(2j+1)
         norm_dev = max(norm_dev, abs(val - expected))
-    results.append(
-        CheckResult(
-            name="squared norms equal 1/(2j+1), independent of n and m-signs",
-            passed=norm_dev <= tol,
-            max_err=norm_dev,
-            tol=tol,
-        )
-    )
-    return results
+    return [
+        _within(f"pairwise orthogonality (j<=j_max, {len(indices)} indices)", worst, 1e-10),
+        _within("squared norms equal 1/(2j+1), independent of n and m-signs", norm_dev, 1e-10),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -590,96 +566,73 @@ def orthogonality_report(k: int = 0, j_max=Fraction(3, 2), tol: float = 1e-10) -
 _ANGLE_RANGES = ((0.0, FOUR_PI), (-math.pi, math.pi), (0.0, math.pi), (-math.pi, 3 * math.pi))
 
 
-def homomorphism_report(pairs: int = 20, seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
-    """Multiplicativity and unitarity of the coefficient matrices at fixed
-    (j, n), for random compact pairs: validates the Euler conventions and
-    the theta-profile independently of any derivative formula."""
+def homomorphism_report(seed: int = 0) -> list[CheckResult]:
+    """Multiplicativity and unitarity, to 1e-9, of the coefficient matrices
+    at fixed (j, n) for 20 random compact pairs: validates the Euler
+    conventions and the theta-profile independently of any derivative
+    formula."""
     rng = np.random.default_rng(seed)
+    lows, highs = np.array(_ANGLE_RANGES).T
     results = []
     for j2, n2 in ((1, 1), (2, 0), (3, -3), (4, 2)):
         # drawn point by point, e1 then e2 for each pair
-        draws = np.array(
-            [[rng.uniform(lo, hi) for lo, hi in _ANGLE_RANGES] for _ in range(2 * pairs)]
-        ).reshape(pairs, 2, 4)
+        draws = rng.uniform(lows, highs, size=(20, 2, 4))
         e1, e2 = (EulerAngles(*draws[:, i].T) for i in (0, 1))
         d1 = wigner_matrix(j2, n2, e1)
         d2 = wigner_matrix(j2, n2, e2)
         d12 = wigner_matrix(j2, n2, euler_from_k(k_from_angles(e1) @ k_from_angles(e2)))
         worst_h = float(np.abs(d12 - d1 @ d2).max())
         worst_u = float(np.abs(d1 @ np.swapaxes(d1.conj(), -1, -2) - np.eye(j2 + 1)).max())
-        results.append(
-            CheckResult(
-                name=f"homomorphism D(k1 k2) = D(k1) D(k2) [2j={j2}, 2n={n2}]",
-                passed=worst_h <= tol,
-                max_err=worst_h,
-                tol=tol,
-            )
-        )
-        results.append(
-            CheckResult(
-                name=f"unitarity of D [2j={j2}, 2n={n2}]",
-                passed=worst_u <= tol,
-                max_err=worst_u,
-                tol=tol,
-            )
-        )
+        results += [
+            _within(f"homomorphism D(k1 k2) = D(k1) D(k2) [2j={j2}, 2n={n2}]", worst_h, 1e-9),
+            _within(f"unitarity of D [2j={j2}, 2n={n2}]", worst_u, 1e-9),
+        ]
     return results
 
 
-def iwasawa_report(points: int = 1000, seed: int = 0, tol: float = 1e-10) -> list[CheckResult]:
-    """Reconstruction and membership residuals over random group points."""
-    g = random_group_points(7_900_003 * seed + i for i in range(points))
+def iwasawa_report(seed: int = 0) -> list[CheckResult]:
+    """Membership (to 1e-12) and reconstruction (to 1e-10) residuals over
+    1000 random group points."""
+    g = random_group_points(7_900_003 * seed + i for i in range(1000))
     worst_member = float(np.max(membership_residual(g)))
     fac = iwasawa(g)
     recon = fac.kappa @ an_gamma(fac.r, fac.nu, fac.s)
     worst_recon = float(np.abs(recon - g).max())
     return [
-        CheckResult(
-            name=f"membership residual over {points} random points",
-            passed=worst_member <= 1e-12,
-            max_err=worst_member,
-            tol=1e-12,
-        ),
-        CheckResult(
-            name=f"iwasawa reconstruction over {points} random points",
-            passed=worst_recon <= tol,
-            max_err=worst_recon,
-            tol=tol,
-        ),
+        _within("membership residual over 1000 random points", worst_member, 1e-12),
+        _within("iwasawa reconstruction over 1000 random points", worst_recon, 1e-10),
     ]
 
 
-def covariance_report(k: int = 0, trials: int = 10, seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
-    """Functional-equation checks for the extended sections: right
-    translation by a Borel factor scales by r^(-3); right translation by a
-    compact-torus element produces the phase pinned by the index window."""
+def covariance_report(k: int = 0, seed: int = 0) -> list[CheckResult]:
+    """Functional-equation checks, to 1e-9, for the extended sections at 10
+    random points: right translation by a Borel factor scales by r^(-3);
+    right translation by a compact-torus element produces the phase pinned
+    by the index window.  Point t evaluates index t mod the window size."""
     rng = np.random.default_rng(seed)
     indices = list(admissible_indices(k, Fraction(3, 2)))
-    worst_b = worst_m = 0.0
-    for t in range(trials):
-        g = random_group_point(rng)
-        idx = indices[t % len(indices)]
-        base = eval_section(idx, k, g)
-        r0 = float(rng.uniform(0.5, 2.0))
-        nu = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        s0 = float(rng.uniform(-1, 1))
-        translated = eval_section(idx, k, g @ an_gamma(r0, nu, s0))
-        worst_b = max(worst_b, abs(translated - r0 ** (-3) * base) / max(1.0, abs(base)))
-        t0 = float(rng.uniform(-math.pi, math.pi))
-        m_translated = eval_section(idx, k, g @ m_matrix(t0))
-        expected = cmath.exp(-1j * (2 * k + 3) * t0) * base
-        worst_m = max(worst_m, abs(m_translated - expected) / max(1.0, abs(base)))
+    g, r0, nu, s0, t0 = [], [], [], [], []
+    for _ in range(10):  # per trial: the point, then r0, nu, s0 and t0
+        g.append(random_group_points([rng])[0])
+        r0.append(rng.uniform(0.5, 2.0))
+        nu.append(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        s0.append(rng.uniform(-1, 1))
+        t0.append(rng.uniform(-math.pi, math.pi))
+    g, r0, t0 = np.array(g), np.array(r0), np.array(t0)
+    which = [indices[t % len(indices)] for t in range(10)]
+
+    def sections(points):
+        angles, rm3 = _decompose_for_eval(points)
+        values = {idx: eval_wigner(idx, angles) for idx in set(which)}
+        return rm3 * np.array([values[idx][t] for t, idx in enumerate(which)])
+
+    base = sections(g)
+    scale = np.maximum(1.0, np.abs(base))
+    translated = sections(g @ an_gamma(r0, nu, s0))
+    worst_b = float((np.abs(translated - r0 ** (-3) * base) / scale).max())
+    expected = np.exp(-1j * (2 * k + 3) * t0) * base
+    worst_m = float((np.abs(sections(g @ m_matrix(t0)) - expected) / scale).max())
     return [
-        CheckResult(
-            name=f"right Borel covariance [k={k}]",
-            passed=worst_b <= tol,
-            max_err=worst_b,
-            tol=tol,
-        ),
-        CheckResult(
-            name=f"right compact-torus covariance [k={k}]",
-            passed=worst_m <= tol,
-            max_err=worst_m,
-            tol=tol,
-        ),
+        _within(f"right Borel covariance [k={k}]", worst_b, 1e-9),
+        _within(f"right compact-torus covariance [k={k}]", worst_m, 1e-9),
     ]

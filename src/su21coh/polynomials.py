@@ -64,8 +64,3 @@ def act_poly(mat: Mat3, p: PolyVector) -> PolyVector:
                 target[j] += 1
                 out.append((Monomial(*target), coeff * entry * e))
     return PolyVector(out)
-
-
-def monomial_basis(k: int) -> list[Monomial]:
-    """All degree-k monomials, lexicographic in (a, b)."""
-    return [Monomial(a, b, k - a - b) for a in range(k + 1) for b in range(k - a + 1)]

@@ -241,6 +241,9 @@ class ComplexRadical:
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a rational value hashes as the int or Fraction it equals
+        if self._terms.keys() <= {1}:
+            return hash(Fraction(self._terms.get(1, 0), self._den))
         return hash((frozenset(self._terms.items()), self._den))
 
     def __bool__(self) -> bool:

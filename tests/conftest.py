@@ -9,7 +9,7 @@ from functools import lru_cache
 
 from su21coh.cochains import Cochain, TensorElement, act_tensor, nullspace
 from su21coh.lie import LieGen, gen_matrix
-from su21coh.polynomials import PolyVector, act_poly, monomial_basis
+from su21coh.polynomials import Monomial, PolyVector, act_poly
 from su21coh.scalars import ComplexRadical
 from su21coh.wigner import WignerIndex, admissible, admissible_indices
 
@@ -53,6 +53,11 @@ def random_tensor(k: int, rng, j_max=Fraction(5, 2), max_terms=3) -> TensorEleme
             for p in picks
         ]
     )
+
+
+def monomial_basis(k: int) -> list[Monomial]:
+    """All degree-k monomials, lexicographic in (a, b)."""
+    return [Monomial(a, b, k - a - b) for a in range(k + 1) for b in range(k - a + 1)]
 
 
 def act_poly_gen(gen: LieGen, p: PolyVector) -> PolyVector:

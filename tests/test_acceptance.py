@@ -9,7 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import act_poly_gen, act_tensor_seq, random_equivariant_cochain, random_radical
+from conftest import (
+    act_poly_gen,
+    act_tensor_seq,
+    monomial_basis,
+    random_equivariant_cochain,
+    random_radical,
+)
 from su21coh import lie, oracle
 from su21coh.cochains import (
     act_tensor,
@@ -23,7 +29,7 @@ from su21coh.cochains import (
     verify_nonexactness,
 )
 from su21coh.lie import L_GENS, P_GENS, LieGen, bracket, gen_matrix
-from su21coh.polynomials import PolyVector, act_poly, monomial_basis
+from su21coh.polynomials import PolyVector, act_poly
 from su21coh.report import all_passed
 from su21coh.scalars import ComplexRadical, RadicalScalar
 from su21coh.wigner import act_p_index, chi_index, psi0_index, psi0_tilde_index, psi_index
@@ -144,7 +150,7 @@ def test_criterion_08_fd_adjudication():
     plus2_fails = False
     for k in range(4):
         res = oracle.check_action([k], j_max=j_max, samples=20, tol=1e-6, seed=k,
-                                  variant="plus2", gens=(LieGen.X3,))
+                                  variant="plus2")
         plus2_fails = plus2_fails or not all_passed(res)
     elapsed = time.perf_counter() - t0
     _report(
@@ -156,9 +162,9 @@ def test_criterion_08_fd_adjudication():
 
 
 def test_criterion_09_oracle_self_consistency():
-    hom = oracle.homomorphism_report(pairs=20, seed=0, tol=1e-9)
-    iwa = oracle.iwasawa_report(points=1000, seed=0, tol=1e-10)
-    orth = oracle.orthogonality_report(k=0, j_max=Fraction(3, 2), tol=1e-10)
+    hom = oracle.homomorphism_report(seed=0)
+    iwa = oracle.iwasawa_report(seed=0)
+    orth = oracle.orthogonality_report()
     ok = all_passed(hom) and all_passed(iwa) and all_passed(orth)
     worst = max(r.max_err for r in hom + iwa + orth if r.max_err is not None)
     _report(9, "homomorphism 1e-9, iwasawa 1e-10 x1000, orthogonality 1e-10",

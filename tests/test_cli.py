@@ -249,6 +249,7 @@ def test_oracle_verdicts_pinned(capsys):
         ["verify-structure", "--k", "0"],
         ["export-generators", "--k", "0", "--out", "x.json", "--format", "text"],
         ["export-generators", "--k", "0", "--out", "x.json", "--verbose"],
+        ["verify-theorem", "--k-range", "0"],
     ],
 )
 def test_ignored_options_are_gone(argv, tmp_path, monkeypatch, capsys):

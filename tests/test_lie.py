@@ -96,7 +96,7 @@ def test_table3_cells():
 
 
 def test_memberships():
-    assert is_in_g(Y1, J_DIAG)
+    assert is_in_g(Y1)
     assert not is_in_g(X1)  # in the complexification only
     assert is_in_g(U0) and is_in_k(U0)
     assert not is_in_k(Y1)

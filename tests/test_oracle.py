@@ -23,7 +23,7 @@ from su21coh.oracle import (
     m_matrix,
     membership_residual,
     quadrature_ip,
-    random_group_point,
+    random_group_points,
     real_imag_parts,
     wigner_matrix,
 )
@@ -237,7 +237,7 @@ def test_iwasawa_basics():
 def test_iwasawa_random_round_trip():
     worst = 0.0
     for seed in range(300):
-        g = random_group_point(seed)
+        g = random_group_points([seed])[0]
         assert membership_residual(g) <= 1e-12
         fac = iwasawa(g)
         assert fac.r > 0
@@ -247,10 +247,10 @@ def test_iwasawa_random_round_trip():
 
 
 def test_random_group_point_deterministic():
-    a = random_group_point(123)
-    b = random_group_point(123)
+    a = random_group_points([123])[0]
+    b = random_group_points([123])[0]
     assert np.array_equal(a, b)
-    assert np.abs(a - random_group_point(124)).max() > 1e-8
+    assert np.abs(a - random_group_points([124])[0]).max() > 1e-8
 
 
 def test_eval_section_on_compact_points():
@@ -263,9 +263,28 @@ def test_eval_section_on_compact_points():
         eval_section(WignerIndex(0, 0, 0, 0), 0, np.eye(3))
 
 
+def test_eval_section_on_a_stack_matches_pointwise():
+    k = 1
+    g = oracle.random_group_points(range(6))
+    for idx in admissible_indices(k, Fraction(3, 2)):
+        values = eval_section(idx, k, g)
+        assert values.shape == (6,)
+        for i in range(6):
+            assert abs(values[i] - eval_section(idx, k, g[i])) <= 1e-14
+
+
 def test_section_covariance_suites():
-    assert all_passed(oracle.covariance_report(k=0, trials=8, seed=5))
-    assert all_passed(oracle.covariance_report(k=2, trials=8, seed=6))
+    assert all_passed(oracle.covariance_report(k=0, seed=5))
+    assert all_passed(oracle.covariance_report(k=2, seed=6))
+
+
+def test_covariance_decomposes_each_point_set_once(monkeypatch):
+    # the base points and their Borel and compact-torus translates, as stacks
+    calls = []
+    real = oracle._decompose_for_eval
+    monkeypatch.setattr(oracle, "_decompose_for_eval", lambda g: calls.append(g) or real(g))
+    assert all_passed(oracle.covariance_report(k=1, seed=2))
+    assert [g.shape for g in calls] == [(10, 3, 3)] * 3
 
 
 def test_real_imag_parts_generic_matrix():
@@ -284,15 +303,15 @@ def test_real_imag_parts_generic_matrix():
             assert np.abs(part.conj().T @ J_DIAG_NP + J_DIAG_NP @ part).max() <= 1e-14
 
 
-def fd_derivative(f, x, g: np.ndarray, h: float = 1e-3) -> complex:
+def fd_derivative(f, x, g: np.ndarray) -> complex:
     """Left-invariant derivative d/dt f(exp(-t x) g) at t = 0 at one point,
     through the stencil the operator sweeps use."""
-    steps, weights = oracle._fd_steps(x, h)
+    steps, weights = oracle._fd_steps(x)
     return sum(w * f(step @ g) for step, w in zip(steps, weights))
 
 
 def test_fd_derivative_zero_direction():
-    g = random_group_point(0)
+    g = random_group_points([0])[0]
     val = fd_derivative(lambda h: 1.0, np.zeros((3, 3)), g)
     assert abs(val) <= 1e-12
 
@@ -301,7 +320,7 @@ def test_fd_matches_compact_weight():
     # dl(U0) multiplies a section by i*n
     k = 0
     idx = WignerIndex(1, -3, 1, 1)
-    g = random_group_point(17)
+    g = random_group_points([17])[0]
     base = eval_section(idx, k, g)
     fd = fd_derivative(lambda p: eval_section(idx, k, p), LieGen.U0, g)
     assert abs(fd - 1j * (-1.5) * base) <= 1e-7 * max(1.0, abs(base))
@@ -310,7 +329,7 @@ def test_fd_matches_compact_weight():
 def test_fd_matches_noncompact_prediction():
     k, l = 1, 1
     idx = chi_index(k, l)
-    g = random_group_point(23)
+    g = random_group_points([23])[0]
     fd = fd_derivative(lambda p: eval_section(idx, k, p), LieGen.X1, g)
     coeff = math.sqrt((l + 1) / (k + 2))
     predicted = coeff * eval_section(psi_index(k, l), k, g)
@@ -321,20 +340,21 @@ def test_fd_annihilation_at_bottom_weight():
     # lowering at m1 = -j: the derivative vanishes identically
     k = 3
     idx = WignerIndex(3, -15, -3, 1)
-    g = random_group_point(29)
+    g = random_group_points([29])[0]
     fd = fd_derivative(lambda p: eval_section(idx, k, p), LieGen.U1_MINUS_IU2, g)
     assert abs(fd) <= 1e-8
 
 
 def test_operator_sweeps_small():
-    res = oracle.check_action([0], j_max=Fraction(3, 2), samples=4, seed=1, gens=L_GENS)
-    assert all_passed(res)
-    res = oracle.check_action([0], j_max=Fraction(3, 2), samples=4, seed=1, variant="plus1",
-                              gens=P_GENS)
-    assert all_passed(res)
-    res = oracle.check_action([0], j_max=Fraction(3, 2), samples=4, seed=1, variant="plus2",
-                              gens=P_GENS)
-    assert not all_passed(res)
+    def rows(res, gens):
+        return [r for r in res if r.params["gen"] in {g.value for g in gens}]
+
+    res = oracle.check_action([0], j_max=Fraction(3, 2), samples=4, seed=1)
+    assert all_passed(rows(res, L_GENS))
+    res = oracle.check_action([0], j_max=Fraction(3, 2), samples=4, seed=1, variant="plus1")
+    assert all_passed(rows(res, P_GENS))
+    res = oracle.check_action([0], j_max=Fraction(3, 2), samples=4, seed=1, variant="plus2")
+    assert not all_passed(rows(res, P_GENS))
 
 
 def test_sweep_over_many_k_matches_one_k_at_a_time():
@@ -401,7 +421,7 @@ def test_quadrature_orthogonality_spot():
 
 
 def test_homomorphism_suite():
-    assert all_passed(oracle.homomorphism_report(pairs=8, seed=3))
+    assert all_passed(oracle.homomorphism_report(seed=3))
 
 
 def _index_window(j2_max):
@@ -507,7 +527,7 @@ def test_stack_with_one_bad_matrix_raises():
 
 
 def test_empty_sweep_fails():
-    res = oracle.check_action([0], j_max=Fraction(-1), samples=2, gens=L_GENS)
+    res = oracle.check_action([0], j_max=Fraction(-1), samples=2)
     assert len(res) == 1 and not all_passed(res)
     res = oracle.check_action([0, 1], j_max=Fraction(-1), samples=2)
     assert [r.params["k"] for r in res] == [0, 1] and not any(r.passed for r in res)

@@ -8,10 +8,9 @@ from su21coh.polynomials import (
     Monomial,
     PolyVector,
     act_poly,
-    monomial_basis,
     monomial_xy,
 )
-from conftest import act_poly_gen
+from conftest import act_poly_gen, monomial_basis
 from su21coh.scalars import ComplexRadical
 
 CR = ComplexRadical

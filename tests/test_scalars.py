@@ -112,6 +112,15 @@ def test_complex_field_basics():
     assert z * z.inverse() == CR.of(1)
 
 
+def test_rational_values_hash_like_the_numbers_they_equal():
+    for x, q in ((CR.of(2), 2), (CR(), 0), (CR.of(Fraction(1, 2)), Fraction(1, 2)),
+                 (CR.of(Fraction(-7, 3)), Fraction(-7, 3))):
+        assert x == q and hash(x) == hash(q)
+        assert len({x, q}) == 1
+    # a value with an irrational or imaginary part equals no rational number
+    assert len({RS.sqrt(2), CR.i(), CR.of(1), 1}) == 3
+
+
 def test_to_float():
     assert abs(RS.sqrt(2).to_complex() - 1.4142135623730951) < 1e-15
     assert RS.zero().to_complex() == 0.0
