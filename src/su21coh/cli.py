@@ -111,22 +111,18 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_export_generators(args) -> int:
-    k = args.k[0] if len(args.k) == 1 else None
-    if k is None:
-        print("export-generators takes a single k, not a range", file=sys.stderr)
-        return 2
     payload = {
-        "k": k,
+        "k": args.k,
         "generators": {
-            "chi": cochains.cochain_to_dict(cochains.build_chi(k)),
-            "psi": cochains.cochain_to_dict(cochains.build_psi(k)),
-            "psi0": cochains.cochain_to_dict(cochains.build_psi0(k)),
+            "chi": cochains.cochain_to_dict(cochains.build_chi(args.k)),
+            "psi": cochains.cochain_to_dict(cochains.build_psi(args.k)),
+            "psi0": cochains.cochain_to_dict(cochains.build_psi0(args.k)),
         },
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if not _write(args.out, text):
         return 2
-    print(f"wrote generators for k={k} to {args.out}")
+    print(f"wrote generators for k={args.k} to {args.out}")
     return 0
 
 
@@ -134,24 +130,10 @@ def cmd_oracle(args) -> int:
     results: list[CheckResult] = []
     variant = args.thm37_variant
     if variant == "auto":
-        verdict = oracle.adjudicate_variant(
-            k_max=min(args.k[-1], 1), samples=min(args.samples, 5),
-            tol=args.tol, seed=args.seed,
-        )
-        accepted = verdict["accepted"]
-        results.append(
-            CheckResult(
-                name="variant adjudication",
-                passed=accepted is not None,
-                detail=f"accepted={accepted}; "
-                + ", ".join(
-                    f"{v}: err={verdict[v]['max_rel_err']:.2e}" for v in VARIANTS
-                ),
-            )
-        )
-        if accepted is None:
+        variant, row = oracle.adjudicate_variant(args.k, args.samples, args.tol, args.seed)
+        results.append(row)
+        if variant is None:
             return _emit(args, "oracle", {"variant": "auto"}, results)
-        variant = accepted
     results += oracle.check_action(
         args.k, j_max=args.j_max, samples=args.samples, tol=args.tol,
         seed=args.seed, variant=variant,
@@ -203,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_theorem)
 
     p = sub.add_parser("export-generators", help="write the three cocycles as JSON")
-    k_option(p, "0")
+    p.add_argument("--k", type=_int_at_least(0, "k"), default=0,
+                   help="single nonnegative value (default 0)")
     p.add_argument("--out", required=True, help="destination path for the JSON export")
     p.set_defaults(func=cmd_export_generators)
 

@@ -184,29 +184,17 @@ def differential(psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
-def check_equivariance(psi: Cochain) -> list[CheckResult]:
+def check_equivariance(psi: Cochain) -> bool:
     """Exact check of u.(psi(w)) = psi(u.w) for the four compact generators
-    and every basis wedge."""
-    results = []
+    and every basis wedge; False at the first cell that fails."""
     for u in L_GENS:
         for w in basis_wedges(psi.degree):
-            lhs = act_tensor(u, psi.value(w))
             rhs = TensorElement()
             for w2, c in wedge_action(u, w).items():
                 rhs = rhs + psi.value(w2).scaled(c)
-            ok = lhs == rhs
-            results.append(
-                CheckResult(
-                    name=f"equivariance[{u.value},{wedge_name(w)}]",
-                    passed=ok,
-                    detail="" if ok else f"mismatch with {len((lhs - rhs))} residual terms",
-                )
-            )
-    return results
-
-
-def is_equivariant(psi: Cochain) -> bool:
-    return all(r.passed for r in check_equivariance(psi))
+            if act_tensor(u, psi.value(w)) != rhs:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +385,7 @@ def verify_closedness(
         results.append(
             CheckResult(
                 name=f"equivariance({label}) [k={k}]",
-                passed=is_equivariant(coch),
+                passed=check_equivariance(coch),
             )
         )
     results.append(
@@ -421,6 +409,7 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
     (d) hence psi is not exact either, by the splitting of d(chi).
     """
     results = []
+    seed = chi3_element(k)
 
     # (a) admissible preimages of the psi0 support under X3, X4
     targets = {idx for (idx, _mono) in build_psi0(k).value((3, 4)).support()}
@@ -444,8 +433,8 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
         )
     )
 
-    # (b) lowering kernel inside span{ W_chi(l) (x) x^(k-l) y^l }
-    basis_keys = [(chi_index(k, l), monomial_xy(k, l)) for l in range(k + 1)]
+    # (b) lowering kernel inside span{ W_chi(l) (x) x^(k-l) y^l }, the seed's keys
+    basis_keys = list(seed.support())
     images = [
         act_tensor(LieGen.U1_MINUS_IU2, TensorElement({key: ComplexRadical.of(1)}))
         for key in basis_keys
@@ -463,18 +452,15 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
     )
     spans_chi = False
     if one_dim:
-        vec = kernel[0]
-        lead = next((c for c in vec if not c.is_zero()), None)
-        if lead is not None:
-            inv = lead.inverse()
-            normalized = [c * inv for c in vec]
-            spans_chi = normalized == [gamma_coeff(k, l) for l in range(k + 1)]
+        # proportional to the seed's coefficients, none of which is zero
+        vec, want = kernel[0], [seed.get(key) for key in basis_keys]
+        spans_chi = [c * want[0] for c in vec] == [w * vec[0] for w in want]
     results.append(
         CheckResult(name=f"kernel spanned by chi seed [k={k}]", passed=spans_chi)
     )
 
     # (c) the seed has nonzero X1-image, equal to the X1^X3 value of d(chi)
-    x1_image = act_tensor(LieGen.X1, chi3_element(k), variant)
+    x1_image = act_tensor(LieGen.X1, seed, variant)
     inv_sqrt = ComplexRadical.sqrt(Fraction(1, k + 2))
     results.append(
         CheckResult(

@@ -477,21 +477,25 @@ def check_action(ks, j_max=Fraction(5, 2), samples: int = 20, tol: float = 1e-6,
     return results
 
 
-def adjudicate_variant(k_max: int = 1, j_max=Fraction(3, 2), samples: int = 5,
-                       tol: float = 1e-6, seed: int = 0) -> dict:
-    """Run the noncompact sweep under both coefficient variants, on one set
-    of decomposed points, and report which one the finite differences
-    accept; a variant whose sweep compares nothing fails, with error inf."""
-    base, stencils = _fd_points(samples, seed, P_GENS)
-    verdict = {}
+def adjudicate_variant(ks, samples: int, tol: float, seed: int,
+                       j_max=Fraction(3, 2)) -> tuple[str | None, CheckResult]:
+    """Run the noncompact sweep for k <= min(max(ks), 1) at min(samples, 5)
+    seeded points under both coefficient variants, on one set of decomposed
+    points, and accept the one variant the finite differences pass; a
+    variant whose sweep compares nothing fails, with error inf.  Returns the
+    accepted variant (None unless exactly one passes) and the report row."""
+    base, stencils = _fd_points(min(samples, 5), seed, P_GENS)
+    worst, passing = {}, []
     for variant in VARIANTS:
-        res = [r for k in range(k_max + 1)
+        res = [r for k in range(min(max(ks), 1) + 1)
                for r in _fd_sweep(k, j_max, tol, variant, base, stencils)]
-        worst = max((r.max_err for r in res if r.max_err is not None), default=math.inf)
-        verdict[variant] = {"max_rel_err": worst, "pass": all_passed(res)}
-    accepted = [v for v, r in verdict.items() if r["pass"]]
-    verdict["accepted"] = accepted[0] if len(accepted) == 1 else None
-    return verdict
+        worst[variant] = max((r.max_err for r in res if r.max_err is not None), default=math.inf)
+        if all_passed(res):
+            passing.append(variant)
+    accepted = passing[0] if len(passing) == 1 else None
+    errs = ", ".join(f"{v}: err={e:.2e}" for v, e in worst.items())
+    return accepted, CheckResult("variant adjudication", accepted is not None,
+                                 detail=f"accepted={accepted}; {errs}")
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +609,10 @@ def iwasawa_report(seed: int = 0) -> list[CheckResult]:
 
 
 def covariance_report(k: int = 0, seed: int = 0) -> list[CheckResult]:
-    """Functional-equation checks, to 1e-9, for the extended sections at 10
-    random points: right translation by a Borel factor scales by r^(-3);
-    right translation by a compact-torus element produces the phase pinned
-    by the index window.  Point t evaluates index t mod the window size."""
+    """Functional-equation checks, to 1e-9, for the extended sections of
+    every index of the j <= 3/2 window at 10 random points: right
+    translation by a Borel factor scales by r^(-3); right translation by a
+    compact-torus element produces the phase pinned by the window."""
     rng = np.random.default_rng(seed)
     indices = list(admissible_indices(k, Fraction(3, 2)))
     g, r0, nu, s0, t0 = [], [], [], [], []
@@ -619,12 +623,11 @@ def covariance_report(k: int = 0, seed: int = 0) -> list[CheckResult]:
         s0.append(rng.uniform(-1, 1))
         t0.append(rng.uniform(-math.pi, math.pi))
     g, r0, t0 = np.array(g), np.array(r0), np.array(t0)
-    which = [indices[t % len(indices)] for t in range(10)]
 
     def sections(points):
+        """(index, point) array of the section values at the points."""
         angles, rm3 = _decompose_for_eval(points)
-        values = {idx: eval_wigner(idx, angles) for idx in set(which)}
-        return rm3 * np.array([values[idx][t] for t, idx in enumerate(which)])
+        return rm3 * np.array([eval_wigner(idx, angles) for idx in indices])
 
     base = sections(g)
     scale = np.maximum(1.0, np.abs(base))

@@ -22,10 +22,10 @@ from su21coh.cochains import (
     build_chi,
     build_psi,
     build_psi0,
+    check_equivariance,
     chi3_element,
     differential,
     hodge_type,
-    is_equivariant,
     verify_nonexactness,
 )
 from su21coh.lie import L_GENS, P_GENS, LieGen, bracket, gen_matrix
@@ -92,7 +92,7 @@ def test_criterion_05_types_and_equivariance():
     for k in range(11):
         psi, psi0, chi = build_psi(k), build_psi0(k), build_chi(k)
         ok = ok and hodge_type(psi) == (1, 1) and hodge_type(psi0) == (0, 2)
-        ok = ok and is_equivariant(psi) and is_equivariant(psi0) and is_equivariant(chi)
+        ok = ok and all(check_equivariance(c) for c in (psi, psi0, chi))
     _report(5, "types (1,1)/(0,2) and exact equivariance of all three, k=0..10", ok)
 
 
@@ -178,7 +178,7 @@ def test_criterion_10_property_suites():
     for k in range(6):
         for _ in range(50):
             psi = random_equivariant_cochain(k, rng)
-            dd_ok = dd_ok and is_equivariant(psi)
+            dd_ok = dd_ok and check_equivariance(psi)
             dd_ok = dd_ok and differential(differential(psi)).is_zero()
 
     # (b) exact-scalar field laws on 10^4 randomized expressions

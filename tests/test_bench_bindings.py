@@ -1,8 +1,11 @@
 """The traced benchmark wraps su21coh functions by name (bench/tracer.py).
 
 A rename of a wrapped function breaks only traced runs, and pytest does not
-collect bench/, so this runs two short commands under the installed tracer
-in a fresh interpreter.  It reads bench/ and changes nothing there.
+collect bench/, so this runs four short commands under the installed tracer
+in a fresh interpreter: the structure suite, the oracle, and the theorem
+path (verify-theorem and export-generators, which reach the tracer's
+`repeat` and `cells` hooks and the cochains spans).  It reads bench/ and
+changes nothing there.
 """
 
 import json
@@ -26,18 +29,24 @@ tracer.install()
 codes = [
     cli.main(["verify-structure"]),
     cli.main(["oracle", "--k", "0", "--j-max", "0", "--samples", "1"]),
+    cli.main(["verify-theorem", "--k", "0..1"]),
+    cli.main(["export-generators", "--k", "1", "--out", sys.argv[2]]),
 ]
-print(json.dumps({"codes": codes, "spans": tracer.names}))
+ran = sorted({tracer.names[i] for i in tracer.span_name})
+print(json.dumps({"codes": codes, "spans": ran, "counts": sorted(tracer.counts)}))
 """
 
 
-def test_traced_commands_run():
+def test_traced_commands_run(tmp_path):
     src = str(Path(su21coh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(REPO / "bench")], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(REPO / "bench"), str(tmp_path / "gen1.json")],
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert record["codes"] == [0, 0]
-    assert {"lie.verify_structure", "oracle.fd_sweep", "oracle.eval_wigner"} <= set(
-        record["spans"])
+    assert record["codes"] == [0, 0, 0, 0]
+    assert {"lie.verify_structure", "oracle.fd_sweep", "oracle.eval_wigner",
+            "cochains.check_equivariance", "cochains.nullspace",
+            "cochains.cochain_to_dict"} <= set(record["spans"])
+    assert {"cochains.nullspace.cells", "wigner.act_index.repeats"} <= set(record["counts"])

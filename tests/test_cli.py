@@ -88,6 +88,17 @@ def test_export_generators(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_export_rejects_a_k_range(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(["export-generators", "--k", "0..2", "--out", "x.json"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_requires_out():
     with pytest.raises(SystemExit) as exc:
         main(["export-generators", "--k", "0"])

@@ -287,6 +287,15 @@ def test_covariance_decomposes_each_point_set_once(monkeypatch):
     assert [g.shape for g in calls] == [(10, 3, 3)] * 3
 
 
+def test_covariance_checks_every_index_of_the_window(monkeypatch):
+    seen = set()
+    real = oracle.eval_wigner
+    monkeypatch.setattr(oracle, "eval_wigner", lambda idx, e: seen.add(idx) or real(idx, e))
+    assert all_passed(oracle.covariance_report(k=1))
+    window = set(admissible_indices(1, Fraction(3, 2)))
+    assert len(window) == 30 and seen == window
+
+
 def test_real_imag_parts_generic_matrix():
     from su21coh.lie import gen_matrix
     from su21coh.oracle import J_DIAG_NP
@@ -374,10 +383,18 @@ def test_sweep_over_many_k_matches_one_k_at_a_time():
     assert gens == [g.value for g in L_GENS + P_GENS for _ in range(per_gen)]
 
 
+def _variant_errors(row) -> dict[str, float]:
+    """The per-variant errors printed in an adjudication row's detail."""
+    errs = row.detail.split("; ", 1)[1].split(", ")
+    return {v: float(e) for v, e in (item.split(": err=") for item in errs)}
+
+
 def test_adjudication():
-    verdict = adjudicate_variant(k_max=0, samples=3, seed=2)
-    assert verdict["accepted"] == "plus1"
-    assert verdict["plus1"]["pass"] and not verdict["plus2"]["pass"]
+    accepted, row = adjudicate_variant([0], 3, 1e-6, 2)
+    assert accepted == "plus1"
+    assert row.name == "variant adjudication" and row.passed
+    errs = _variant_errors(row)
+    assert errs["plus1"] <= 1e-6 < errs["plus2"]
 
 
 def test_adjudication_decomposes_the_points_once(monkeypatch):
@@ -385,17 +402,28 @@ def test_adjudication_decomposes_the_points_once(monkeypatch):
     calls = []
     real = oracle._decompose_for_eval
     monkeypatch.setattr(oracle, "_decompose_for_eval", lambda g: calls.append(g) or real(g))
-    verdict = adjudicate_variant(k_max=1, samples=2)
+    accepted, _ = adjudicate_variant([0, 1], 2, 1e-6, 0)
     assert len(calls) == 1 + len(P_GENS) == 5
-    assert verdict["accepted"] == "plus1"
+    assert accepted == "plus1"
+
+
+def test_adjudication_is_sized_by_the_oracle(monkeypatch):
+    # k <= min(max(ks), 1) and at most 5 points, whatever the sweep asks for
+    ks, points = [], []
+    real_sweep, real_points = oracle._fd_sweep, oracle._fd_points
+    monkeypatch.setattr(oracle, "_fd_sweep", lambda k, *a: ks.append(k) or real_sweep(k, *a))
+    monkeypatch.setattr(oracle, "_fd_points",
+                        lambda n, *a: points.append(n) or real_points(n, *a))
+    accepted, _ = adjudicate_variant(range(4), 20, 1e-6, 0)
+    assert accepted == "plus1"
+    assert points == [5] and ks == [0, 1, 0, 1]
 
 
 def test_adjudication_of_an_empty_sweep_fails():
-    verdict = adjudicate_variant(k_max=0, j_max=Fraction(-1), samples=2)
-    assert verdict["accepted"] is None
-    for variant in ("plus1", "plus2"):
-        assert not verdict[variant]["pass"]
-        assert verdict[variant]["max_rel_err"] == math.inf
+    accepted, row = adjudicate_variant([0], 2, 1e-6, 0, j_max=Fraction(-1))
+    assert accepted is None and not row.passed
+    assert row.detail == "accepted=None; plus1: err=inf, plus2: err=inf"
+    assert _variant_errors(row) == {"plus1": math.inf, "plus2": math.inf}
 
 
 def test_quadrature_normalization_and_diagonal():
