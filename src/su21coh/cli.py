@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -18,10 +19,20 @@ from .report import CheckResult, all_passed, summarize
 from .wigner import DEFAULT_VARIANT, VARIANTS
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """Optionally signed ASCII digits (int() also takes '1_0', blanks, '٣')."""
+    if not _INT.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_k_spec(text: str) -> list[int]:
     try:
         lo, hi = text.split("..") if ".." in text else (text, text)
-        lo, hi = int(lo), int(hi)
+        lo, hi = _int(lo), _int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad k specification {text!r}") from None
     if min(lo, hi) < 0:
@@ -45,7 +56,7 @@ def _int_at_least(minimum: int, name: str):
     """argparse type for an integer option that must be >= minimum."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = _int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad {name} {text!r}") from None
         if value < minimum:
@@ -115,7 +126,7 @@ def cmd_export_generators(args) -> int:
         "k": args.k,
         "generators": {
             "chi": cochains.cochain_to_dict(cochains.build_chi(args.k)),
-            "psi": cochains.cochain_to_dict(cochains.build_psi(args.k)),
+            "psi": cochains.cochain_to_dict(cochains.build_psi(args.k), args.k + 2),
             "psi0": cochains.cochain_to_dict(cochains.build_psi0(args.k)),
         },
     }

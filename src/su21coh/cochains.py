@@ -5,7 +5,11 @@ full verification suite for the closedness / non-exactness statements.
 
 A q-cochain assigns an exact tensor element (sparse sum of Wigner index x
 monomial pairs) to each of the C(4, q) basis wedges in the noncompact
-generators X1..X4.  The differential uses only the first-order terms: the
+generators X1..X4, in the rescaled Wigner basis W'_idx = W_idx / a(idx) of
+`wigner`.  There the explicit cochains have Gaussian-rational coordinates:
+k!/(k-l)! at l for `chi(X3)` and `psi0(X3^X4)`, (l+1) k!/(k-l)! for
+`psi(X1^X3)`, stored as psi/sqrt(k+2); `cochain_to_dict` converts back to
+the unitary basis.  The differential uses only the first-order terms: the
 pairwise brackets of the X's project to zero in the quotient, which is
 asserted (not assumed) on first use.
 """
@@ -19,8 +23,8 @@ from functools import lru_cache
 
 from .lie import L_GENS, P_GENS, LieGen, bracket_coords, gen_matrix, wedge_action
 from .polynomials import Monomial, PolyVector, act_poly, monomial_xy
-from .report import CheckResult
-from .scalars import ComplexRadical
+from .report import CheckResult, all_passed
+from .scalars import ComplexRadical, GaussianRational
 from .sparse import LinComb
 from .wigner import (
     DEFAULT_VARIANT,
@@ -31,7 +35,10 @@ from .wigner import (
     chi_index,
     psi0_index,
     psi_index,
+    scale_sq,
 )
+
+_I = GaussianRational(0, 1)
 
 
 class BracketNotInL(RuntimeError):
@@ -47,7 +54,7 @@ class TensorElement(LinComb):
 
 
 def tensor_term(idx: WignerIndex, mono: Monomial, coeff=1) -> TensorElement:
-    return TensorElement({(idx, mono): ComplexRadical.of(coeff)})
+    return TensorElement({(idx, mono): coeff})
 
 
 @lru_cache(maxsize=None)
@@ -133,11 +140,7 @@ class Cochain:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cochain):
             return NotImplemented
-        return (
-            self.k == other.k
-            and self.degree == other.degree
-            and self._entries == other._entries
-        )
+        return (self.k, self.degree, self._entries) == (other.k, other.degree, other._entries)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{wedge_name(w)}: {len(v)} terms" for w, v in self._entries.items())
@@ -202,63 +205,39 @@ def check_equivariance(psi: Cochain) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def alpha_coeff(k: int, l: int) -> ComplexRadical:
-    """(k-l+1)/(k+1) * sqrt(l+1) * sqrt(C(k+1, l))."""
-    return (
-        ComplexRadical.of(Fraction(k - l + 1, k + 1))
-        * ComplexRadical.sqrt(l + 1)
-        * ComplexRadical.sqrt(math.comb(k + 1, l))
-    )
-
-
-def beta_coeff(k: int, l: int) -> ComplexRadical:
-    """sqrt(C(k, l))."""
-    return ComplexRadical.sqrt(math.comb(k, l))
-
-
-def gamma_coeff(k: int, l: int) -> ComplexRadical:
-    """sqrt((k+1-l)/(k+1)) * sqrt(C(k, l))."""
-    return ComplexRadical.sqrt(Fraction(k + 1 - l, k + 1)) * ComplexRadical.sqrt(
-        math.comb(k, l)
-    )
+def _family(k: int, index, coeff) -> TensorElement:
+    """sum over l = 0..k of coeff(l) W'_index(k, l) (x) x^(k-l) y^l."""
+    return TensorElement([((index(k, l), monomial_xy(k, l)), coeff(l)) for l in range(k + 1)])
 
 
 def chi3_element(k: int) -> TensorElement:
-    return TensorElement(
-        [((chi_index(k, l), monomial_xy(k, l)), gamma_coeff(k, l)) for l in range(k + 1)]
-    )
+    return _family(k, chi_index, lambda l: math.perm(k, l))
 
 
 def build_chi(k: int) -> Cochain:
-    """1-cochain: X3 -> sum_l gamma_l W_chi(l) (x) x^(k-l) y^l, X4 -> its
+    """1-cochain: X3 -> sum_l k!/(k-l)! W'_chi(l) (x) x^(k-l) y^l, X4 -> its
     raised partner, X1 and X2 -> 0."""
     chi3 = chi3_element(k)
-    chi4 = act_tensor(LieGen.U1_PLUS_IU2, chi3).scaled(ComplexRadical.i())
+    chi4 = act_tensor(LieGen.U1_PLUS_IU2, chi3).scaled(_I)
     return Cochain(k, 1, {(3,): chi3, (4,): chi4})
 
 
 def psi_w13_element(k: int) -> TensorElement:
-    return TensorElement(
-        [((psi_index(k, l), monomial_xy(k, l)), alpha_coeff(k, l)) for l in range(k + 1)]
-    )
+    return _family(k, psi_index, lambda l: (l + 1) * math.perm(k, l))
 
 
 def build_psi(k: int) -> Cochain:
-    """2-cochain supported on the mixed wedges, generated from its value on
-    X1^X3 by the compact raising/lowering operators."""
+    """psi/sqrt(k+2): the 2-cochain supported on the mixed wedges, generated
+    from its value on X1^X3 by the compact raising/lowering operators."""
     w13 = psi_w13_element(k)
-    minus_i = ComplexRadical.i_times(-1)
-    w23 = act_tensor(LieGen.U1_MINUS_IU2, w13).scaled(minus_i)
-    w14 = act_tensor(LieGen.U1_PLUS_IU2, w13).scaled(ComplexRadical.i())
+    w23 = act_tensor(LieGen.U1_MINUS_IU2, w13).scaled(-_I)
+    w14 = act_tensor(LieGen.U1_PLUS_IU2, w13).scaled(_I)
     return Cochain(k, 2, {(1, 3): w13, (2, 3): w23, (2, 4): -w13, (1, 4): w14})
 
 
 def build_psi0(k: int) -> Cochain:
     """2-cochain supported on X3^X4 alone."""
-    w034 = TensorElement(
-        [((psi0_index(k, l), monomial_xy(k, l)), beta_coeff(k, l)) for l in range(k + 1)]
-    )
-    return Cochain(k, 2, {(3, 4): w034})
+    return Cochain(k, 2, {(3, 4): _family(k, psi0_index, lambda l: math.perm(k, l))})
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +266,14 @@ def hodge_type(psi: Cochain):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra (kernel computation over the radical field).
+# Exact linear algebra (kernel computation over Q(i) or the radical field).
 # ---------------------------------------------------------------------------
 
 
-def nullspace(rows: list[list[ComplexRadical]], ncols: int) -> list[list[ComplexRadical]]:
-    """Basis of the solution space of rows . x = 0, by sparse Gauss-Jordan
-    elimination with exact division.
+def nullspace(rows: list[list], ncols: int) -> list[list]:
+    """Basis of the solution space of rows . x = 0 over exact scalars
+    (GaussianRational or ComplexRadical), by sparse Gauss-Jordan elimination
+    with exact division.
 
     Rows are held as {col: nonzero entry} dicts and every pivot column is
     cleared above and below the pivot, so the pivot rows end up in reduced
@@ -302,7 +282,7 @@ def nullspace(rows: list[list[ComplexRadical]], ncols: int) -> list[list[Complex
     entries of that column at the pivot positions.
     """
     pending = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
-    reduced: list[tuple[int, dict[int, ComplexRadical]]] = []
+    reduced: list[tuple[int, dict]] = []
     for col in range(ncols):
         pivot = next((i for i, row in enumerate(pending) if col in row), None)
         if pivot is None:
@@ -317,11 +297,11 @@ def nullspace(rows: list[list[ComplexRadical]], ncols: int) -> list[list[Complex
         reduced.append((col, prow))
     pivot_cols = {col for col, _ in reduced}
     basis = []
-    one = ComplexRadical.of(1)
+    zero, one = GaussianRational(), GaussianRational(1)
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        vec = [ComplexRadical() for _ in range(ncols)]
+        vec = [zero] * ncols
         vec[free] = one
         for pc, prow in reduced:
             if free in prow:
@@ -357,44 +337,22 @@ def verify_closedness(
     equivariant, and of pure type.
 
     mutate_alpha0 shifts the leading coefficient of psi by +1 before
-    checking, a deliberate mutation used to exercise the failure path."""
-    chi = build_chi(k)
-    psi = build_psi(k)
-    psi0 = build_psi0(k)
+    checking, a deliberate mutation used to exercise the failure path: +1 on
+    the stored psi/sqrt(k+2) at W'_psi(0), whose scale a = sqrt(k+2) makes it
+    the unitary +1 on psi."""
+    chi, psi, psi0 = build_chi(k), build_psi(k), build_psi0(k)
     if mutate_alpha0:
-        bump = Cochain(
-            k, 2, {(1, 3): tensor_term(psi_index(k, 0), monomial_xy(k, 0), 1)}
-        )
-        psi = psi + bump
-    results = []
-
-    inv_sqrt = ComplexRadical.sqrt(Fraction(1, k + 2))
-    results.append(
-        CheckResult(
-            name=f"d(chi) = psi/sqrt(k+2) + psi0 [k={k}]",
-            passed=differential(chi, variant) == psi.scaled(inv_sqrt) + psi0,
-        )
-    )
-    results.append(
-        CheckResult(name=f"d(psi) = 0 [k={k}]", passed=differential(psi, variant).is_zero())
-    )
-    results.append(
-        CheckResult(name=f"d(psi0) = 0 [k={k}]", passed=differential(psi0, variant).is_zero())
-    )
-    for label, coch in (("chi", chi), ("psi", psi), ("psi0", psi0)):
-        results.append(
-            CheckResult(
-                name=f"equivariance({label}) [k={k}]",
-                passed=check_equivariance(coch),
-            )
-        )
-    results.append(
-        CheckResult(name=f"type(psi) = (1,1) [k={k}]", passed=hodge_type(psi) == (1, 1))
-    )
-    results.append(
-        CheckResult(name=f"type(psi0) = (0,2) [k={k}]", passed=hodge_type(psi0) == (0, 2))
-    )
-    return results
+        psi = psi + Cochain(k, 2, {(1, 3): tensor_term(psi_index(k, 0), monomial_xy(k, 0))})
+    named = (("chi", chi), ("psi", psi), ("psi0", psi0))
+    checks = [
+        (f"d(chi) = psi/sqrt(k+2) + psi0 [k={k}]", differential(chi, variant) == psi + psi0),
+        (f"d(psi) = 0 [k={k}]", differential(psi, variant).is_zero()),
+        (f"d(psi0) = 0 [k={k}]", differential(psi0, variant).is_zero()),
+        *((f"equivariance({label}) [k={k}]", check_equivariance(c)) for label, c in named),
+        (f"type(psi) = (1,1) [k={k}]", hodge_type(psi) == (1, 1)),
+        (f"type(psi0) = (0,2) [k={k}]", hodge_type(psi0) == (0, 2)),
+    ]
+    return [CheckResult(name=name, passed=passed) for name, passed in checks]
 
 
 def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckResult]:
@@ -425,59 +383,33 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
                 image = dict(act_p_index(gen, cand, variant))
                 if t in image:
                     found.add(cand)
-    results.append(
-        CheckResult(
-            name=f"preimage candidates = chi family [k={k}]",
-            passed=found == expected,
-            detail="" if found == expected else f"found {len(found)}, expected {len(expected)}",
-        )
-    )
+    detail = "" if found == expected else f"found {len(found)}, expected {len(expected)}"
+    results.append(CheckResult(f"preimage candidates = chi family [k={k}]", not detail, detail))
 
     # (b) lowering kernel inside span{ W_chi(l) (x) x^(k-l) y^l }, the seed's keys
     basis_keys = list(seed.support())
-    images = [
-        act_tensor(LieGen.U1_MINUS_IU2, TensorElement({key: ComplexRadical.of(1)}))
-        for key in basis_keys
-    ]
+    images = [act_tensor(LieGen.U1_MINUS_IU2, tensor_term(*key)) for key in basis_keys]
     row_keys = sorted({key for img in images for key in img.support()})
     rows = [[img.get(key) for img in images] for key in row_keys]
     kernel = nullspace(rows, len(basis_keys))
     one_dim = len(kernel) == 1
     results.append(
-        CheckResult(
-            name=f"lowering kernel is 1-dimensional [k={k}]",
-            passed=one_dim,
-            detail=f"dim = {len(kernel)}",
-        )
+        CheckResult(f"lowering kernel is 1-dimensional [k={k}]", one_dim, f"dim = {len(kernel)}")
     )
     spans_chi = False
     if one_dim:
         # proportional to the seed's coefficients, none of which is zero
         vec, want = kernel[0], [seed.get(key) for key in basis_keys]
         spans_chi = [c * want[0] for c in vec] == [w * vec[0] for w in want]
-    results.append(
-        CheckResult(name=f"kernel spanned by chi seed [k={k}]", passed=spans_chi)
-    )
+    results.append(CheckResult(f"kernel spanned by chi seed [k={k}]", spans_chi))
 
     # (c) the seed has nonzero X1-image, equal to the X1^X3 value of d(chi)
     x1_image = act_tensor(LieGen.X1, seed, variant)
-    inv_sqrt = ComplexRadical.sqrt(Fraction(1, k + 2))
-    results.append(
-        CheckResult(
-            name=f"X1-image of chi seed nonzero [k={k}]",
-            passed=not x1_image.is_zero()
-            and x1_image == psi_w13_element(k).scaled(inv_sqrt),
-        )
-    )
+    nonzero = not x1_image.is_zero() and x1_image == psi_w13_element(k)
+    results.append(CheckResult(f"X1-image of chi seed nonzero [k={k}]", nonzero))
 
-    ok = all(r.passed for r in results)
-    results.append(
-        CheckResult(
-            name=f"psi and psi0 are not exact [k={k}]",
-            passed=ok,
-            detail="follows from (a)-(c) and the d(chi) splitting",
-        )
-    )
+    results.append(CheckResult(f"psi and psi0 are not exact [k={k}]", all_passed(results),
+                               "follows from (a)-(c) and the d(chi) splitting"))
     return results
 
 
@@ -486,22 +418,17 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
 # ---------------------------------------------------------------------------
 
 
-def cochain_to_dict(psi: Cochain) -> dict:
+def cochain_to_dict(psi: Cochain, mu_sq=1) -> dict:
+    """The cochain in the unitary basis, for a cochain that stores the
+    unitary one divided by mu = sqrt(mu_sq) (k+2 for psi): a rescaled
+    coordinate c at idx is the unitary c * mu / a(idx)."""
     entries = []
     for w in basis_wedges(psi.degree):
         val = psi.value(w)
         if val.is_zero():
             continue
-        terms = sorted(
-            val.items(),
-            key=lambda item: (
-                item[0][0].j2,
-                item[0][0].m12,
-                item[0][1],
-                item[0][0].n2,
-                item[0][0].m22,
-            ),
-        )
+        # by (j2, m1_2, monomial, n2, m2_2)
+        terms = sorted(val.items(), key=lambda t: (t[0][0].j2, t[0][0].m12, t[0][1], t[0][0]))
         entries.append(
             {
                 "wedge": list(w),
@@ -509,7 +436,9 @@ def cochain_to_dict(psi: Cochain) -> dict:
                     {
                         "index": idx.to_dict(),
                         "monomial": list(mono),
-                        "coeff": coeff.to_dict(),
+                        "coeff": (
+                            coeff * ComplexRadical.sqrt(Fraction(mu_sq) / scale_sq(idx))
+                        ).to_dict(),
                     }
                     for (idx, mono), coeff in terms
                 ],

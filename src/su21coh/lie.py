@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import ComplexRadical
+from .scalars import ComplexRadical, GaussianRational
 from .sparse import LinComb
 
 Half = Fraction(1, 2)
@@ -102,8 +102,9 @@ def bracket(a: Mat3, b: Mat3) -> Mat3:
     return (a @ b) - (b @ a)
 
 
-_i = ComplexRadical.i()
-_ih = ComplexRadical.i_times(Half)
+# the generators have entries in Q(i); only GAMMA needs a square root
+_i = GaussianRational(0, 1)
+_ih = GaussianRational(0, 1, 2)
 _inv_sqrt2 = ComplexRadical.sqrt(Half)
 
 IDENTITY = Mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -216,7 +217,7 @@ _it = ComplexRadical.i_times  # the printed table entries are all imaginary
 def table1_fixture() -> dict[tuple[LieGen, LieGen], list[tuple[ComplexRadical, LieGen]]]:
     """The action of l_C on p_C as printed: (X row, U column) -> sum c*X'."""
     i32, i12 = Fraction(3, 2), Fraction(1, 2)
-    t = {
+    return {
         (LieGen.X1, LieGen.U0): [(_it(i32), LieGen.X1)],
         (LieGen.X1, LieGen.U1_PLUS_IU2): [],
         (LieGen.X1, LieGen.U1_MINUS_IU2): [(_it(1), LieGen.X2)],
@@ -234,7 +235,6 @@ def table1_fixture() -> dict[tuple[LieGen, LieGen], list[tuple[ComplexRadical, L
         (LieGen.X4, LieGen.U1_MINUS_IU2): [(_it(-1), LieGen.X3)],
         (LieGen.X4, LieGen.U3): [(_it(i12), LieGen.X4)],
     }
-    return t
 
 
 _PAIR_ORDER = ((1, 2), (2, 3), (3, 4), (1, 3), (1, 4), (2, 4))
@@ -332,50 +332,32 @@ def verify_structure(inject_error: bool = False) -> list:
     fixture = table1_fixture()
     if inject_error:
         fixture[(LieGen.X1, LieGen.U0)] = [(_it(Fraction(5, 2)), LieGen.X1)]
-    results = verify_table1(fixture) + verify_table3()
-
-    for a in range(4):
-        for b in range(4):
-            results.append(
-                CheckResult(
-                    name=f"[X{a + 1},X{b + 1}] in l_C",
-                    passed=not bracket_coords(P_GENS[a], b + 1),
-                )
-            )
-
+    tables = verify_table1(fixture) + verify_table3()
+    checks = [
+        (f"[X{a + 1},X{b + 1}] in l_C", not bracket_coords(P_GENS[a], b + 1))
+        for a in range(4)
+        for b in range(4)
+    ]
     # p+ and p- are abelian subalgebras, and the brackets vanish as matrices.
-    for name, (a, b) in {"p+": (X1, X2), "p-": (X3, X4)}.items():
-        results.append(
-            CheckResult(name=f"{name} abelian", passed=bracket(a, b).is_zero())
-        )
-
+    checks += [("p+ abelian", bracket(X1, X2).is_zero()), ("p- abelian", bracket(X3, X4).is_zero())]
     # gamma is a real symmetric involution intertwining the two forms; both
     # transpose conventions agree because gamma is real.
-    results.append(CheckResult(name="gamma^2 = 1", passed=(GAMMA @ GAMMA) == IDENTITY))
-    results.append(
-        CheckResult(
-            name="gamma congruence (both conventions)",
-            passed=(GAMMA.conj_transpose() @ J_DIAG @ GAMMA) == J_PAR
+    checks += [
+        ("gamma^2 = 1", (GAMMA @ GAMMA) == IDENTITY),
+        (
+            "gamma congruence (both conventions)",
+            (GAMMA.conj_transpose() @ J_DIAG @ GAMMA) == J_PAR
             and (GAMMA.transpose() @ J_DIAG @ GAMMA) == J_PAR,
-        )
-    )
-
+        ),
+    ]
     # Membership of the builtin bases.
-    for nm, m in (("U0", U0), ("U1", U1), ("U2", U2), ("U3", U3)):
-        results.append(CheckResult(name=f"{nm} in l", passed=is_in_k(m)))
-    for nm, m in (("Y1", Y1), ("Y2", Y2), ("Y3", Y3), ("Y4", Y4)):
-        results.append(CheckResult(name=f"{nm} in g", passed=is_in_g(m)))
-    results.append(CheckResult(name="X1 not in g", passed=not is_in_g(X1)))
-
+    checks += [(f"{nm} in l", is_in_k(m)) for nm, m in (("U0", U0), ("U1", U1), ("U2", U2), ("U3", U3))]
+    checks += [(f"{nm} in g", is_in_g(m)) for nm, m in (("Y1", Y1), ("Y2", Y2), ("Y3", Y3), ("Y4", Y4))]
+    checks.append(("X1 not in g", not is_in_g(X1)))
     # Complex conjugation on sl(3,C) relative to the real form exchanges
     # X1 <-> X3 and X2 <-> X4.
-    results.append(
-        CheckResult(name="c(X1) = X3", passed=real_form_conjugate(X1) == X3)
-    )
-    results.append(
-        CheckResult(name="c(X2) = X4", passed=real_form_conjugate(X2) == X4)
-    )
-    return results
+    checks += [("c(X1) = X3", real_form_conjugate(X1) == X3), ("c(X2) = X4", real_form_conjugate(X2) == X4)]
+    return tables + [CheckResult(name, passed) for name, passed in checks]
 
 
 def real_form_conjugate(a: Mat3) -> Mat3:

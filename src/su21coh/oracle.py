@@ -3,8 +3,11 @@
 Evaluates the matrix-coefficient functions on the compact group through
 Euler angles and Jacobi-type sums, extends them to the whole group by
 numerical Iwasawa decomposition, and validates the exact raising/lowering
-operators by central finite differences.  Also provides a quadrature check
-of pairwise orthogonality under the normalized invariant measure.
+operators by central finite differences: the exact tables of `wigner`,
+given in its rescaled basis, are converted back to unitary coefficients as
+floats, so every coefficient the exact engine uses is checked here.  Also
+provides a quadrature check of pairwise orthogonality under the normalized
+invariant measure.
 
 The numeric routines work on stacks: Euler coordinates may be arrays of any
 (broadcastable) shape, and group elements are stacks (..., 3, 3).  A single
@@ -36,6 +39,7 @@ from .wigner import (
     act_p_index,
     admissible,
     admissible_indices,
+    scale_sq,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -441,7 +445,9 @@ def _fd_sweep(k, j_max, tol, variant, base, stencils) -> list[CheckResult]:
         label = "dl" if compact else f"dp:{variant}"
         for idx in indices:
             image = act_l_index(gen, idx) if compact else act_p_index(gen, idx, variant)
-            pred = base_rm3 * sum(coeff.to_complex() * at_base(tgt) for tgt, coeff in image)
+            # the unitary coefficient is the rescaled one times a(idx)/a(tgt)
+            pred = base_rm3 * sum(c.to_complex() * math.sqrt(scale_sq(idx) / scale_sq(tgt))
+                                  * at_base(tgt) for tgt, c in image)
             fd = (weights * eval_wigner(idx, angles)).sum(axis=-1)
             worst = float((np.abs(fd - pred) / np.maximum(1.0, np.abs(pred))).max())
             results.append(

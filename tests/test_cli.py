@@ -72,6 +72,29 @@ def test_usage_errors(capsys):
         assert f"k values must be >= 0, got '{spec}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-theorem", "--k", "1_0"],  # int() reads this as 10
+        ["verify-theorem", "--k", "\u0663"],  # ARABIC-INDIC DIGIT THREE
+        ["verify-theorem", "--k", "0..1_0"],
+        ["verify-theorem", "--k", " 3"],
+        ["verify-theorem", "--k", "+3"],
+        ["oracle", "--seed", "1_000"],
+        ["oracle", "--samples", "\uff13"],  # FULLWIDTH DIGIT THREE
+        ["export-generators", "--k", "1_0", "--out", "x.json"],
+    ],
+    ids=["underscore", "arabic_indic", "range", "blank", "plus", "seed", "samples", "export"],
+)
+def test_integers_are_ascii_digits(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_generators(tmp_path, capsys):
     path = tmp_path / "gen0.json"
     assert main(["export-generators", "--k", "0", "--out", str(path)]) == 0

@@ -9,9 +9,7 @@ from su21coh.cochains import (
     Cochain,
     TensorElement,
     act_tensor,
-    alpha_coeff,
     basis_wedges,
-    beta_coeff,
     build_chi,
     build_psi,
     build_psi0,
@@ -19,7 +17,6 @@ from su21coh.cochains import (
     chi3_element,
     cochain_to_dict,
     differential,
-    gamma_coeff,
     hodge_type,
     nullspace,
     psi_w13_element,
@@ -32,7 +29,8 @@ from su21coh.lie import LieGen, wedge_action
 from su21coh.polynomials import Monomial, monomial_xy
 from su21coh.report import all_passed
 from su21coh.scalars import ComplexRadical, RadicalScalar
-from su21coh.wigner import chi_index, psi_index
+from su21coh.wigner import chi_index, psi0_index, psi_index
+from unitary_table import unitary_coord
 
 CR = ComplexRadical
 RS = RadicalScalar
@@ -67,24 +65,37 @@ def test_lowering_raising_identity_not_minus_i():
     assert act_tensor_seq((F, E), chi3) != chi3.scaled(CR.i_times(-1))
 
 
+def _unitary_family(element, family, k, mu_sq=1):
+    """The coordinates of a cochain value on W_family(l) (x) x^(k-l) y^l,
+    l = 0..k, in the unitary basis."""
+    return [
+        unitary_coord(element.get((family(k, l), monomial_xy(k, l))), family(k, l), mu_sq)
+        for l in range(k + 1)
+    ]
+
+
 def test_gamma_coefficients():
     for k in (1, 3, 7):
-        assert gamma_coeff(k, 0) == RS.one()
-        assert gamma_coeff(k, 1) == RS.sqrt(k + 1) * Fraction(k, k + 1)
-        assert gamma_coeff(k, k) == RS.sqrt(Fraction(1, k + 1))
+        gamma = _unitary_family(chi3_element(k), chi_index, k)
+        assert gamma[0] == RS.one()
+        assert gamma[1] == RS.sqrt(k + 1) * Fraction(k, k + 1)
+        assert gamma[k] == RS.sqrt(Fraction(1, k + 1))
         for l in range(k):
-            recur = gamma_coeff(k, l) * Fraction(k - l, 1) * (RS.sqrt(l + 1) * RS.sqrt(k - l + 1)).inverse()
-            assert gamma_coeff(k, l + 1) == recur
+            recur = gamma[l] * Fraction(k - l, 1) * (RS.sqrt(l + 1) * RS.sqrt(k - l + 1)).inverse()
+            assert gamma[l + 1] == recur
 
 
 def test_beta_coefficients():
-    assert [beta_coeff(2, l) for l in range(3)] == [RS.one(), RS.sqrt(2), RS.one()]
+    beta = _unitary_family(build_psi0(2).value((3, 4)), psi0_index, 2)
+    assert beta == [RS.one(), RS.sqrt(2), RS.one()]
 
 
 def test_alpha_is_gamma_times_sqrt():
     for k in (0, 2, 5):
+        gamma = _unitary_family(chi3_element(k), chi_index, k)
+        alpha = _unitary_family(psi_w13_element(k), psi_index, k, k + 2)
         for l in range(k + 1):
-            assert alpha_coeff(k, l) == gamma_coeff(k, l) * RS.sqrt(l + 1)
+            assert alpha[l] == gamma[l] * RS.sqrt(l + 1)
 
 
 def test_differential_on_chi():
@@ -92,12 +103,12 @@ def test_differential_on_chi():
         chi = build_chi(k)
         d = differential(chi)
         assert d.value((1, 2)).is_zero()
-        inv_sqrt = RS.sqrt(Fraction(1, k + 2))
-        assert d.value((1, 3)) == psi_w13_element(k).scaled(inv_sqrt)
+        # psi_w13_element is psi(X1^X3)/sqrt(k+2)
+        assert d.value((1, 3)) == psi_w13_element(k)
     # k = 0 special value: d(chi)(X1^X3) = 1/sqrt(2) * W0 (x) 1
-    d0 = differential(build_chi(0))
-    expected = tensor_term(psi_index(0, 0), Monomial(0, 0, 0), RS.sqrt(Fraction(1, 2)))
-    assert d0.value((1, 3)) == expected
+    ((idx, mono), coeff), = differential(build_chi(0)).value((1, 3)).items()
+    assert (idx, mono) == (psi_index(0, 0), Monomial(0, 0, 0))
+    assert unitary_coord(coeff, idx) == RS.sqrt(Fraction(1, 2))
 
 
 def test_differential_of_zero():

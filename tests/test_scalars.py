@@ -12,6 +12,7 @@ from su21coh.lie import LieGen, gen_matrix
 from su21coh.polynomials import Monomial, PolyVector
 from su21coh.scalars import (
     ComplexRadical,
+    GaussianRational,
     NegativeRadicand,
     RadicalScalar,
     prime_factors,
@@ -21,6 +22,7 @@ from su21coh.sparse import LinComb
 
 RS = RadicalScalar
 CR = ComplexRadical
+G = GaussianRational
 
 
 def test_square_free_split():
@@ -293,3 +295,86 @@ def test_missing_key_reads_a_zero_that_stays_zero():
     assert (z + RS.sqrt(3)) * CR.i() + (-z) - RS.one() == CR.i_times(RS.sqrt(3)) - 1
     assert v.get("b").is_zero() and LinComb().get("a").is_zero()
     assert v.get("a") == RS.sqrt(2)
+
+
+# ---------------------------------------------------------------------------
+# GaussianRational, the scalar of the exact engine.
+# ---------------------------------------------------------------------------
+
+
+def _random_gaussian(rng, bound=30):
+    return G(*(int(v) for v in rng.integers(-bound, bound + 1, size=2)),
+             int(rng.integers(1, bound + 1)))
+
+
+def test_gaussian_canonical_form():
+    x = G(2, -4, -6)
+    assert (x.re, x.im, x.den) == (-1, 2, 3)
+    for zero in (G(), G(0, 0, 7), G(3, 0, 1) + G(-3, 0, 1)):
+        assert (zero.re, zero.im, zero.den) == (0, 0, 1) and zero.is_zero() and not zero
+    for bad in ((1, 2, 0), (1.0, 0, 1), (1, Fraction(1, 2), 1), (True, 0, 1)):
+        with pytest.raises(ValueError):
+            G(*bad)
+
+
+def test_gaussian_field_operations_agree_with_complex_radical():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        a, b = _random_gaussian(rng), _random_gaussian(rng)
+        for got, want in ((a + b, CR.of(a) + CR.of(b)), (a - b, CR.of(a) - CR.of(b)),
+                          (a * b, CR.of(a) * CR.of(b)), (-a, -CR.of(a)),
+                          (a.conj(), CR.of(a).conj())):
+            assert type(got) is G
+            assert got == want and CR.of(got).to_dict() == want.to_dict()
+            assert math.gcd(got.re, got.im, got.den) == 1 and got.den > 0
+        if a:
+            assert a.inverse() == CR.of(a).inverse() and a * a.inverse() == 1
+    with pytest.raises(ZeroDivisionError):
+        G().inverse()
+
+
+def test_gaussian_mixes_with_numbers_and_radicals():
+    half_i = G(0, 1, 2)
+    assert type(half_i + 1) is type(1 + half_i) is type(Fraction(1, 3) * half_i) is G
+    assert 1 - half_i == G(2, -1, 2) and half_i - Fraction(1, 2) == G(-1, 1, 2)
+    # a sum or product with a ComplexRadical is a ComplexRadical, on both sides
+    for z in (half_i + RS.sqrt(2), RS.sqrt(2) + half_i, half_i * RS.sqrt(2),
+              RS.sqrt(2) * half_i, half_i - RS.sqrt(2), RS.sqrt(2) - half_i):
+        assert type(z) is CR
+    assert half_i * RS.sqrt(2) == CR.i_times(RS.sqrt(Fraction(1, 2)))
+    assert (half_i + RS.sqrt(2)) - RS.sqrt(2) == half_i
+    with pytest.raises(TypeError):
+        half_i * 1.5
+    x1 = gen_matrix(LieGen.X1)
+    assert half_i * x1 == x1 * half_i
+
+
+def test_equal_values_hash_equal_across_the_number_types():
+    for g, others in ((G(2), (2, Fraction(2), CR.of(2))), (G(), (0, CR())),
+                      (G(-7, 0, 3), (Fraction(-7, 3), CR.of(Fraction(-7, 3)))),
+                      (G(0, 1), (CR.i(),)), (G(3, -5, 4), (CR.of(Fraction(3, 4)) - CR.i_times(Fraction(5, 4)),))):
+        for other in others:
+            assert g == other and other == g and hash(g) == hash(other)
+        assert len({g, *others}) == 1
+    assert G(0, 1) != 1 and G(1, 1) != CR.of(1) and G(1) != RS.sqrt(2)
+    assert len({G(0, 1), G(1), CR.i(), 1, RS.sqrt(2)}) == 3
+
+
+def test_gaussian_embedding_repr_and_float():
+    z = G(-3, 5, 7)
+    assert G.of(CR.of(z)) == z and CR.of(G.of(CR.of(z))) == CR.of(z)
+    assert G.of(Fraction(6, 4)) == G(3, 0, 2) and G.of(z) is z
+    with pytest.raises(ValueError):
+        G.of(RS.sqrt(2))
+    with pytest.raises(TypeError):
+        G.of(0.5)
+    for x in (z, G(), G(4), G(0, -1), G(1, 0, 3), G(0, 2, 3)):
+        assert repr(x) == repr(CR.of(x))
+    assert z.to_complex() == complex(-3 / 7, 5 / 7)
+
+
+def test_lincomb_reads_numbers_as_gaussian_rationals():
+    v = LinComb({"a": 1, "b": Fraction(1, 2), "c": RS.sqrt(2), "d": 0})
+    assert [type(v.get(key)) for key in "abcd"] == [G, G, CR, G]
+    assert v.scaled(G(0, 1)).get("a") == G(0, 1) and len(v) == 3
+    assert v.get("d").is_zero()

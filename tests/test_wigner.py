@@ -19,6 +19,7 @@ from su21coh.wigner import (
     psi0_tilde_index,
     psi_index,
 )
+from unitary_table import unitary
 
 CR = ComplexRadical
 RS = RadicalScalar
@@ -62,7 +63,7 @@ def test_act_l_weights_and_shifts():
     k, l = 3, 1
     (tgt, coeff), = act_l_index(LieGen.U1_PLUS_IU2, chi_index(k, l))
     assert tgt == chi_index(k, l + 1)
-    assert coeff == CR.i_times(-(RS.sqrt(k + 1 - l) * RS.sqrt(l + 1)))
+    assert unitary(coeff, chi_index(k, l), tgt) == CR.i_times(-(RS.sqrt(k + 1 - l) * RS.sqrt(l + 1)))
 
 
 def test_act_p_annihilation_case():
@@ -75,13 +76,13 @@ def test_act_p_x1_on_chi_family():
         for l in range(k + 1):
             (tgt, coeff), = act_p_index(LieGen.X1, chi_index(k, l))
             assert tgt == psi_index(k, l)
-            assert coeff == RS.sqrt(Fraction(l + 1, k + 2))
+            assert unitary(coeff, chi_index(k, l), tgt) == RS.sqrt(Fraction(l + 1, k + 2))
 
 
 def test_act_p_x3_on_chi_family():
     k = 2
     for l in range(1, k + 2):
-        out = dict(act_p_index(LieGen.X3, chi_index(k, l)))
+        out = {t: unitary(c, chi_index(k, l), t) for t, c in act_p_index(LieGen.X3, chi_index(k, l))}
         expected = {
             psi0_tilde_index(k, l - 1): RS.sqrt(k + 2 - l) * Fraction(k + 3, k + 2),
         }
