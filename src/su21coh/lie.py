@@ -6,6 +6,8 @@ antidiagonal ("parabolic") form, congruent to each other via the real
 symmetric involution GAMMA.  The compact generators U0..U3 live in the
 diagonal model; X1..X4 span the complexified complement p_C, with
 p+ = <X1,X2> and p- = <X3,X4> the holomorphic/antiholomorphic halves.
+Their entries and the structure constants are GaussianRationals (Q(i));
+only GAMMA, which holds sqrt(1/2), has ComplexRadical entries.
 
 Every structure constant used elsewhere in the package is recomputed here
 from matrix brackets; the printed action tables are kept only as test
@@ -49,8 +51,9 @@ _UNITS = frozenset((i, j) for i in range(3) for j in range(3))
 
 
 class Mat3(LinComb):
-    """Immutable 3x3 matrix with exact ComplexRadical entries: a linear
-    combination of the matrix units E_ij, keyed by (row, col).
+    """Immutable 3x3 matrix with exact GaussianRational (or, for GAMMA,
+    ComplexRadical) entries: a linear combination of the matrix units E_ij,
+    keyed by (row, col).
 
     Built from three rows of three entries, or from a {(row, col): entry}
     dict; zero entries are not stored.
@@ -68,7 +71,7 @@ class Mat3(LinComb):
             raise ValueError("Mat3 keys must be (row, col) with row, col in 0..2")
         super().__init__(rows)
 
-    def __getitem__(self, ij) -> ComplexRadical:
+    def __getitem__(self, ij) -> GaussianRational | ComplexRadical:
         return self.get(ij)
 
     def __matmul__(self, other):
@@ -85,7 +88,7 @@ class Mat3(LinComb):
     def conj_transpose(self):
         return self.conj().transpose()
 
-    def trace(self) -> ComplexRadical:
+    def trace(self) -> GaussianRational | ComplexRadical:
         return self[0, 0] + self[1, 1] + self[2, 2]
 
     def to_numpy(self):
@@ -161,7 +164,7 @@ def gen_matrix(gen: LieGen) -> Mat3:
     return _GEN_MATRICES[gen]
 
 
-def project_to_p(a: Mat3) -> tuple[ComplexRadical, ComplexRadical, ComplexRadical, ComplexRadical]:
+def project_to_p(a: Mat3) -> tuple[GaussianRational, ...]:
     """Coordinates of the p_C-component of a traceless matrix over X1..X4.
 
     The splitting sl(3,C) = l_C + p_C puts the (1,3), (2,3), (3,1), (3,2)
@@ -177,8 +180,8 @@ def project_to_p(a: Mat3) -> tuple[ComplexRadical, ComplexRadical, ComplexRadica
         residual = residual - x.scaled(c)
     # residual = r0*U0 + rp*(U1+iU2) + rm*(U1-iU2) + r3*U3; the diagonal of
     # U0, U3 and the off-diagonal i's of U1 +- iU2 make this solvable:
-    minus_i = ComplexRadical.i_times(-1)
-    r0 = residual[2, 2] * ComplexRadical.i()
+    minus_i = -_i
+    r0 = residual[2, 2] * _i
     rp = residual[0, 1] * minus_i
     rm = residual[1, 0] * minus_i
     r3 = (residual[0, 0] - residual[1, 1]) * minus_i
@@ -211,10 +214,10 @@ def is_in_k(a: Mat3) -> bool:
 # ---------------------------------------------------------------------------
 
 
-_it = ComplexRadical.i_times  # the printed table entries are all imaginary
+_it = _i.__mul__  # i*q: the printed table entries are all imaginary
 
 
-def table1_fixture() -> dict[tuple[LieGen, LieGen], list[tuple[ComplexRadical, LieGen]]]:
+def table1_fixture() -> dict[tuple[LieGen, LieGen], list[tuple[GaussianRational, LieGen]]]:
     """The action of l_C on p_C as printed: (X row, U column) -> sum c*X'."""
     i32, i12 = Fraction(3, 2), Fraction(1, 2)
     return {
@@ -240,7 +243,7 @@ def table1_fixture() -> dict[tuple[LieGen, LieGen], list[tuple[ComplexRadical, L
 _PAIR_ORDER = ((1, 2), (2, 3), (3, 4), (1, 3), (1, 4), (2, 4))
 
 
-def table3_fixture() -> dict[tuple[tuple[int, int], LieGen], list[tuple[ComplexRadical, tuple[int, int]]]]:
+def table3_fixture() -> dict[tuple[tuple[int, int], LieGen], list[tuple[GaussianRational, tuple[int, int]]]]:
     """The induced action of l_C on the wedge basis X_i ^ X_j, as printed."""
     t: dict = {((i, j), u): [] for (i, j) in _PAIR_ORDER for u in L_GENS}
     t[((1, 2), LieGen.U0)] = [(_it(3), (1, 2))]
@@ -257,17 +260,17 @@ def table3_fixture() -> dict[tuple[tuple[int, int], LieGen], list[tuple[ComplexR
 
 
 @lru_cache(maxsize=None)
-def bracket_coords(u: LieGen, i: int) -> tuple[tuple[int, ComplexRadical], ...]:
+def bracket_coords(u: LieGen, i: int) -> tuple[tuple[int, GaussianRational], ...]:
     """[u, X_i] over the X basis, recomputed from matrices (1-based slots)."""
     dec = project_to_p(bracket(gen_matrix(u), gen_matrix(P_GENS[i - 1])))
     return tuple((a + 1, c) for a, c in enumerate(dec) if not c.is_zero())
 
 
-def wedge_action(u: LieGen, w: tuple[int, ...]) -> dict[tuple[int, ...], ComplexRadical]:
+@lru_cache(maxsize=None)
+def wedge_action(u: LieGen, w: tuple[int, ...]) -> dict[tuple[int, ...], GaussianRational]:
     """u.(X_{i1} ^ ... ^ X_{iq}) expanded over basis wedges, via the Leibniz
-    rule slot by slot."""
+    rule slot by slot.  Memoized: callers share the dict and only read it."""
     terms = []
-    w = tuple(w)
     for t in range(len(w)):
         for a, c in bracket_coords(u, w[t]):
             slots = w[:t] + (a,) + w[t + 1 :]

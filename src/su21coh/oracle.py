@@ -416,6 +416,21 @@ def _within(name: str, err: float, tol: float, **params) -> CheckResult:
     return CheckResult(name=name, passed=err <= tol, max_err=err, tol=tol, params=params)
 
 
+@lru_cache(maxsize=None)
+def _scale(idx: WignerIndex) -> tuple[float, int]:
+    """a(idx) = m * 2**e as (m, e), 1/2 < m < 2 within an ulp of the root of
+    `wigner.scale_sq`: no factorial overflows a float at large j."""
+    sq = scale_sq(idx)
+    e = (sq.numerator.bit_length() - sq.denominator.bit_length()) // 2
+    return math.sqrt(sq / Fraction(4) ** e), e
+
+
+def _scale_ratio(idx: WignerIndex, tgt: WignerIndex) -> float:
+    """a(idx)/a(tgt), within a few ulps."""
+    (m, e), (mt, et) = _scale(idx), _scale(tgt)
+    return math.ldexp(m / mt, e - et)
+
+
 def _fd_sweep(k, j_max, tol, variant, base, stencils) -> list[CheckResult]:
     """Compare the exact operator prediction against finite differences for
     every admissible index with j <= j_max and every decomposed stencil.
@@ -446,8 +461,8 @@ def _fd_sweep(k, j_max, tol, variant, base, stencils) -> list[CheckResult]:
         for idx in indices:
             image = act_l_index(gen, idx) if compact else act_p_index(gen, idx, variant)
             # the unitary coefficient is the rescaled one times a(idx)/a(tgt)
-            pred = base_rm3 * sum(c.to_complex() * math.sqrt(scale_sq(idx) / scale_sq(tgt))
-                                  * at_base(tgt) for tgt, c in image)
+            pred = base_rm3 * sum(c.to_complex() * _scale_ratio(idx, tgt) * at_base(tgt)
+                                  for tgt, c in image)
             fd = (weights * eval_wigner(idx, angles)).sum(axis=-1)
             worst = float((np.abs(fd - pred) / np.maximum(1.0, np.abs(pred))).max())
             results.append(

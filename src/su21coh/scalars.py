@@ -1,17 +1,18 @@
-"""Exact arithmetic in Q(i) and in the field generated over Q by the square
-roots of squarefree integers of either sign, with sqrt(-1) = i.
+"""Exact arithmetic in Q(i) and in its extension by the square roots of
+positive squarefree integers.
 
 `GaussianRational`, (re + i*im)/den over ints, is the scalar of the exact
 engine: in the rescaled Wigner basis every `plus1` operator coefficient and
 every cochain coordinate lies in Q(i).
 
-`ComplexRadical` is a finite sum  sum_d  c_d * sqrt(d)  with rational c_d and
-distinct squarefree radicands d != 0; a negative radicand d = -a stands for
-i * sqrt(a), so the key -1 is i and the key -6 is i*sqrt(6).  The linear
-independence of the sqrt(d) over Q makes the representation canonical (zero
-has no terms).  It serves GAMMA's sqrt(1/2), the rejected `plus2` row and the
-unitary export, and embeds Q(i): mixed sums and products are ComplexRadicals,
-and equal values compare and hash equal across int, Fraction and both classes.
+`ComplexRadical` is a finite sum  sum_d  c_d * sqrt(d)  over distinct
+squarefree d > 0, canonical by the linear independence of the sqrt(d) over
+Q(i); its coefficients c_d are GaussianRationals, whose arithmetic it uses.
+Signed radicands, -a for i*sqrt(a), appear only in the constructor's input,
+`items()` and the re/im export.  It serves GAMMA's sqrt(1/2), the rejected
+`plus2` row and the unitary export, and embeds Q(i): mixed sums and products
+are ComplexRadicals, and equal values compare and hash equal across int,
+Fraction and both classes.
 """
 
 from __future__ import annotations
@@ -83,25 +84,24 @@ def _real_repr(terms) -> str:
 
 
 class ComplexRadical:
-    """An exact complex number  sum_d c_d * sqrt(d)  (d squarefree, c_d in Q),
-    stored as integer numerators c_d = _terms[d] / _den over one _den > 0 with
-    gcd(_den, *numerators) == 1; zero is ({}, 1)."""
+    """An exact complex number  sum_d c_d * sqrt(d)  (d > 0 squarefree, c_d in
+    Q(i)), stored as {d: nonzero GaussianRational}; zero is {}."""
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
-        """From {squarefree radicand (either sign): int or Fraction}; zero
-        coefficients are dropped.  Reduced coefficients over the lcm of their
-        denominators already have gcd(den, *numerators) == 1."""
-        terms = terms or {}
-        for d in terms:
+        """From {squarefree radicand (either sign): int or Fraction}, a
+        negative radicand -a standing for i*sqrt(a); zero coefficients are
+        dropped."""
+        out: dict[int, GaussianRational] = {}
+        for d, c in (terms or {}).items():
             if not isinstance(d, int):
                 raise TypeError(f"radicand must be an int, got {d!r}")
             if not d or square_free_split(abs(d))[0] != 1:
                 raise ValueError(f"radicand must be nonzero and squarefree, got {d}")
-        den = math.lcm(1, *(_num_den(c)[1] for c in terms.values()))
-        self._terms = {d: c.numerator * (den // c.denominator) for d, c in terms.items() if c}
-        self._den = den
+            n, m = _num_den(c)
+            out[abs(d)] = out.get(abs(d), 0) + (_gauss(n, 0, m) if d > 0 else _gauss(0, n, m))
+        self._terms = {d: c for d, c in out.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -111,27 +111,23 @@ class ComplexRadical:
 
     @classmethod
     def one(cls) -> "ComplexRadical":
-        return _wrap({1: 1})
+        return _wrap({1: _gauss(1, 0, 1)})
 
     @classmethod
     def i(cls) -> "ComplexRadical":
-        return _wrap({-1: 1})
+        return _wrap({1: _gauss(0, 1, 1)})
 
     @classmethod
     def of(cls, x) -> "ComplexRadical":
         """Embed an int, Fraction, GaussianRational or ComplexRadical."""
         if isinstance(x, ComplexRadical):
             return x
-        if isinstance(x, GaussianRational):
-            return _wrap({d: n for d, n in ((1, x.re), (-1, x.im)) if n}, x.den)
-        n, m = _num_den(x)
-        return _wrap({1: n} if n else {}, m)
+        x = GaussianRational.of(x)
+        return _wrap({1: x} if x else {})
 
     @classmethod
     def i_times(cls, x) -> "ComplexRadical":
-        """i*x: sqrt(d) -> sqrt(-d), and i*i*sqrt(a) = -sqrt(a) for d = -a."""
-        x = cls.of(x)
-        return _wrap({-d: -n if d < 0 else n for d, n in x._terms.items()}, x._den)
+        return cls.of(x) * cls.i()
 
     @classmethod
     def sqrt(cls, q) -> "ComplexRadical":
@@ -147,49 +143,41 @@ class ComplexRadical:
         if a == 0:
             return _wrap({})
         s, d = square_free_split(a * b)
-        return _reduced({d: s}, b)
+        return _wrap({d: _gauss(s, 0, b)})
 
     # -- structure ---------------------------------------------------------
 
     def items(self) -> list[tuple[int, Fraction]]:
-        """(radicand, rational coefficient) pairs."""
-        return [(d, Fraction(n, self._den)) for d, n in self._terms.items()]
+        """(signed radicand, rational coefficient) pairs: (d, re) and (-d, im)
+        for each nonzero part of the coefficient of sqrt(d)."""
+        re, im = self._parts()
+        return re + [(-d, c) for d, c in im]
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def conj(self) -> "ComplexRadical":
-        return _wrap({d: -n if d < 0 else n for d, n in self._terms.items()}, self._den)
+        return _wrap({d: c.conj() for d, c in self._terms.items()})
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "ComplexRadical":
         if (other := _operand(other)) is None:
             return NotImplemented
-        # rescale both numerator sets to the lcm of the denominators, unless
-        # they already share one
-        den = self._den
-        if den == other._den:
-            terms, s2 = dict(self._terms), 1
-        else:
-            g = math.gcd(den, other._den)
-            s1, s2 = other._den // g, den // g
-            terms = {d: n * s1 for d, n in self._terms.items()}
-            den *= s1
-        for d, n in other._terms.items():
-            n *= s2
+        terms = dict(self._terms)
+        for d, c in other._terms.items():
             if d in terms:
-                n += terms[d]
-                if not n:
+                c += terms[d]
+                if not c:
                     del terms[d]
                     continue
-            terms[d] = n
-        return _reduced(terms, den)
+            terms[d] = c
+        return _wrap(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ComplexRadical":
-        return _wrap({d: -n for d, n in self._terms.items()}, self._den)
+        return _wrap({d: -c for d, c in self._terms.items()})
 
     def __sub__(self, other) -> "ComplexRadical":
         if (other := _operand(other)) is None:
@@ -199,65 +187,61 @@ class ComplexRadical:
     def __mul__(self, other) -> "ComplexRadical":
         if (other := _operand(other)) is None:
             return NotImplemented
-        terms: dict[int, int] = {}
-        for d1, n1 in self._terms.items():
-            for d2, n2 in other._terms.items():
-                # sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)*(d2/g)) with g = gcd(|d1|, |d2|);
-                # the product of coprime squarefree integers is squarefree, and
-                # two negative radicands contribute i*i = -1.
+        terms: dict[int, GaussianRational] = {}
+        for d1, c1 in self._terms.items():
+            for d2, c2 in other._terms.items():
+                # sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)*(d2/g)) with g = gcd(d1, d2);
+                # the product of coprime squarefree integers is squarefree
                 g = math.gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
-                n = -n1 * n2 * g if d1 < 0 and d2 < 0 else n1 * n2 * g
-                terms[d] = terms[d] + n if d in terms else n
+                c = c1 * c2
+                if g != 1:
+                    c = _gauss(c.re * g, c.im * g, c.den)
+                terms[d] = terms[d] + c if d in terms else c
         if len(self._terms) > 1 and len(other._terms) > 1:
             # only then can two products land on one radicand and cancel
-            terms = {d: n for d, n in terms.items() if n}
-        return _reduced(terms, self._den * other._den)
+            terms = {d: c for d, c in terms.items() if c}
+        return _wrap(terms)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ComplexRadical":
         """Exact multiplicative inverse.
 
-        A single term c*sqrt(d) inverts to sqrt(d)/(c*d), for either sign of
-        d.  A multi-term value is rationalized by multiplying with all its
-        Galois conjugates: each conjugate flips the sign of sqrt(p) for a set
-        of primes p of the |d|, and of i (complex conjugation) when -1 is in
-        the set; with m such generators there are 2^m - 1 nontrivial
-        conjugates, and the full product is rational.
+        A single term c*sqrt(d) inverts to sqrt(d)/(c*d).  A multi-term value
+        is rationalized by multiplying with all its conjugates over Q(i):
+        each flips the sign of sqrt(p) for a set of primes p of the
+        radicands; with m such primes there are 2^m - 1 nontrivial
+        conjugates, and the full product lies in Q(i).
         """
         terms = self._terms
         if not terms:
             raise ZeroDivisionError("inverse of zero ComplexRadical")
         if len(terms) == 1:
-            # (n/D)*sqrt(d) inverts to D*sqrt(d)/(n*d)
-            ((d, n),) = terms.items()
-            return _reduced({d: self._den if n * d > 0 else -self._den}, abs(n * d))
-        flippers = {d: set(prime_factors(abs(d))) | ({-1} if d < 0 else set()) for d in terms}
+            ((d, c),) = terms.items()
+            return _wrap({d: (c * d).inverse()})
+        flippers = {d: set(prime_factors(d)) for d in terms}
         gens = sorted(set().union(*flippers.values()))
         acc = ComplexRadical.one()
         for mask in range(1, 1 << len(gens)):
             flips = {gens[i] for i in range(len(gens)) if mask >> i & 1}
-            acc = acc * _wrap(
-                {d: -n if len(flippers[d] & flips) % 2 else n for d, n in terms.items()},
-                self._den,
-            )
-        norm = self * acc  # rational: norm._terms[1] / norm._den
-        n = norm._terms[1]
-        return acc * _wrap({1: norm._den if n > 0 else -norm._den}, abs(n))
+            acc = acc * _wrap({d: -c if len(flippers[d] & flips) % 2 else c
+                               for d, c in terms.items()})
+        norm = (self * acc)._terms[1]
+        return acc * norm.inverse()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = ComplexRadical.of(other)
         if not isinstance(other, ComplexRadical):
             return NotImplemented
-        return self._den == other._den and self._terms == other._terms
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        # a rational value hashes as the int or Fraction it equals
+        # a value in Q(i) hashes as the GaussianRational it equals
         if self._terms.keys() <= {1}:
-            return hash(Fraction(self._terms.get(1, 0), self._den))
-        return hash((frozenset(self._terms.items()), self._den))
+            return hash(self._terms.get(1, 0))
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -265,20 +249,24 @@ class ComplexRadical:
     # -- numeric bridge and serialization ----------------------------------
 
     def to_complex(self) -> complex:
-        # int / int is correctly rounded, the same bits as float(Fraction(n, den))
-        den, terms = self._den, self._terms.items()
+        # int / int is correctly rounded and fsum sums exactly, so the float
+        # depends on the value only, not on the order of the terms
+        terms = [(c, math.sqrt(d)) for d, c in self._terms.items()]
         return complex(
-            sum(n / den * math.sqrt(d) for d, n in terms if d > 0),
-            sum(n / den * math.sqrt(-d) for d, n in terms if d < 0),
+            math.fsum(c.re / c.den * r for c, r in terms),
+            math.fsum(c.im / c.den * r for c, r in terms),
         )
 
     def _parts(self) -> tuple[list, list]:
-        """(real, imaginary) (|d|, Fraction) pairs, each sorted by |d|."""
-        ordered = sorted(self.items(), key=lambda t: abs(t[0]))
-        return [(d, c) for d, c in ordered if d > 0], [(-d, c) for d, c in ordered if d < 0]
+        """(real, imaginary) (d, Fraction) pairs, each sorted by d."""
+        ordered = sorted(self._terms.items())
+        return (
+            [(d, Fraction(c.re, c.den)) for d, c in ordered if c.re],
+            [(d, Fraction(c.im, c.den)) for d, c in ordered if c.im],
+        )
 
     def to_dict(self) -> dict:
-        """{"re": triples, "im": triples}, triples [[|d|, numerator, denominator], ...]."""
+        """{"re": triples, "im": triples}, triples [[d, numerator, denominator], ...]."""
         return {
             part: [[d, c.numerator, c.denominator] for d, c in pairs]
             for part, pairs in zip(("re", "im"), self._parts())
@@ -315,23 +303,11 @@ def _operand(x) -> ComplexRadical | None:
     return ComplexRadical.of(x) if isinstance(x, (int, Fraction, GaussianRational)) else None
 
 
-def _wrap(terms: dict[int, int], den: int = 1) -> ComplexRadical:
-    """A ComplexRadical on zero-free numerators over den > 0, already in
-    lowest terms, taken as is."""
+def _wrap(terms: dict[int, GaussianRational]) -> ComplexRadical:
+    """A ComplexRadical on a zero-free {d > 0: coefficient} dict, taken as is."""
     x = _new(ComplexRadical)
     x._terms = terms
-    x._den = den
     return x
-
-
-def _reduced(terms: dict[int, int], den: int) -> ComplexRadical:
-    """A ComplexRadical on zero-free numerators over den > 0, after dividing
-    out gcd(den, *numerators); zero comes back with den 1."""
-    g = math.gcd(den, *terms.values())
-    if g != 1:
-        terms = {d: n // g for d, n in terms.items()}
-        den //= g
-    return _wrap(terms, den)
 
 
 class GaussianRational:
@@ -356,9 +332,9 @@ class GaussianRational:
         if not isinstance(x, ComplexRadical):
             n, m = _num_den(x)
             return _gauss(n, 0, m)
-        if not x._terms.keys() <= {1, -1}:
+        if not x._terms.keys() <= {1}:
             raise ValueError(f"{x!r} is not in Q(i)")
-        return _gauss(x._terms.get(1, 0), x._terms.get(-1, 0), x._den)
+        return x._terms.get(1, GaussianRational())
 
     def is_zero(self) -> bool:
         return not (self.re or self.im)
@@ -417,7 +393,10 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(ComplexRadical.of(self))
+        # a real value hashes as the int or Fraction it equals
+        if not self.im:
+            return hash(Fraction(self.re, self.den))
+        return hash((self.re, self.im, self.den))
 
     def to_complex(self) -> complex:
         return complex(self.re / self.den, self.im / self.den)

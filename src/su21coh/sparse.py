@@ -3,8 +3,9 @@
 Subclasses fix the key type (Wigner indices, monomials, index-monomial pairs,
 matrix cells) and inherit exact module arithmetic.  Zero coefficients are
 never stored, so equality of term dictionaries is equality of the represented
-vectors.  Coefficients are GaussianRationals or ComplexRadicals; ints and
-Fractions enter as GaussianRationals (`scalars.exact`).
+vectors.  Coefficients are GaussianRationals (Q(i)) or ComplexRadicals
+(Q(i)(sqrt(d)), sums of sqrt(d) with GaussianRational coefficients); ints
+and Fractions enter as GaussianRationals (`scalars.exact`).
 """
 
 from __future__ import annotations

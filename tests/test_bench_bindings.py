@@ -1,11 +1,12 @@
 """The traced benchmark wraps su21coh functions by name (bench/tracer.py).
 
 A rename of a wrapped function breaks only traced runs, and pytest does not
-collect bench/, so this runs four short commands under the installed tracer
-in a fresh interpreter: the structure suite, the oracle, and the theorem
-path (verify-theorem and export-generators, which reach the tracer's
-`repeat` and `cells` hooks and the cochains spans).  It reads bench/ and
-changes nothing there.
+collect bench/, so this runs five short commands under the installed tracer
+in a fresh interpreter: the structure suite, the oracle, the theorem path
+(verify-theorem and export-generators, which reach the tracer's `repeat`
+and `cells` hooks and the cochains spans), and the `plus2` control, whose
+irrational X3 row runs ComplexRadical products and sums.  It reads bench/
+and changes nothing there.
 """
 
 import json
@@ -32,8 +33,12 @@ codes = [
     cli.main(["verify-theorem", "--k", "0..1"]),
     cli.main(["export-generators", "--k", "1", "--out", sys.argv[2]]),
 ]
+before = dict(tracer.counts)
+codes.append(cli.main(["verify-theorem", "--k", "0", "--thm37-variant", "plus2"]))
+plus2 = {name: n - before.get(name, 0) for name, n in tracer.counts.items()}
 ran = sorted({tracer.names[i] for i in tracer.span_name})
-print(json.dumps({"codes": codes, "spans": ran, "counts": sorted(tracer.counts)}))
+print(json.dumps({"codes": codes, "spans": ran, "counts": sorted(tracer.counts),
+                  "plus2": plus2}))
 """
 
 
@@ -45,8 +50,10 @@ def test_traced_commands_run(tmp_path):
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert record["codes"] == [0, 0, 0, 0]
+    assert record["codes"] == [0, 0, 0, 0, 1]
     assert {"lie.verify_structure", "oracle.fd_sweep", "oracle.eval_wigner",
             "cochains.check_equivariance", "cochains.nullspace",
             "cochains.cochain_to_dict"} <= set(record["spans"])
     assert {"cochains.nullspace.cells", "wigner.act_index.repeats"} <= set(record["counts"])
+    assert record["plus2"]["scalars.radical_mul.calls"] > 0
+    assert record["plus2"]["scalars.add.calls"] > 0

@@ -28,7 +28,7 @@ from su21coh.oracle import (
     wigner_matrix,
 )
 from su21coh.report import all_passed
-from su21coh.wigner import WignerIndex, admissible_indices, chi_index, psi_index
+from su21coh.wigner import WignerIndex, admissible_indices, chi_index, psi_index, scale_sq
 
 
 # Reference evaluations kept out of the package: the Jacobi polynomial by its
@@ -352,6 +352,18 @@ def test_fd_annihilation_at_bottom_weight():
     g = random_group_points([29])[0]
     fd = fd_derivative(lambda p: eval_section(idx, k, p), LieGen.U1_MINUS_IU2, g)
     assert abs(fd) <= 1e-8
+
+
+def test_scale_ratio_is_within_ulps_at_any_j():
+    # a(idx)/a(tgt) from one float pair per index, against the root of the
+    # exact ratio, up to j = 200, where a(idx)^2 is far beyond the float range
+    for j2 in (1, 2, 5, 40, 400):
+        for m12, m22 in ((j2, j2), (-j2, j2), (j2 % 2, -j2)):
+            idx = WignerIndex(j2, 0, m12, m22)
+            for tgt in (WignerIndex(j2 + 1, 0, m12 + 1, m22 - 1),
+                        WignerIndex(j2 + 1, 0, m12 - 1, m22 + 1)):
+                exact = math.sqrt(scale_sq(idx) / scale_sq(tgt))
+                assert abs(oracle._scale_ratio(idx, tgt) - exact) <= 4 * math.ulp(exact)
 
 
 def test_operator_sweeps_small():

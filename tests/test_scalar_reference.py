@@ -1,10 +1,11 @@
-"""Differential test of ComplexRadical (integer numerators over one reduced
-denominator) against FractionRadical (one Fraction per radicand, the earlier
-representation kept in tests/fraction_radical.py as the reference).
+"""Differential test of ComplexRadical (one GaussianRational per positive
+radicand) against FractionRadical (one Fraction per signed radicand, the
+earlier representation kept in tests/fraction_radical.py as the reference).
 
 Seeded random operation sequences run through both classes; after every step
-the two must agree on the export, the representation and the float value to
-the bit, and the ComplexRadical must be in canonical form.
+the two must agree on the export and the representation, the float value
+must be the bit-exact math.fsum of the reference's terms, and the
+ComplexRadical must be in canonical form.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 
 from conftest import random_complex_radical, random_fraction
 from fraction_radical import FractionRadical
-from su21coh.scalars import ComplexRadical, prime_factors
+from su21coh.scalars import ComplexRadical, GaussianRational, prime_factors, square_free_split
 
 MAX_TERMS = 6  # larger results are checked, then replaced by a fresh draw
 
@@ -24,16 +25,26 @@ def _bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
+def _fsum_float(ref: FractionRadical) -> complex:
+    """The correctly rounded sum of the reference's rounded terms."""
+    terms = ref.items()
+    return complex(
+        math.fsum(float(c) * math.sqrt(d) for d, c in terms if d > 0),
+        math.fsum(float(c) * math.sqrt(-d) for d, c in terms if d < 0),
+    )
+
+
 def _check(x: ComplexRadical, ref: FractionRadical):
     assert x.to_dict() == ref.to_dict()
     assert repr(x) == repr(ref)
-    assert _bits(x.to_complex()) == _bits(ref.to_complex())
+    assert _bits(x.to_complex()) == _bits(_fsum_float(ref))
     rebuilt = ComplexRadical(dict(x.items()))
     assert rebuilt == x and hash(rebuilt) == hash(x)
-    nums = list(x._terms.values())
-    assert type(x._den) is int and x._den > 0
-    assert all(type(n) is int and n for n in nums)
-    assert math.gcd(x._den, *nums) == 1
+    assert all(type(d) is int and d > 0 and square_free_split(d)[0] == 1 for d in x._terms)
+    for c in x._terms.values():
+        assert type(c) is GaussianRational and c
+        assert all(type(v) is int for v in (c.re, c.im, c.den))
+        assert c.den > 0 and math.gcd(c.re, c.im, c.den) == 1
 
 
 def _draw(rng):
@@ -47,8 +58,9 @@ def _rational(rng):
 
 def _inverse_is_cheap(x: ComplexRadical) -> bool:
     # rationalizing multiplies 2^m - 1 conjugates, m = distinct primes (and i)
-    gens = set().union(*(prime_factors(abs(d)) for d in x._terms))
-    return not x.is_zero() and len(gens) + any(d < 0 for d in x._terms) <= 4
+    radicands = [d for d, _ in x.items()]
+    gens = set().union(*(prime_factors(abs(d)) for d in radicands))
+    return not x.is_zero() and len(gens) + any(d < 0 for d in radicands) <= 4
 
 
 def _step(rng, pool):
@@ -86,5 +98,5 @@ def test_integer_numerators_match_the_fraction_reference(seed):
         x, ref = _step(rng, pool)
         _check(x, ref)
         pool[int(rng.integers(len(pool)))] = (
-            (x, ref) if len(x._terms) <= MAX_TERMS else _draw(rng)
+            (x, ref) if len(x.items()) <= MAX_TERMS else _draw(rng)
         )

@@ -132,6 +132,19 @@ def test_to_float():
     assert abs(z.to_complex() - complex(math.sqrt(2), 1 / 3)) < 1e-15
 
 
+def test_float_bridge_depends_only_on_the_value():
+    # one sum in both orders: equal values, so equal bits
+    rng = np.random.default_rng(13)
+    draws = [[CR({3: Fraction(-69, 32)}), CR({2: Fraction(95, 29)}), CR({13: Fraction(1, 2)})]]
+    draws += [[random_complex_radical(rng, max_terms=1, bound=100) for _ in range(3)]
+              for _ in range(300)]
+    for terms in draws:
+        forward, backward = sum(terms, CR()), sum(reversed(terms), CR())
+        assert forward == backward and hash(forward) == hash(backward)
+        z, w = forward.to_complex(), backward.to_complex()
+        assert (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex())
+
+
 def test_serialization_roundtrip():
     x = RS({6: Fraction(-1, 2), 1: Fraction(3, 7), 2: Fraction(5)})
     assert x.to_dict() == {"re": [[1, 3, 7], [2, 5, 1], [6, -1, 2]], "im": []}
