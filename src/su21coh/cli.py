@@ -20,6 +20,8 @@ from .wigner import DEFAULT_VARIANT, VARIANTS
 
 
 _INT = re.compile(r"-?[0-9]+")
+_JMAX = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+_TOL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
 def _int(text: str) -> int:
@@ -44,6 +46,8 @@ def _parse_k_spec(text: str) -> list[int]:
 
 def _parse_jmax(text: str) -> Fraction:
     try:
+        if not _JMAX.fullmatch(text):
+            raise ValueError(text)
         j = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad j-max {text!r} (use e.g. 5/2)") from None
@@ -68,6 +72,8 @@ def _int_at_least(minimum: int, name: str):
 
 def _parse_tol(text: str) -> float:
     try:
+        if not _TOL.fullmatch(text):
+            raise ValueError(text)
         tol = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from None

@@ -3,15 +3,18 @@ module tensored with the degree-k polynomial coefficients, together with the
 explicit 1- and 2-cochains, the differential, equivariance checking, and the
 full verification suite for the closedness / non-exactness statements.
 
-A q-cochain assigns an exact tensor element (sparse sum of Wigner index x
-monomial pairs) to each of the C(4, q) basis wedges in the noncompact
-generators X1..X4, in the rescaled Wigner basis W'_idx = W_idx / a(idx) of
-`wigner`.  There the explicit cochains have Gaussian-rational coordinates:
-k!/(k-l)! at l for `chi(X3)` and `psi0(X3^X4)`, (l+1) k!/(k-l)! for
-`psi(X1^X3)`, stored as psi/sqrt(k+2); `cochain_to_dict` converts back to
-the unitary basis.  The differential uses only the first-order terms: the
-pairwise brackets of the X's project to zero in the quotient, which is
-asserted (not assumed) on first use.
+A q-cochain is a `Cochain`: one sparse `LinComb` keyed by (wedge,
+WignerIndex, Monomial), where the wedge is a sorted q-tuple of the
+noncompact generators X1..X4, so its value on a basis wedge is the sum of
+the index x monomial terms at that wedge.  A vector of the module (induced
+module tensor polynomials) is the 0-cochain at wedge ().  Coordinates are
+in the rescaled Wigner basis W'_idx = W_idx / a(idx) of `wigner`.  There
+the explicit cochains have Gaussian-rational coordinates: k!/(k-l)! at l
+for `chi(X3)` and `psi0(X3^X4)`, (l+1) k!/(k-l)! for `psi(X1^X3)`, stored
+as psi/sqrt(k+2); `cochain_to_dict` converts back to the unitary basis.
+The differential uses only the first-order terms: the pairwise brackets of
+the X's project to zero in the quotient, which is asserted (not assumed) on
+first use.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .lie import L_GENS, P_GENS, LieGen, bracket_coords, gen_matrix, wedge_actio
 from .polynomials import Monomial, PolyVector, act_poly, monomial_xy
 from .report import CheckResult, all_passed
 from .scalars import ComplexRadical, GaussianRational
-from .sparse import LinComb
+from .sparse import LinComb, _made
 from .wigner import (
     DEFAULT_VARIANT,
     WignerIndex,
@@ -40,6 +43,8 @@ from .wigner import (
 
 _I = GaussianRational(0, 1)
 
+Wedge = tuple  # sorted tuple of distinct indices from {1, 2, 3, 4}
+
 
 class BracketNotInL(RuntimeError):
     """A pairwise bracket of noncompact generators escaped the compact part.
@@ -47,14 +52,21 @@ class BracketNotInL(RuntimeError):
     Structurally impossible for this algebra; kept as a tripwire."""
 
 
-class TensorElement(LinComb):
-    """Exact element of (induced module) tensor (degree-k polynomials).
+class Cochain(LinComb):
+    """Exact cochain with (wedge, WignerIndex, Monomial) keys; a module
+    vector is the 0-cochain at wedge ()."""
 
-    Keys are (WignerIndex, Monomial) pairs."""
+    __slots__ = ()
 
 
-def tensor_term(idx: WignerIndex, mono: Monomial, coeff=1) -> TensorElement:
-    return TensorElement({(idx, mono): coeff})
+def basis_wedges(q: int) -> tuple[Wedge, ...]:
+    return tuple(itertools.combinations((1, 2, 3, 4), q))
+
+
+def _placed(values: dict) -> Cochain:
+    """The cochain taking each wedge to the given 0-cochain."""
+    return _made(Cochain, {(w, idx, mono): c for w, v in values.items()
+                           for (_, idx, mono), c in v.items()})
 
 
 @lru_cache(maxsize=None)
@@ -63,88 +75,19 @@ def _poly_image(gen: LieGen, mono: Monomial) -> tuple:
     return tuple(act_poly(gen_matrix(gen), PolyVector({mono: 1})).items())
 
 
-def act_tensor(gen: LieGen, t: TensorElement, variant: str = DEFAULT_VARIANT) -> TensorElement:
-    """Leibniz action: generator on the function slot plus generator on the
-    polynomial slot."""
+def act_tensor(gen: LieGen, psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
+    """Leibniz action on the module slot of every term: generator on the
+    function slot plus generator on the polynomial slot.  The wedge slot is
+    carried along."""
     compact = gen in L_GENS
     out: list = []
-    for (idx, mono), coeff in t.items():
+    for (w, idx, mono), coeff in psi.items():
         moved = act_l_index(gen, idx) if compact else act_p_index(gen, idx, variant)
         for tgt, c in moved:
-            out.append(((tgt, mono), c * coeff))
+            out.append(((w, tgt, mono), c * coeff))
         for pm, pc in _poly_image(gen, mono):
-            out.append(((idx, pm), pc * coeff))
-    return TensorElement(out)
-
-
-# ---------------------------------------------------------------------------
-# Wedges and cochains.
-# ---------------------------------------------------------------------------
-
-Wedge = tuple  # sorted tuple of distinct indices from {1, 2, 3, 4}
-
-
-def basis_wedges(q: int) -> tuple[Wedge, ...]:
-    return tuple(itertools.combinations((1, 2, 3, 4), q))
-
-
-def wedge_name(w: Wedge) -> str:
-    return "X" + "".join(str(i) for i in w) if w else "1"
-
-
-class Cochain:
-    """Degree-q assignment of tensor elements to basis wedges (zero entries
-    are not stored)."""
-
-    __slots__ = ("k", "degree", "_entries")
-
-    def __init__(self, k: int, degree: int, entries=None):
-        if not 0 <= degree <= 4:
-            raise ValueError(f"degree {degree} outside 0..4")
-        self.k = k
-        self.degree = degree
-        self._entries: dict[Wedge, TensorElement] = {}
-        for w, v in (entries or {}).items():
-            w = tuple(w)
-            if w not in basis_wedges(degree):
-                raise ValueError(f"{w} is not a degree-{degree} basis wedge")
-            if not v.is_zero():
-                self._entries[w] = v
-
-    def value(self, w: Wedge) -> TensorElement:
-        return self._entries.get(tuple(w), TensorElement())
-
-    def support(self):
-        return set(self._entries)
-
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        if (self.k, self.degree) != (other.k, other.degree):
-            raise ValueError("cochain degree/parameter mismatch")
-        entries = dict(self._entries)
-        for w, v in other._entries.items():
-            entries[w] = entries.get(w, TensorElement()) + v
-        return Cochain(self.k, self.degree, entries)
-
-    def __neg__(self) -> "Cochain":
-        return Cochain(self.k, self.degree, {w: -v for w, v in self._entries.items()})
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
-
-    def scaled(self, c) -> "Cochain":
-        return Cochain(self.k, self.degree, {w: v.scaled(c) for w, v in self._entries.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return (self.k, self.degree, self._entries) == (other.k, other.degree, other._entries)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{wedge_name(w)}: {len(v)} terms" for w, v in self._entries.items())
-        return f"Cochain(k={self.k}, q={self.degree}, {{{body or '0'}}})"
+            out.append(((w, idx, pm), pc * coeff))
+    return Cochain(out)
 
 
 # ---------------------------------------------------------------------------
@@ -160,26 +103,32 @@ def _check_p_brackets_central() -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _insert(w: Wedge, i: int) -> tuple[Wedge, bool]:
+    """X_i ^ w as a sorted wedge, and whether the sign (-1)^position of i
+    is -1."""
+    p = sum(1 for j in w if j < i)
+    return w[:p] + (i,) + w[p:], p % 2 == 1
+
+
 def differential(psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
-    """First sum of the Chevalley-Eilenberg differential.  The second
-    (bracket) sum vanishes identically here because all pairwise brackets of
-    the noncompact generators lie in the compact part; that fact is checked
-    once per process rather than trusted."""
-    if psi.degree > 3:
-        raise ValueError("differential defined for degrees 0..3 only")
+    """First sum of the Chevalley-Eilenberg differential: for each X_i, X_i
+    acts on the terms whose wedge lacks i, which land on the wedge with i
+    inserted, signed (-1)^(position of i).  The second (bracket) sum
+    vanishes identically here because all pairwise brackets of the
+    noncompact generators lie in the compact part; that fact is checked once
+    per process rather than trusted."""
     _check_p_brackets_central()
-    entries = {}
-    for target in basis_wedges(psi.degree + 1):
-        total = TensorElement()
-        for t, i in enumerate(target):
-            rest = target[:t] + target[t + 1 :]
-            val = psi.value(rest)
-            if val.is_zero():
-                continue
-            moved = act_tensor(P_GENS[i - 1], val, variant)
-            total = total + (moved if t % 2 == 0 else -moved)
-        entries[target] = total
-    return Cochain(psi.k, psi.degree + 1, entries)
+    out: list = []
+    for i, gen in enumerate(P_GENS, 1):
+        lacking = {}
+        for (w, idx, mono), coeff in psi.items():
+            if i not in w:
+                target, flip = _insert(w, i)
+                lacking[target, idx, mono] = -coeff if flip else coeff
+        if lacking:
+            out.extend(act_tensor(gen, _made(Cochain, lacking), variant).items())
+    return Cochain(out)
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +136,23 @@ def differential(psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _coaction(u: LieGen, w2: Wedge) -> tuple:
+    """(w, c) for every basis wedge w with u.w = ... + c w2 + ...: the
+    transpose of `wedge_action`."""
+    return tuple((w, wedge_action(u, w)[w2]) for w in basis_wedges(len(w2))
+                 if w2 in wedge_action(u, w))
+
+
 def check_equivariance(psi: Cochain) -> bool:
     """Exact check of u.(psi(w)) = psi(u.w) for the four compact generators
-    and every basis wedge; False at the first cell that fails."""
+    and every basis wedge at once: psi(u.w) moves each term at w2 to every w
+    whose image u.w contains w2.  False at the first generator that fails."""
     for u in L_GENS:
-        for w in basis_wedges(psi.degree):
-            rhs = TensorElement()
-            for w2, c in wedge_action(u, w).items():
-                rhs = rhs + psi.value(w2).scaled(c)
-            if act_tensor(u, psi.value(w)) != rhs:
-                return False
+        coacted = Cochain([((w, idx, mono), coeff * c) for (w2, idx, mono), coeff in psi.items()
+                           for w, c in _coaction(u, w2)])
+        if act_tensor(u, psi) != coacted:
+            return False
     return True
 
 
@@ -205,12 +161,13 @@ def check_equivariance(psi: Cochain) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _family(k: int, index, coeff) -> TensorElement:
-    """sum over l = 0..k of coeff(l) W'_index(k, l) (x) x^(k-l) y^l."""
-    return TensorElement([((index(k, l), monomial_xy(k, l)), coeff(l)) for l in range(k + 1)])
+def _family(k: int, index, coeff) -> Cochain:
+    """sum over l = 0..k of coeff(l) W'_index(k, l) (x) x^(k-l) y^l, a
+    0-cochain."""
+    return Cochain([(((), index(k, l), monomial_xy(k, l)), coeff(l)) for l in range(k + 1)])
 
 
-def chi3_element(k: int) -> TensorElement:
+def chi3_element(k: int) -> Cochain:
     return _family(k, chi_index, lambda l: math.perm(k, l))
 
 
@@ -219,10 +176,10 @@ def build_chi(k: int) -> Cochain:
     raised partner, X1 and X2 -> 0."""
     chi3 = chi3_element(k)
     chi4 = act_tensor(LieGen.U1_PLUS_IU2, chi3).scaled(_I)
-    return Cochain(k, 1, {(3,): chi3, (4,): chi4})
+    return _placed({(3,): chi3, (4,): chi4})
 
 
-def psi_w13_element(k: int) -> TensorElement:
+def psi_w13_element(k: int) -> Cochain:
     return _family(k, psi_index, lambda l: (l + 1) * math.perm(k, l))
 
 
@@ -232,12 +189,12 @@ def build_psi(k: int) -> Cochain:
     w13 = psi_w13_element(k)
     w23 = act_tensor(LieGen.U1_MINUS_IU2, w13).scaled(-_I)
     w14 = act_tensor(LieGen.U1_PLUS_IU2, w13).scaled(_I)
-    return Cochain(k, 2, {(1, 3): w13, (2, 3): w23, (2, 4): -w13, (1, 4): w14})
+    return _placed({(1, 3): w13, (2, 3): w23, (2, 4): -w13, (1, 4): w14})
 
 
 def build_psi0(k: int) -> Cochain:
     """2-cochain supported on X3^X4 alone."""
-    return Cochain(k, 2, {(3, 4): _family(k, psi0_index, lambda l: math.perm(k, l))})
+    return _placed({(3, 4): _family(k, psi0_index, lambda l: math.perm(k, l))})
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +212,10 @@ def wedge_bidegree(w: Wedge) -> tuple[int, int]:
 def hodge_type(psi: Cochain):
     """Support class of a 2-cochain under the holomorphic bigrading:
     (2,0), (1,1), (0,2), or "mixed"; None for the zero cochain."""
-    if psi.degree != 2:
+    wedges = {w for w, _, _ in psi.support()}
+    if any(len(w) != 2 for w in wedges):
         raise ValueError("hodge type is defined for 2-cochains")
-    types = {wedge_bidegree(w) for w in psi.support()}
+    types = {wedge_bidegree(w) for w in wedges}
     if not types:
         return None
     if len(types) == 1:
@@ -342,7 +300,7 @@ def verify_closedness(
     the unitary +1 on psi."""
     chi, psi, psi0 = build_chi(k), build_psi(k), build_psi0(k)
     if mutate_alpha0:
-        psi = psi + Cochain(k, 2, {(1, 3): tensor_term(psi_index(k, 0), monomial_xy(k, 0))})
+        psi = psi + Cochain({((1, 3), psi_index(k, 0), monomial_xy(k, 0)): 1})
     named = (("chi", chi), ("psi", psi), ("psi0", psi0))
     checks = [
         (f"d(chi) = psi/sqrt(k+2) + psi0 [k={k}]", differential(chi, variant) == psi + psi0),
@@ -370,7 +328,7 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
     seed = chi3_element(k)
 
     # (a) admissible preimages of the psi0 support under X3, X4
-    targets = {idx for (idx, _mono) in build_psi0(k).value((3, 4)).support()}
+    targets = {idx for _w, idx, _mono in build_psi0(k).support()}
     expected = {chi_index(k, l) for l in range(k + 2)}
     found = set()
     for t in targets:
@@ -388,7 +346,7 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
 
     # (b) lowering kernel inside span{ W_chi(l) (x) x^(k-l) y^l }, the seed's keys
     basis_keys = list(seed.support())
-    images = [act_tensor(LieGen.U1_MINUS_IU2, tensor_term(*key)) for key in basis_keys]
+    images = [act_tensor(LieGen.U1_MINUS_IU2, Cochain({key: 1})) for key in basis_keys]
     row_keys = sorted({key for img in images for key in img.support()})
     rows = [[img.get(key) for img in images] for key in row_keys]
     kernel = nullspace(rows, len(basis_keys))
@@ -419,35 +377,31 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
 
 
 def cochain_to_dict(psi: Cochain, mu_sq=1) -> dict:
-    """The cochain in the unitary basis, for a cochain that stores the
-    unitary one divided by mu = sqrt(mu_sq) (k+2 for psi): a rescaled
+    """The nonzero cochain in the unitary basis, for a cochain that stores
+    the unitary one divided by mu = sqrt(mu_sq) (k+2 for psi): a rescaled
     coordinate c at idx is the unitary c * mu / a(idx)."""
-    entries = []
-    for w in basis_wedges(psi.degree):
-        val = psi.value(w)
-        if val.is_zero():
-            continue
-        # by (j2, m1_2, monomial, n2, m2_2)
-        terms = sorted(val.items(), key=lambda t: (t[0][0].j2, t[0][0].m12, t[0][1], t[0][0]))
-        entries.append(
-            {
-                "wedge": list(w),
-                "terms": [
-                    {
-                        "index": idx.to_dict(),
-                        "monomial": list(mono),
-                        "coeff": (
-                            coeff * ComplexRadical.sqrt(Fraction(mu_sq) / scale_sq(idx))
-                        ).to_dict(),
-                    }
-                    for (idx, mono), coeff in terms
-                ],
-            }
-        )
-    ht = hodge_type(psi) if psi.degree == 2 else None
+    mu_sq = Fraction(mu_sq)
+    # by (wedge, j2, m1_2, monomial, n2, m2_2)
+    terms = sorted(psi.items(), key=lambda t: (t[0][0], t[0][1].j2, t[0][1].m12, t[0][2], t[0][1]))
+    entries = [
+        {
+            "wedge": list(w),
+            "terms": [
+                {
+                    "index": idx.to_dict(),
+                    "monomial": list(mono),
+                    "coeff": (coeff * ComplexRadical.sqrt(mu_sq / scale_sq(idx))).to_dict(),
+                }
+                for (_, idx, mono), coeff in group
+            ],
+        }
+        for w, group in itertools.groupby(terms, key=lambda t: t[0][0])
+    ]
+    (wedge, _, mono), _ = terms[0]
+    ht = hodge_type(psi) if len(wedge) == 2 else None
     return {
-        "k": psi.k,
-        "degree": psi.degree,
+        "k": mono.degree(),
+        "degree": len(wedge),
         "entries": entries,
         "hodge_type": list(ht) if isinstance(ht, tuple) else ht,
     }

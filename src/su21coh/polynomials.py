@@ -50,16 +50,10 @@ def act_poly(mat: Mat3, p: PolyVector) -> PolyVector:
     sum_i (sum_j mat[j,i] x_j) d/dx_i, preserving the degree."""
     out: list = []
     for mono, coeff in p.items():
-        exps = tuple(mono)
-        for i in range(3):
-            e = exps[i]
-            if e == 0:
-                continue
-            for j in range(3):
-                entry = mat[j, i]
-                if entry.is_zero():
-                    continue
-                target = list(exps)
+        for (j, i), entry in mat.items():
+            e = mono[i]
+            if e:
+                target = list(mono)
                 target[i] -= 1
                 target[j] += 1
                 out.append((Monomial(*target), coeff * entry * e))

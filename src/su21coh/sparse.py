@@ -1,11 +1,13 @@
 """Shared sparse linear-combination container over exact scalars.
 
-Subclasses fix the key type (Wigner indices, monomials, index-monomial pairs,
-matrix cells) and inherit exact module arithmetic.  Zero coefficients are
-never stored, so equality of term dictionaries is equality of the represented
-vectors.  Coefficients are GaussianRationals (Q(i)) or ComplexRadicals
-(Q(i)(sqrt(d)), sums of sqrt(d) with GaussianRational coefficients); ints
-and Fractions enter as GaussianRationals (`scalars.exact`).
+Subclasses fix the key type (monomials, matrix cells, and the (wedge,
+Wigner index, monomial) keys of `cochains.Cochain`, whose 0-cochains at
+wedge () are the vectors of the module) and inherit exact module
+arithmetic.  Zero coefficients are never stored, so equality of term
+dictionaries is equality of the represented vectors.  Coefficients are
+GaussianRationals (Q(i)) or ComplexRadicals (Q(i)(sqrt(d)), sums of
+sqrt(d) with GaussianRational coefficients); ints and Fractions enter as
+GaussianRationals (`scalars.exact`).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ reproduce exactly.
 from fractions import Fraction
 from functools import lru_cache
 
-from su21coh.cochains import Cochain, TensorElement, act_tensor, nullspace
+from su21coh.cochains import Cochain, act_tensor, nullspace
 from su21coh.lie import LieGen, gen_matrix
 from su21coh.polynomials import Monomial, PolyVector, act_poly
 from su21coh.scalars import ComplexRadical
@@ -37,13 +37,29 @@ def random_complex_radical(rng, max_terms=2, bound=1000) -> ComplexRadical:
     return re + ComplexRadical.i_times(random_radical(rng, max_terms, bound))
 
 
-def random_tensor(k: int, rng, j_max=Fraction(5, 2), max_terms=3) -> TensorElement:
-    """A few admissible (index, degree-k monomial) terms with small Gaussian
-    integer coefficients."""
-    keys = [(idx, mono) for idx in admissible_indices(k, j_max) for mono in monomial_basis(k)]
+def tensor_term(idx: WignerIndex, mono: Monomial, coeff=1) -> Cochain:
+    """One basis vector of the module, as a 0-cochain."""
+    return Cochain({((), idx, mono): coeff})
+
+
+def value(psi: Cochain, w: tuple) -> Cochain:
+    """The value of psi on the basis wedge w, as a 0-cochain."""
+    return Cochain([(((), idx, mono), c) for (w2, idx, mono), c in psi.items() if w2 == w])
+
+
+def placed(values: dict) -> Cochain:
+    """The cochain taking each wedge w to the 0-cochain values[w]."""
+    return Cochain([((w, idx, mono), c) for w, v in values.items()
+                    for (_, idx, mono), c in v.items()])
+
+
+def random_tensor(k: int, rng, j_max=Fraction(5, 2), max_terms=3) -> Cochain:
+    """A 0-cochain: a few admissible (index, degree-k monomial) terms with
+    small Gaussian integer coefficients."""
+    keys = [((), idx, mono) for idx in admissible_indices(k, j_max) for mono in monomial_basis(k)]
     n_terms = int(rng.integers(1, max_terms + 1))
     picks = rng.choice(len(keys), size=min(n_terms, len(keys)), replace=False)
-    return TensorElement(
+    return Cochain(
         [
             (
                 keys[int(p)],
@@ -64,7 +80,7 @@ def act_poly_gen(gen: LieGen, p: PolyVector) -> PolyVector:
     return act_poly(gen_matrix(gen), p)
 
 
-def act_tensor_seq(gens, t: TensorElement) -> TensorElement:
+def act_tensor_seq(gens, t: Cochain) -> Cochain:
     """Apply generators right-to-left: gens = (a, b) computes a.(b.t)."""
     for gen in reversed(tuple(gens)):
         t = act_tensor(gen, t)
@@ -111,14 +127,14 @@ def _seed_kernel(k: int, side: str, jmax2: int):
         while j2 <= jmax2:
             idx = WignerIndex(j2, n2, m12, m22)
             if admissible(idx, k):
-                keys.append((idx, mono))
+                keys.append(((), idx, mono))
             j2 += 2
     if not keys:
         return (), ()
 
     constraints = []
     for key in keys:
-        unit = TensorElement({key: ComplexRadical.of(1)})
+        unit = Cochain({key: ComplexRadical.of(1)})
         constraints.append(
             (
                 act_tensor(kill, unit),
@@ -145,13 +161,13 @@ def random_equivariant_cochain(k: int, rng, jmax2: int | None = None) -> Cochain
 
     def draw(side):
         keys, kernel = _seed_kernel(k, side, jmax2)
-        vec = TensorElement()
+        vec = Cochain()
         for basis_vec in kernel:
             re, im = rng.integers(-3, 4), rng.integers(-3, 4)
             coeff = ComplexRadical.of(int(re)) + ComplexRadical.i_times(int(im))
             if coeff.is_zero():
                 continue
-            vec = vec + TensorElement(
+            vec = vec + Cochain(
                 [(key, c * coeff) for key, c in zip(keys, basis_vec)]
             )
         return vec
@@ -160,4 +176,4 @@ def random_equivariant_cochain(k: int, rng, jmax2: int | None = None) -> Cochain
     w1 = draw("upper")
     v4 = act_tensor(LieGen.U1_PLUS_IU2, v3).scaled(ComplexRadical.i())
     w2 = act_tensor(LieGen.U1_MINUS_IU2, w1).scaled(ComplexRadical.i_times(-1))
-    return Cochain(k, 1, {(1,): w1, (2,): w2, (3,): v3, (4,): v4})
+    return placed({(1,): w1, (2,): w2, (3,): v3, (4,): v4})

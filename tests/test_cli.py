@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import su21coh
 
-from su21coh.cli import main
+from su21coh.cli import build_parser, main
 
 
 def test_verify_structure_ok(capsys):
@@ -83,8 +84,18 @@ def test_usage_errors(capsys):
         ["oracle", "--seed", "1_000"],
         ["oracle", "--samples", "\uff13"],  # FULLWIDTH DIGIT THREE
         ["export-generators", "--k", "1_0", "--out", "x.json"],
+        ["oracle", "--k", "0", "--samples", "1", "--j-max", "\u0663"],
+        ["oracle", "--k", "0", "--samples", "1", "--j-max", "1_0"],  # Fraction() reads 10
+        ["oracle", "--k", "0", "--samples", "1", "--j-max", " 1/2"],
+        ["oracle", "--k", "0", "--samples", "1", "--j-max", "+1/2"],
+        ["oracle", "--k", "0", "--samples", "1", "--j-max", "1e0"],
+        ["oracle", "--k", "0", "--samples", "1", "--tol", "1_0e-6"],  # float() reads 1e-05
+        ["oracle", "--k", "0", "--samples", "1", "--tol", "\u0661e-6"],
+        ["oracle", "--k", "0", "--samples", "1", "--tol", " 1e-6"],
     ],
-    ids=["underscore", "arabic_indic", "range", "blank", "plus", "seed", "samples", "export"],
+    ids=["underscore", "arabic_indic", "range", "blank", "plus", "seed", "samples", "export",
+         "jmax_arabic_indic", "jmax_underscore", "jmax_blank", "jmax_plus", "jmax_exponent",
+         "tol_underscore", "tol_arabic_indic", "tol_blank"],
 )
 def test_integers_are_ascii_digits(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -93,6 +104,16 @@ def test_integers_are_ascii_digits(argv, tmp_path, monkeypatch, capsys):
     assert exc.value.code == 2
     assert "error: argument" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "j_max, tol, want",
+    [("5/2", "1e-6", (Fraction(5, 2), 1e-6)), ("3", "0.5", (3, 0.5)),
+     ("1.5", "2E+3", (Fraction(3, 2), 2000.0)), ("0", ".25", (0, 0.25))],
+)
+def test_numeric_options_take_ascii_forms(j_max, tol, want):
+    args = build_parser().parse_args(["oracle", "--j-max", j_max, "--tol", tol])
+    assert (args.j_max, args.tol) == want
 
 
 def test_export_generators(tmp_path, capsys):

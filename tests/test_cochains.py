@@ -1,13 +1,21 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import act_tensor_seq, random_complex_radical, random_equivariant_cochain
+from conftest import (
+    act_tensor_seq,
+    placed,
+    random_complex_radical,
+    random_equivariant_cochain,
+    random_tensor,
+    tensor_term,
+    value,
+)
 
 from su21coh.cochains import (
     Cochain,
-    TensorElement,
     act_tensor,
     basis_wedges,
     build_chi,
@@ -20,16 +28,15 @@ from su21coh.cochains import (
     hodge_type,
     nullspace,
     psi_w13_element,
-    tensor_term,
     verify_closedness,
     verify_nonexactness,
     wedge_bidegree,
 )
-from su21coh.lie import LieGen, wedge_action
+from su21coh.lie import L_GENS, P_GENS, LieGen, wedge_action
 from su21coh.polynomials import Monomial, monomial_xy
 from su21coh.report import all_passed
 from su21coh.scalars import ComplexRadical, RadicalScalar
-from su21coh.wigner import chi_index, psi0_index, psi_index
+from su21coh.wigner import VARIANTS, chi_index, psi0_index, psi_index
 from unitary_table import unitary_coord
 
 CR = ComplexRadical
@@ -44,14 +51,14 @@ def test_act_tensor_diagonal_weight():
     out = act_tensor(LieGen.U0, t)
     weight = Fraction(idx.n2, 2) + Fraction(k, 2)
     assert out == t.scaled(CR.i_times(weight))
-    assert act_tensor(LieGen.U0, TensorElement()).is_zero()
+    assert act_tensor(LieGen.U0, Cochain()).is_zero()
 
 
 def test_compact_pair_fixtures():
     # the equivariance-forced identities for the chi seed, all k
     for k in range(0, 6):
         chi3 = chi3_element(k)
-        chi4 = build_chi(k).value((4,))
+        chi4 = value(build_chi(k), (4,))
         assert act_tensor(F, chi3).is_zero()
         assert act_tensor_seq((E, E), chi3).is_zero()
         assert act_tensor_seq((F, E), chi3) == chi3.scaled(-1)
@@ -69,7 +76,7 @@ def _unitary_family(element, family, k, mu_sq=1):
     """The coordinates of a cochain value on W_family(l) (x) x^(k-l) y^l,
     l = 0..k, in the unitary basis."""
     return [
-        unitary_coord(element.get((family(k, l), monomial_xy(k, l))), family(k, l), mu_sq)
+        unitary_coord(element.get(((), family(k, l), monomial_xy(k, l))), family(k, l), mu_sq)
         for l in range(k + 1)
     ]
 
@@ -86,7 +93,7 @@ def test_gamma_coefficients():
 
 
 def test_beta_coefficients():
-    beta = _unitary_family(build_psi0(2).value((3, 4)), psi0_index, 2)
+    beta = _unitary_family(value(build_psi0(2), (3, 4)), psi0_index, 2)
     assert beta == [RS.one(), RS.sqrt(2), RS.one()]
 
 
@@ -102,17 +109,17 @@ def test_differential_on_chi():
     for k in (0, 1, 4):
         chi = build_chi(k)
         d = differential(chi)
-        assert d.value((1, 2)).is_zero()
+        assert value(d, (1, 2)).is_zero()
         # psi_w13_element is psi(X1^X3)/sqrt(k+2)
-        assert d.value((1, 3)) == psi_w13_element(k)
+        assert value(d, (1, 3)) == psi_w13_element(k)
     # k = 0 special value: d(chi)(X1^X3) = 1/sqrt(2) * W0 (x) 1
-    ((idx, mono), coeff), = differential(build_chi(0)).value((1, 3)).items()
+    ((_, idx, mono), coeff), = value(differential(build_chi(0)), (1, 3)).items()
     assert (idx, mono) == (psi_index(0, 0), Monomial(0, 0, 0))
     assert unitary_coord(coeff, idx) == RS.sqrt(Fraction(1, 2))
 
 
 def test_differential_of_zero():
-    z = Cochain(2, 1, {})
+    z = Cochain()
     assert differential(z).is_zero()
 
 
@@ -125,7 +132,7 @@ def test_equivariance_of_named_cochains():
 def test_truncated_cochain_fails_equivariance():
     # keeping only the leading term of psi(X1^X3) breaks equivariance
     k = 1
-    truncated = Cochain(k, 2, {(1, 3): tensor_term(psi_index(k, 0), monomial_xy(k, 0))})
+    truncated = placed({(1, 3): tensor_term(psi_index(k, 0), monomial_xy(k, 0))})
     assert not check_equivariance(truncated)
 
 
@@ -133,13 +140,13 @@ def test_determinacy_from_w13():
     # the three remaining mixed-wedge values are forced by equivariance
     for k in (0, 2):
         psi = build_psi(k)
-        w13 = psi.value((1, 3))
+        w13 = value(psi, (1, 3))
         derived_23 = act_tensor(F, w13).scaled(CR.i_times(-1))
         derived_14 = act_tensor(E, w13).scaled(CR.i())
         derived_24 = w13 + act_tensor(E, derived_23).scaled(CR.i())
-        assert derived_23 == psi.value((2, 3))
-        assert derived_14 == psi.value((1, 4))
-        assert derived_24 == psi.value((2, 4))
+        assert derived_23 == value(psi, (2, 3))
+        assert derived_14 == value(psi, (1, 4))
+        assert derived_24 == value(psi, (2, 4))
         assert derived_24 == -w13
 
 
@@ -149,15 +156,13 @@ def test_hodge_types():
     assert hodge_type(psi) == (1, 1)
     assert hodge_type(psi0) == (0, 2)
     assert hodge_type(psi + psi0) == "mixed"
-    assert hodge_type(Cochain(k, 2, {})) is None
+    assert hodge_type(Cochain()) is None
     assert wedge_bidegree((1, 2)) == (2, 0)
     with pytest.raises(ValueError):
         hodge_type(build_chi(k))
 
 
 def test_bigrading_preserved_by_compact_action():
-    from su21coh.lie import L_GENS
-
     for u in L_GENS:
         for w in basis_wedges(2):
             for w2 in wedge_action(u, w):
@@ -202,7 +207,7 @@ def test_sanity_inversion_for_exact_target():
     k = 2
     d = differential(build_chi(k))
     x1_image = act_tensor(LieGen.X1, chi3_element(k))
-    assert d.value((1, 3)) == x1_image
+    assert value(d, (1, 3)) == x1_image
     assert not x1_image.is_zero()
 
 
@@ -308,14 +313,66 @@ def test_dd_zero_on_random_equivariant():
             assert differential(d).is_zero()
 
 
+def reference_differential(psi, degree, variant):
+    """Reference: the wedge-by-wedge differential, (d psi)(X_i0^...^X_iq) =
+    sum over t of (-1)^t X_it.psi(the wedge without X_it)."""
+    out = Cochain()
+    for target in basis_wedges(degree + 1):
+        total = Cochain()
+        for t, i in enumerate(target):
+            moved = act_tensor(P_GENS[i - 1], value(psi, target[:t] + target[t + 1 :]), variant)
+            total = total + (moved if t % 2 == 0 else -moved)
+        out = out + placed({target: total})
+    return out
+
+
+def reference_equivariance(psi, degree):
+    """Reference: u.(psi(w)) == sum over w2 of c psi(w2), u.w = sum c w2,
+    one compact generator and one basis wedge at a time."""
+    for u in L_GENS:
+        for w in basis_wedges(degree):
+            rhs = Cochain()
+            for w2, c in wedge_action(u, w).items():
+                rhs = rhs + value(psi, w2).scaled(c)
+            if act_tensor(u, value(psi, w)) != rhs:
+                return False
+    return True
+
+
+def _random_cochain(k, degree, rng):
+    return placed({w: random_tensor(k, rng) for w in basis_wedges(degree) if rng.random() < 0.7})
+
+
+def test_single_pass_matches_wedge_by_wedge_reference():
+    rng = np.random.default_rng(31)
+    cases = []
+    for k in (0, 1, 2):
+        for degree in range(5):
+            cases += [(_random_cochain(k, degree, rng), degree) for _ in range(2)]
+        chi, psi = build_chi(k), build_psi(k)
+        equivariant = random_equivariant_cochain(k, rng)
+        cases += [(chi, 1), (psi, 2), (build_psi0(k), 2), (equivariant, 1),
+                  (differential(equivariant), 2), (Cochain(), 3)]
+        # truncations: drop one term of an equivariant cochain
+        for coch, degree in ((chi, 1), (psi, 2), (differential(equivariant), 2)):
+            (key, coeff), = itertools.islice(coch.items(), 1)
+            truncated = coch - Cochain({key: coeff})
+            assert not check_equivariance(truncated)
+            cases.append((truncated, degree))
+    verdicts = []
+    for coch, degree in cases:
+        for variant in VARIANTS:
+            assert differential(coch, variant) == reference_differential(coch, degree, variant)
+        verdicts.append(check_equivariance(coch))
+        assert verdicts[-1] == reference_equivariance(coch, degree)
+    assert True in verdicts and False in verdicts
+    assert all(differential(c).is_zero() for c, degree in cases if degree == 4)
+
+
 def test_cochain_algebra_guards():
-    with pytest.raises(ValueError):
-        Cochain(0, 5, {})
-    with pytest.raises(ValueError):
-        Cochain(0, 1, {(1, 2): TensorElement()})
     a = build_psi(0)
     b = build_psi0(0)
-    assert (a + b).value((3, 4)) == b.value((3, 4))
+    assert value(a + b, (3, 4)) == value(b, (3, 4))
     assert (a - a).is_zero()
 
 

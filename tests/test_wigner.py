@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tensor
-from su21coh.cochains import TensorElement, act_tensor
+from su21coh.cochains import Cochain, act_tensor
 from su21coh.lie import L_GENS, P_GENS, LieGen, bracket, gen_matrix, project_to_p
 from su21coh.scalars import ComplexRadical, RadicalScalar
 from su21coh.wigner import (
@@ -134,7 +134,7 @@ def test_closure_on_random_vectors():
         for _ in range(25):
             t = random_tensor(k, rng, j_max=6)
             for gen in L_GENS + P_GENS:
-                for (idx, mono), coeff in act_tensor(gen, t).items():
+                for (_, idx, mono), coeff in act_tensor(gen, t).items():
                     assert not coeff.is_zero()
                     assert admissible(idx, k), (gen, idx)
                     assert mono.degree() == k
@@ -165,7 +165,7 @@ def _bracket_failures(variant, seed=7):
                     commutator = act_tensor(u, act_tensor(x, t, variant)) - act_tensor(
                         x, act_tensor(u, t), variant
                     )
-                    expected = TensorElement()
+                    expected = Cochain()
                     for c, gen in zip(coords, P_GENS):
                         if not c.is_zero():
                             expected = expected + act_tensor(gen, t, variant).scaled(c)
