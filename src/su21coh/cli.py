@@ -145,28 +145,21 @@ def cmd_export_generators(args) -> int:
 
 def cmd_oracle(args) -> int:
     results: list[CheckResult] = []
-    variant = args.thm37_variant
-    if variant == "auto":
-        variant, row = oracle.adjudicate_variant(args.k, args.samples, args.tol, args.seed)
+    params = {"k": args.k, "j_max": str(args.j_max), "samples": args.samples,
+              "seed": args.seed, "tol": args.tol, "variant": args.thm37_variant}
+    if params["variant"] == "auto":
+        params["variant"], row = oracle.adjudicate_variant(args.k, args.samples, args.tol, args.seed)
         results.append(row)
-        if variant is None:
-            return _emit(args, "oracle", {"variant": "auto"}, results)
+        if params["variant"] is None:
+            return _emit(args, "oracle", params, results)
     results += oracle.check_action(
         args.k, j_max=args.j_max, samples=args.samples, tol=args.tol,
-        seed=args.seed, variant=variant,
+        seed=args.seed, variant=params["variant"],
     )
     results += oracle.homomorphism_report(seed=args.seed)
     results += oracle.iwasawa_report(seed=args.seed)
     results += oracle.orthogonality_report()
     results += oracle.covariance_report(k=args.k[0], seed=args.seed)
-    params = {
-        "k": args.k,
-        "j_max": str(args.j_max),
-        "samples": args.samples,
-        "seed": args.seed,
-        "tol": args.tol,
-        "variant": variant,
-    }
     return _emit(args, "oracle", params, results)
 
 

@@ -12,9 +12,13 @@ in the rescaled Wigner basis W'_idx = W_idx / a(idx) of `wigner`.  There
 the explicit cochains have Gaussian-rational coordinates: k!/(k-l)! at l
 for `chi(X3)` and `psi0(X3^X4)`, (l+1) k!/(k-l)! for `psi(X1^X3)`, stored
 as psi/sqrt(k+2); `cochain_to_dict` converts back to the unitary basis.
-The differential uses only the first-order terms: the pairwise brackets of
-the X's project to zero in the quotient, which is asserted (not assumed) on
-first use.
+A generator acts on a cochain through all three slots (`act_tensor`):
+on the function and polynomial slots by the Leibniz rule, and on the
+wedge slot by pulling back, (u.psi)(w) = u.(psi(w)) - psi(u.w).  A
+cochain is K-equivariant exactly when the compact generators annihilate
+it.  The differential uses only the first-order terms: the pairwise
+brackets of the X's project to zero in the quotient, which is asserted
+(not assumed) on first use.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie import L_GENS, P_GENS, LieGen, bracket_coords, gen_matrix, wedge_action
+from .lie import L_GENS, P_GENS, LieGen, bracket_coords, gen_matrix, wedge_action, wedge_insert
 from .polynomials import Monomial, PolyVector, act_poly, monomial_xy
 from .report import CheckResult, all_passed
 from .scalars import ComplexRadical, GaussianRational
@@ -75,11 +79,26 @@ def _poly_image(gen: LieGen, mono: Monomial) -> tuple:
     return tuple(act_poly(gen_matrix(gen), PolyVector({mono: 1})).items())
 
 
+@lru_cache(maxsize=None)
+def _pullback(gen: LieGen) -> dict:
+    """{w2: ((w, -c), ...)} over the basis wedges w with gen.w = ... + c w2
+    + ...: minus the transpose of `wedge_action`.  Empty for a noncompact
+    generator, whose brackets with the X's have no p-part.  Memoized:
+    callers share the dict and only read it."""
+    out: dict = {}
+    for w in itertools.chain.from_iterable(basis_wedges(q) for q in range(5)):
+        for w2, c in wedge_action(gen, w).items():
+            out.setdefault(w2, []).append((w, -c))
+    return {w2: tuple(pairs) for w2, pairs in out.items()}
+
+
 def act_tensor(gen: LieGen, psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
-    """Leibniz action on the module slot of every term: generator on the
-    function slot plus generator on the polynomial slot.  The wedge slot is
-    carried along."""
+    """The action on all three slots of every term, (gen.psi)(w) =
+    gen.(psi(w)) - psi(gen.w): gen on the function slot plus gen on the
+    polynomial slot (Leibniz), and the pullback along gen on the wedge
+    slot."""
     compact = gen in L_GENS
+    pullback = _pullback(gen)
     out: list = []
     for (w, idx, mono), coeff in psi.items():
         moved = act_l_index(gen, idx) if compact else act_p_index(gen, idx, variant)
@@ -87,6 +106,8 @@ def act_tensor(gen: LieGen, psi: Cochain, variant: str = DEFAULT_VARIANT) -> Coc
             out.append(((w, tgt, mono), c * coeff))
         for pm, pc in _poly_image(gen, mono):
             out.append(((w, idx, pm), pc * coeff))
+        for w1, c in pullback.get(w, ()):
+            out.append(((w1, idx, mono), c * coeff))
     return Cochain(out)
 
 
@@ -103,14 +124,6 @@ def _check_p_brackets_central() -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _insert(w: Wedge, i: int) -> tuple[Wedge, bool]:
-    """X_i ^ w as a sorted wedge, and whether the sign (-1)^position of i
-    is -1."""
-    p = sum(1 for j in w if j < i)
-    return w[:p] + (i,) + w[p:], p % 2 == 1
-
-
 def differential(psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
     """First sum of the Chevalley-Eilenberg differential: for each X_i, X_i
     acts on the terms whose wedge lacks i, which land on the wedge with i
@@ -124,7 +137,7 @@ def differential(psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
         lacking = {}
         for (w, idx, mono), coeff in psi.items():
             if i not in w:
-                target, flip = _insert(w, i)
+                target, flip = wedge_insert(w, i)
                 lacking[target, idx, mono] = -coeff if flip else coeff
         if lacking:
             out.extend(act_tensor(gen, _made(Cochain, lacking), variant).items())
@@ -136,24 +149,10 @@ def differential(psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _coaction(u: LieGen, w2: Wedge) -> tuple:
-    """(w, c) for every basis wedge w with u.w = ... + c w2 + ...: the
-    transpose of `wedge_action`."""
-    return tuple((w, wedge_action(u, w)[w2]) for w in basis_wedges(len(w2))
-                 if w2 in wedge_action(u, w))
-
-
 def check_equivariance(psi: Cochain) -> bool:
-    """Exact check of u.(psi(w)) = psi(u.w) for the four compact generators
-    and every basis wedge at once: psi(u.w) moves each term at w2 to every w
-    whose image u.w contains w2.  False at the first generator that fails."""
-    for u in L_GENS:
-        coacted = Cochain([((w, idx, mono), coeff * c) for (w2, idx, mono), coeff in psi.items()
-                           for w, c in _coaction(u, w2)])
-        if act_tensor(u, psi) != coacted:
-            return False
-    return True
+    """Exact K-equivariance: the four compact generators annihilate psi,
+    i.e. u.(psi(w)) = psi(u.w) for every u and basis wedge w."""
+    return all(act_tensor(u, psi).is_zero() for u in L_GENS)
 
 
 # ---------------------------------------------------------------------------

@@ -75,9 +75,12 @@ class Mat3(LinComb):
         return self.get(ij)
 
     def __matmul__(self, other):
-        return Mat3(
-            [[sum(self[i, k] * other[k, j] for k in range(3)) for j in range(3)] for i in range(3)]
-        )
+        out: dict = {}
+        for (i, k), x in self.items():
+            for (k2, j), y in other.items():
+                if k == k2:
+                    out[i, j] = out[i, j] + x * y if (i, j) in out else x * y
+        return Mat3(out)
 
     def transpose(self):
         return Mat3({(j, i): x for (i, j), x in self.items()})
@@ -157,43 +160,30 @@ _GEN_MATRICES = {
 
 U_REAL_BASIS = (U0, U1, U2, U3)
 Y_BASIS = (Y1, Y2, Y3, Y4)
-X_BASIS = (X1, X2, X3, X4)
 
 
 def gen_matrix(gen: LieGen) -> Mat3:
     return _GEN_MATRICES[gen]
 
 
-def project_to_p(a: Mat3) -> tuple[GaussianRational, ...]:
-    """Coordinates of the p_C-component of a traceless matrix over X1..X4.
-
-    The splitting sl(3,C) = l_C + p_C puts the (1,3), (2,3), (3,1), (3,2)
-    entries in p_C and everything else in l_C.  The l_C-residual is solved
-    for explicitly and the reconstruction is asserted, so a matrix outside
-    the algebra cannot slip through.
-    """
-    if not a.trace().is_zero():
-        raise NotInLieAlgebra("matrix has nonzero trace")
-    coeffs = (a[0, 2], a[1, 2], a[2, 0], a[2, 1])
-    residual = a
-    for c, x in zip(coeffs, X_BASIS):
-        residual = residual - x.scaled(c)
-    # residual = r0*U0 + rp*(U1+iU2) + rm*(U1-iU2) + r3*U3; the diagonal of
-    # U0, U3 and the off-diagonal i's of U1 +- iU2 make this solvable:
+def coords(a: Mat3) -> dict[LieGen, GaussianRational]:
+    """The nonzero coordinates of a traceless matrix over the eight
+    generators, read off its entries: X1..X4 are the units at (1,3), (2,3),
+    (3,1), (3,2), U1 +- iU2 are i at (1,2) and (2,1), and the diagonal fixes
+    U0 and U3.  The matrix is rebuilt from them as a check, so a matrix
+    outside sl(3,C) cannot slip through."""
     minus_i = -_i
-    r0 = residual[2, 2] * _i
-    rp = residual[0, 1] * minus_i
-    rm = residual[1, 0] * minus_i
-    r3 = (residual[0, 0] - residual[1, 1]) * minus_i
-    rebuilt = (
-        U0.scaled(r0)
-        + U1_PLUS_IU2.scaled(rp)
-        + U1_MINUS_IU2.scaled(rm)
-        + U3.scaled(r3)
-    )
-    if not (residual - rebuilt).is_zero():
-        raise NotInLieAlgebra("residual not in the span of the compact generators")
-    return coeffs
+    read = {
+        LieGen.U0: a[2, 2] * _i,
+        LieGen.U1_PLUS_IU2: a[0, 1] * minus_i,
+        LieGen.U1_MINUS_IU2: a[1, 0] * minus_i,
+        LieGen.U3: (a[0, 0] - a[1, 1]) * minus_i,
+        **{x: a[cell] for x, cell in zip(P_GENS, ((0, 2), (1, 2), (2, 0), (2, 1)))},
+    }
+    out = {gen: c for gen, c in read.items() if not c.is_zero()}
+    if sum((gen_matrix(gen).scaled(c) for gen, c in out.items()), Mat3()) != a:
+        raise NotInLieAlgebra("matrix has nonzero trace")
+    return out
 
 
 def is_in_g(a: Mat3) -> bool:
@@ -261,26 +251,34 @@ def table3_fixture() -> dict[tuple[tuple[int, int], LieGen], list[tuple[Gaussian
 
 @lru_cache(maxsize=None)
 def bracket_coords(u: LieGen, i: int) -> tuple[tuple[int, GaussianRational], ...]:
-    """[u, X_i] over the X basis, recomputed from matrices (1-based slots)."""
-    dec = project_to_p(bracket(gen_matrix(u), gen_matrix(P_GENS[i - 1])))
-    return tuple((a + 1, c) for a, c in enumerate(dec) if not c.is_zero())
+    """The p-part of [u, X_i] over the X basis, recomputed from matrices
+    (1-based slots)."""
+    dec = coords(bracket(gen_matrix(u), gen_matrix(P_GENS[i - 1])))
+    return tuple((a, dec[x]) for a, x in enumerate(P_GENS, 1) if x in dec)
+
+
+@lru_cache(maxsize=None)
+def wedge_insert(w: tuple[int, ...], i: int) -> tuple[tuple[int, ...], bool]:
+    """X_i ^ w as a sorted wedge, and whether the sign (-1)^position of i
+    is -1."""
+    p = sum(1 for j in w if j < i)
+    return w[:p] + (i,) + w[p:], p % 2 == 1
 
 
 @lru_cache(maxsize=None)
 def wedge_action(u: LieGen, w: tuple[int, ...]) -> dict[tuple[int, ...], GaussianRational]:
     """u.(X_{i1} ^ ... ^ X_{iq}) expanded over basis wedges, via the Leibniz
-    rule slot by slot.  Memoized: callers share the dict and only read it."""
+    rule slot by slot: the image of slot t moves to the front, sign (-1)^t,
+    and is inserted into the rest.  Memoized: callers share the dict and
+    only read it."""
     terms = []
-    for t in range(len(w)):
-        for a, c in bracket_coords(u, w[t]):
-            slots = w[:t] + (a,) + w[t + 1 :]
-            if len(set(slots)) < len(slots):
+    for t, i in enumerate(w):
+        rest = w[:t] + w[t + 1 :]
+        for a, c in bracket_coords(u, i):
+            if a in rest:
                 continue
-            inversions = sum(
-                1 for p in range(len(slots)) for q in range(p + 1, len(slots))
-                if slots[p] > slots[q]
-            )
-            terms.append((tuple(sorted(slots)), c if inversions % 2 == 0 else -c))
+            target, flip = wedge_insert(rest, a)
+            terms.append((target, -c if flip != (t % 2 == 1) else c))
     return dict(LinComb(terms).items())
 
 

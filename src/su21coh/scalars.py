@@ -184,6 +184,11 @@ class ComplexRadical:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other) -> "ComplexRadical":
+        if (other := _operand(other)) is None:
+            return NotImplemented
+        return other + (-self)
+
     def __mul__(self, other) -> "ComplexRadical":
         if (other := _operand(other)) is None:
             return NotImplemented

@@ -10,7 +10,9 @@ import pytest
 
 import su21coh
 
+from su21coh import oracle
 from su21coh.cli import build_parser, main
+from su21coh.report import CheckResult
 
 
 def test_verify_structure_ok(capsys):
@@ -172,6 +174,20 @@ def test_oracle_auto_adjudicates(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "accepted=plus1" in out
+
+
+def test_failed_adjudication_reports_every_param(monkeypatch, capsys):
+    def rejecting(ks, samples, tol, seed):
+        return None, CheckResult("variant adjudication", False, "accepted=None")
+
+    monkeypatch.setattr(oracle, "adjudicate_variant", rejecting)
+    code = main(["oracle", "--k", "0..1", "--j-max", "1", "--samples", "3", "--seed", "5",
+                 "--tol", "1e-7", "--format", "structured"])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["params"] == {"k": [0, 1], "j_max": "1", "samples": 3, "seed": 5,
+                                "tol": 1e-7, "variant": None}
+    assert [c["check"] for c in report["checks"]] == ["variant adjudication"]
 
 
 def test_oracle_reports_deterministic(tmp_path, capsys):

@@ -339,6 +339,18 @@ def reference_equivariance(psi, degree):
     return True
 
 
+def reference_action(u, psi, degree):
+    """Reference: (u.psi)(w) = u.(psi(w)) - sum over w2 of c psi(w2), u.w =
+    sum c w2, one basis wedge at a time."""
+    out = Cochain()
+    for w in basis_wedges(degree):
+        total = act_tensor(u, value(psi, w))
+        for w2, c in wedge_action(u, w).items():
+            total = total - value(psi, w2).scaled(c)
+        out = out + placed({w: total})
+    return out
+
+
 def _random_cochain(k, degree, rng):
     return placed({w: random_tensor(k, rng) for w in basis_wedges(degree) if rng.random() < 0.7})
 
@@ -348,7 +360,10 @@ def test_single_pass_matches_wedge_by_wedge_reference():
     cases = []
     for k in (0, 1, 2):
         for degree in range(5):
-            cases += [(_random_cochain(k, degree, rng), degree) for _ in range(2)]
+            drawn = [_random_cochain(k, degree, rng) for _ in range(2)]
+            cases += [(coch, degree) for coch in drawn]
+            for coch, u in itertools.product(drawn, L_GENS + P_GENS):
+                assert act_tensor(u, coch) == reference_action(u, coch, degree)
         chi, psi = build_chi(k), build_psi(k)
         equivariant = random_equivariant_cochain(k, rng)
         cases += [(chi, 1), (psi, 2), (build_psi0(k), 2), (equivariant, 1),

@@ -16,16 +16,19 @@ from su21coh.lie import (
     X3,
     X4,
     Y1,
+    Y2,
+    Y3,
+    Y4,
     L_GENS,
     P_GENS,
     LieGen,
     Mat3,
     NotInLieAlgebra,
     bracket,
+    coords,
     gen_matrix,
     is_in_g,
     is_in_k,
-    project_to_p,
     real_form_conjugate,
     table1_fixture,
     verify_structure,
@@ -34,7 +37,7 @@ from su21coh.lie import (
     wedge_action,
 )
 from su21coh.report import all_passed
-from su21coh.scalars import ComplexRadical
+from su21coh.scalars import ComplexRadical, GaussianRational
 
 i = ComplexRadical.i()
 ih = ComplexRadical.i_times(Fraction(1, 2))
@@ -67,24 +70,41 @@ def test_brackets():
     assert bracket(X3, X4).is_zero()
 
 
-def test_project_to_p():
-    assert project_to_p(X1) == (ComplexRadical.of(1), ComplexRadical(), ComplexRadical(), ComplexRadical())
-    assert all(c.is_zero() for c in project_to_p(U0))
+def _random_traceless(rng):
+    """A 3x3 matrix with random Gaussian-rational entries and trace zero."""
+    def draw():
+        re, im = (int(x) for x in rng.integers(-9, 10, size=2))
+        return GaussianRational(re, im, int(rng.integers(1, 7)))
+
+    rows = [[draw() for _ in range(3)] for _ in range(3)]
+    rows[2][2] = -(rows[0][0] + rows[1][1])
+    return Mat3(rows)
+
+
+def test_coords():
+    assert coords(X1) == {LieGen.X1: ComplexRadical.of(1)}
+    assert coords(U0) == {LieGen.U0: 1}  # no p-part
     # Y1 = X1 + X3
-    c = project_to_p(Y1)
-    assert [x == ComplexRadical.of(v) for x, v in zip(c, (1, 0, 1, 0))] == [True] * 4
-    with pytest.raises(NotInLieAlgebra):
-        project_to_p(IDENTITY)
+    assert coords(Y1) == {LieGen.X1: 1, LieGen.X3: 1}
+    for gen in LieGen:
+        assert coords(gen_matrix(gen)) == {gen: 1}
+    rng = np.random.default_rng(14)
+    traceless = [Y1, Y2, Y3, Y4] + [_random_traceless(rng) for _ in range(20)]
+    for m in traceless:
+        c = coords(m)
+        assert sum((gen_matrix(gen).scaled(x) for gen, x in c.items()), Mat3()) == m
+        assert not any(x.is_zero() for x in c.values())
+    for m in (IDENTITY, J_DIAG, traceless[-1] + Mat3({(0, 0): GaussianRational(0, 1)})):
+        with pytest.raises(NotInLieAlgebra):
+            coords(m)
 
 
 def test_table1_cells():
     res = {r.name: r.passed for r in verify_table1()}
     assert all(res.values())
     # spot values recomputed directly
-    dec = project_to_p(bracket(gen_matrix(LieGen.U1_PLUS_IU2), X2))
-    assert dec[0] == i and all(c.is_zero() for c in dec[1:])
-    dec = project_to_p(bracket(U0, X1))
-    assert dec[0] == ComplexRadical.i_times(Fraction(3, 2))
+    assert coords(bracket(gen_matrix(LieGen.U1_PLUS_IU2), X2)) == {LieGen.X1: i}
+    assert coords(bracket(U0, X1)) == {LieGen.X1: ComplexRadical.i_times(Fraction(3, 2))}
 
 
 def test_table3_cells():
@@ -110,17 +130,18 @@ def test_l_action_stabilizes_p():
     for u in L_GENS:
         for x in P_GENS:
             com = bracket(gen_matrix(u), gen_matrix(x))
-            coeffs = project_to_p(com)
+            dec = coords(com)
+            assert set(dec) <= set(P_GENS)
             rebuilt = Mat3([[0, 0, 0]] * 3)
-            for c, xb in zip(coeffs, (X1, X2, X3, X4)):
-                rebuilt = rebuilt + xb.scaled(c)
+            for x, c in dec.items():
+                rebuilt = rebuilt + gen_matrix(x).scaled(c)
             assert (com - rebuilt).is_zero()
 
 
 def test_p_brackets_in_l():
     for a in (X1, X2, X3, X4):
         for b in (X1, X2, X3, X4):
-            assert all(c.is_zero() for c in project_to_p(bracket(a, b)))
+            assert not set(coords(bracket(a, b))) & set(P_GENS)
 
 
 def test_real_form_conjugation_swaps_halves():

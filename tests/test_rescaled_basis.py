@@ -34,10 +34,9 @@ from su21coh.lie import (
     L_GENS,
     P_GENS,
     LieGen,
-    Mat3,
     bracket,
+    coords,
     gen_matrix,
-    project_to_p,
     wedge_action,
 )
 from su21coh.polynomials import monomial_xy
@@ -141,27 +140,11 @@ def test_cochain_closed_forms():
 # ---------------------------------------------------------------------------
 
 
-def _gen_coords(m):
-    """{generator: coefficient} of a matrix in the span of the eight
-    generators, checked by rebuilding the matrix."""
-    p = project_to_p(m)
-    rest = m
-    for c, gen in zip(p, P_GENS):
-        rest = rest - gen_matrix(gen).scaled(c)
-    minus_i = GaussianRational(0, -1)
-    l = (rest[2, 2] * GaussianRational(0, 1), rest[0, 1] * minus_i, rest[1, 0] * minus_i,
-         (rest[0, 0] - rest[1, 1]) * minus_i)
-    coords = {g: GaussianRational.of(c) for g, c in zip(GENS, l + p) if not c.is_zero()}
-    rebuilt = sum((gen_matrix(g).scaled(c) for g, c in coords.items()), Mat3())
-    assert rebuilt == m
-    return coords
-
-
 def relation_failures(variant="plus1", j_max=2, ks=(0, 1)) -> int:
     """Number of (pair, basis vector) cells where
     act(a)act(b) - act(b)act(a) != act([a, b])."""
     brackets = {
-        (a, b): _gen_coords(bracket(gen_matrix(a), gen_matrix(b)))
+        (a, b): coords(bracket(gen_matrix(a), gen_matrix(b)))
         for a, b in itertools.combinations(GENS, 2)
     }
     assert len(brackets) == 28
@@ -171,10 +154,10 @@ def relation_failures(variant="plus1", j_max=2, ks=(0, 1)) -> int:
             for mono in monomial_basis(k):
                 t = tensor_term(idx, mono)
                 once = {g: act_tensor(g, t, variant) for g in GENS}
-                for (a, b), coords in brackets.items():
+                for (a, b), dec in brackets.items():
                     lhs = act_tensor(a, once[b], variant) - act_tensor(b, once[a], variant)
                     rhs = Cochain()
-                    for g, c in coords.items():
+                    for g, c in dec.items():
                         rhs = rhs + once[g].scaled(c)
                     failures += lhs != rhs
     return failures

@@ -362,6 +362,18 @@ def test_gaussian_mixes_with_numbers_and_radicals():
     assert half_i * x1 == x1 * half_i
 
 
+def test_numbers_minus_a_radical():
+    # int, Fraction and GaussianRational on the left of a ComplexRadical
+    root2 = RS.sqrt(2)
+    for n in (1, Fraction(1, 2), G(0, 1, 2)):
+        diff = n - root2
+        assert type(diff) is CR
+        assert diff == CR.of(n) - root2 and diff + root2 == n
+    assert 1 - RS.sqrt(2) == -(RS.sqrt(2) - 1)
+    with pytest.raises(TypeError):
+        1.5 - root2
+
+
 def test_equal_values_hash_equal_across_the_number_types():
     for g, others in ((G(2), (2, Fraction(2), CR.of(2))), (G(), (0, CR())),
                       (G(-7, 0, 3), (Fraction(-7, 3), CR.of(Fraction(-7, 3)))),
