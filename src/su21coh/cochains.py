@@ -17,8 +17,8 @@ on the function and polynomial slots by the Leibniz rule, and on the
 wedge slot by pulling back, (u.psi)(w) = u.(psi(w)) - psi(u.w).  A
 cochain is K-equivariant exactly when the compact generators annihilate
 it.  The differential uses only the first-order terms: the pairwise
-brackets of the X's project to zero in the quotient, which is asserted
-(not assumed) on first use.
+brackets of the X's project to zero in the quotient, which it checks (not
+assumes) on every call by reading the pullback tables `act_tensor` applies.
 """
 
 from __future__ import annotations
@@ -28,18 +28,18 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie import L_GENS, P_GENS, LieGen, bracket_coords, gen_matrix, wedge_action, wedge_insert
+from .lie import L_GENS, P_GENS, LieGen, gen_matrix, wedge_action, wedge_insert
 from .polynomials import Monomial, PolyVector, act_poly, monomial_xy
 from .report import CheckResult, all_passed
 from .scalars import ComplexRadical, GaussianRational
 from .sparse import LinComb, _made
 from .wigner import (
     DEFAULT_VARIANT,
-    WignerIndex,
     act_l_index,
     act_p_index,
     admissible,
     chi_index,
+    module_index,
     psi0_index,
     psi_index,
     scale_sq,
@@ -82,9 +82,9 @@ def _poly_image(gen: LieGen, mono: Monomial) -> tuple:
 @lru_cache(maxsize=None)
 def _pullback(gen: LieGen) -> dict:
     """{w2: ((w, -c), ...)} over the basis wedges w with gen.w = ... + c w2
-    + ...: minus the transpose of `wedge_action`.  Empty for a noncompact
-    generator, whose brackets with the X's have no p-part.  Memoized:
-    callers share the dict and only read it."""
+    + ...: minus the transpose of `wedge_action`.  Its 1-wedge rows are the
+    p-parts of [gen, X_i]; `differential` checks it is empty for each X_i.
+    Memoized: callers share the dict and only read it."""
     out: dict = {}
     for w in itertools.chain.from_iterable(basis_wedges(q) for q in range(5)):
         for w2, c in wedge_action(gen, w).items():
@@ -116,24 +116,18 @@ def act_tensor(gen: LieGen, psi: Cochain, variant: str = DEFAULT_VARIANT) -> Coc
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _check_p_brackets_central() -> bool:
-    for a, b in itertools.combinations(range(4), 2):
-        if bracket_coords(P_GENS[a], b + 1):
-            raise BracketNotInL(f"[X{a + 1}, X{b + 1}] has a nonzero noncompact part")
-    return True
-
-
 def differential(psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
     """First sum of the Chevalley-Eilenberg differential: for each X_i, X_i
     acts on the terms whose wedge lacks i, which land on the wedge with i
     inserted, signed (-1)^(position of i).  The second (bracket) sum
     vanishes identically here because all pairwise brackets of the
-    noncompact generators lie in the compact part; that fact is checked once
-    per process rather than trusted."""
-    _check_p_brackets_central()
+    noncompact generators lie in the compact part.  That fact is checked on
+    every call rather than trusted: X_i's pullback table, which `act_tensor`
+    applies, must be empty."""
     out: list = []
     for i, gen in enumerate(P_GENS, 1):
+        if _pullback(gen):
+            raise BracketNotInL(f"a bracket [{gen.value}, X_j] has a nonzero noncompact part")
         lacking = {}
         for (w, idx, mono), coeff in psi.items():
             if i not in w:
@@ -331,11 +325,11 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
     expected = {chi_index(k, l) for l in range(k + 2)}
     found = set()
     for t in targets:
-        tj, tn, tm1, tm2 = t
+        tj, _, tm1, tm2 = t
         for gen, dm1 in ((LieGen.X3, +1), (LieGen.X4, -1)):
             for dj in (-1, +1):
-                cand = WignerIndex(tj + dj, tn + 3, tm1 + dm1, tm2 + 1)
-                if not cand.structurally_valid() or not admissible(cand, k):
+                cand = module_index(k, tj + dj, tm1 + dm1, tm2 + 1)
+                if not admissible(cand, k):
                     continue
                 image = dict(act_p_index(gen, cand, variant))
                 if t in image:

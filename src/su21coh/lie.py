@@ -265,12 +265,10 @@ def wedge_insert(w: tuple[int, ...], i: int) -> tuple[tuple[int, ...], bool]:
     return w[:p] + (i,) + w[p:], p % 2 == 1
 
 
-@lru_cache(maxsize=None)
 def wedge_action(u: LieGen, w: tuple[int, ...]) -> dict[tuple[int, ...], GaussianRational]:
     """u.(X_{i1} ^ ... ^ X_{iq}) expanded over basis wedges, via the Leibniz
     rule slot by slot: the image of slot t moves to the front, sign (-1)^t,
-    and is inserted into the rest.  Memoized: callers share the dict and
-    only read it."""
+    and is inserted into the rest."""
     terms = []
     for t, i in enumerate(w):
         rest = w[:t] + w[t + 1 :]

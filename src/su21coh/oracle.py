@@ -498,18 +498,21 @@ def check_action(ks, j_max=Fraction(5, 2), samples: int = 20, tol: float = 1e-6,
     return results
 
 
-def adjudicate_variant(ks, samples: int, tol: float, seed: int,
-                       j_max=Fraction(3, 2)) -> tuple[str | None, CheckResult]:
-    """Run the noncompact sweep for k <= min(max(ks), 1) at min(samples, 5)
-    seeded points under both coefficient variants, on one set of decomposed
-    points, and accept the one variant the finite differences pass; a
-    variant whose sweep compares nothing fails, with error inf.  Returns the
-    accepted variant (None unless exactly one passes) and the report row."""
+ADJUDICATION_J_MAX = Fraction(3, 2)
+
+
+def adjudicate_variant(ks, samples: int, tol: float, seed: int) -> tuple[str | None, CheckResult]:
+    """Run the noncompact sweep at three fixed sizes, k <= min(max(ks), 1),
+    j <= ADJUDICATION_J_MAX = 3/2 and min(samples, 5) seeded points, under
+    both coefficient variants on one set of decomposed points, and accept
+    the one variant the finite differences pass; a variant whose sweep
+    compares nothing fails, with error inf.  Returns the accepted variant
+    (None unless exactly one passes) and the report row."""
     base, stencils = _fd_points(min(samples, 5), seed, P_GENS)
     worst, passing = {}, []
     for variant in VARIANTS:
         res = [r for k in range(min(max(ks), 1) + 1)
-               for r in _fd_sweep(k, j_max, tol, variant, base, stencils)]
+               for r in _fd_sweep(k, ADJUDICATION_J_MAX, tol, variant, base, stencils)]
         worst[variant] = max((r.max_err for r in res if r.max_err is not None), default=math.inf)
         if all_passed(res):
             passing.append(variant)

@@ -8,11 +8,11 @@ W'_idx = W_idx / a(idx), a(idx)^2 = `scale_sq(idx)` (Biedenharn-Louck,
 square roots cancel, and every `plus1` coefficient is a Gaussian rational.
 
 An index (j, n, m1, m2) names the matrix-coefficient function on U(2); the
-induced module for the weight parameter k >= 0 contains exactly the indices
-satisfying
-
-    -3j - 2k - 3 <= n <= 3j - 2k - 3        (torus window)
-    3*m2 - 2k - 3 = n                       (central character matching)
+induced module for the weight parameter k >= 0 contains exactly the
+structurally valid indices whose n is fixed by m2 through the central
+character of the inducing character, n = 3*m2 - 2k - 3.  `module_index`
+is the one place that holds this rule; every index of the module, the
+named families included, is built through it.
 
 All half-integers are stored as doubled integers; nothing in this module
 touches floating point.
@@ -74,28 +74,28 @@ class WignerIndex(NamedTuple):
         return f"W[j={_half(j2)},n={_half(n2)},m1={_half(m12)},m2={_half(m22)}]"
 
 
+def module_index(k: int, j2: int, m12: int, m22: int) -> WignerIndex:
+    """The index (j, n, m1, m2) of the module at parameter k, with n pinned
+    to m2 by the central character, n = 3*m2 - (2k + 3)."""
+    return WignerIndex(j2, 3 * m22 - (4 * k + 6), m12, m22)
+
+
 def admissible(idx: WignerIndex, k: int) -> bool:
-    """Both membership conditions for the induced module at parameter k."""
-    if not idx.structurally_valid():
-        return False
-    j2, n2, _, m22 = idx
-    c = 4 * k + 6  # doubled 2k+3
-    return (-3 * j2 - c <= n2 <= 3 * j2 - c) and (3 * m22 - c == n2)
+    """Membership in the induced module at parameter k: a structurally valid
+    index with the central character's n.  The torus window
+    -3j - 2k - 3 <= n <= 3j - 2k - 3 then reads |m2| <= j, which structural
+    validity already requires."""
+    return idx.structurally_valid() and idx == module_index(k, idx.j2, idx.m12, idx.m22)
 
 
 def admissible_indices(k: int, j_max) -> Iterator[WignerIndex]:
-    """All admissible indices with j <= j_max, in deterministic order.
-
-    The central-character condition pins n to m2, and the torus window is
-    then automatic, so this is a plain sweep over (j, m1, m2).
-    """
+    """All admissible indices with j <= j_max, in deterministic order: a
+    plain sweep over (j, m1, m2), since the central character pins n."""
     jmax2 = int(2 * Fraction(j_max))
     for j2 in range(0, jmax2 + 1):
         for m12 in range(-j2, j2 + 1, 2):
             for m22 in range(-j2, j2 + 1, 2):
-                idx = WignerIndex(j2, 3 * m22 - (4 * k + 6), m12, m22)
-                assert admissible(idx, k)
-                yield idx
+                yield module_index(k, j2, m12, m22)
 
 
 def scale_sq(idx: WignerIndex) -> Fraction:
@@ -211,13 +211,15 @@ def act_p_index(
 # ---------------------------------------------------------------------------
 
 
+def _check_l(l: int, lo: int, hi: int) -> None:
+    if not lo <= l <= hi:
+        raise OutOfRange(f"l={l} outside [{lo}, {hi}]")
+
+
 def psi_index(k: int, l: int) -> WignerIndex:
     """Index family carrying the (1,1)-type cocycle; l in {-1, ..., k+1}."""
-    if not -1 <= l <= k + 1:
-        raise OutOfRange(f"l={l} outside [-1, {k + 1}]")
-    idx = WignerIndex(k + 2, -k, -k + 2 * l, k + 2)
-    assert admissible(idx, k)
-    return idx
+    _check_l(l, -1, k + 1)
+    return module_index(k, k + 2, -k + 2 * l, k + 2)
 
 
 def psi0_index(k: int, l: int) -> WignerIndex:
@@ -226,26 +228,17 @@ def psi0_index(k: int, l: int) -> WignerIndex:
     The m2 parameter equals k/2: it is the unique value compatible with the
     central-character condition (and, for small k, with |m2| <= j).
     """
-    if not 0 <= l <= k:
-        raise OutOfRange(f"l={l} outside [0, {k}]")
-    idx = WignerIndex(k, -k - 6, -k + 2 * l, k)
-    assert admissible(idx, k)
-    return idx
+    _check_l(l, 0, k)
+    return module_index(k, k, -k + 2 * l, k)
 
 
 def psi0_tilde_index(k: int, l: int) -> WignerIndex:
     """Companion family with j shifted up by one; l in {0, ..., k+1}."""
-    if not 0 <= l <= k + 1:
-        raise OutOfRange(f"l={l} outside [0, {k + 1}]")
-    idx = WignerIndex(k + 2, -k - 6, -k + 2 * l, k)
-    assert admissible(idx, k)
-    return idx
+    _check_l(l, 0, k + 1)
+    return module_index(k, k + 2, -k + 2 * l, k)
 
 
 def chi_index(k: int, l: int) -> WignerIndex:
     """Index family carrying the primitive 1-cochain; l in {0, ..., k+1}."""
-    if not 0 <= l <= k + 1:
-        raise OutOfRange(f"l={l} outside [0, {k + 1}]")
-    idx = WignerIndex(k + 1, -k - 3, -(k + 1) + 2 * l, k + 1)
-    assert admissible(idx, k)
-    return idx
+    _check_l(l, 0, k + 1)
+    return module_index(k, k + 1, -(k + 1) + 2 * l, k + 1)

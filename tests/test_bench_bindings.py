@@ -1,12 +1,13 @@
 """The traced benchmark wraps su21coh functions by name (bench/tracer.py).
 
-A rename of a wrapped function breaks only traced runs, and pytest does not
-collect bench/, so this runs five short commands under the installed tracer
-in a fresh interpreter: the structure suite, the oracle, the theorem path
-(verify-theorem and export-generators, which reach the tracer's `repeat`
-and `cells` hooks and the cochains spans), and the `plus2` control, whose
-irrational X3 row runs ComplexRadical products and sums.  It reads bench/
-and changes nothing there.
+A rename of a wrapped function breaks only traced runs, and bench/'s own
+self-tests trace a single small oracle run, so this runs five short
+commands under the installed tracer in a fresh interpreter: the structure
+suite, the oracle, the theorem path (verify-theorem and export-generators,
+which reach the tracer's `repeat` and `cells` hooks and the cochains
+spans), and the `plus2` control, whose irrational X3 row runs
+ComplexRadical products and sums.  It reads bench/ and changes nothing
+there.
 """
 
 import json

@@ -14,7 +14,9 @@ from conftest import (
     value,
 )
 
+from su21coh import cochains
 from su21coh.cochains import (
+    BracketNotInL,
     Cochain,
     act_tensor,
     basis_wedges,
@@ -35,7 +37,7 @@ from su21coh.cochains import (
 from su21coh.lie import L_GENS, P_GENS, LieGen, wedge_action
 from su21coh.polynomials import Monomial, monomial_xy
 from su21coh.report import all_passed
-from su21coh.scalars import ComplexRadical, RadicalScalar
+from su21coh.scalars import ComplexRadical, GaussianRational, RadicalScalar
 from su21coh.wigner import VARIANTS, chi_index, psi0_index, psi_index
 from unitary_table import unitary_coord
 
@@ -121,6 +123,18 @@ def test_differential_on_chi():
 def test_differential_of_zero():
     z = Cochain()
     assert differential(z).is_zero()
+
+
+def test_differential_tripwire_reads_the_pullback_table(monkeypatch):
+    chi = build_chi(0)
+    differential(chi)  # the true tables are empty for X1..X4
+    real = cochains._pullback
+    # one wedge entry for X1, as if [X1, X1] had the p-part X2
+    fake = {(2,): (((1,), GaussianRational(-1)),)}
+    monkeypatch.setattr(cochains, "_pullback",
+                        lambda gen: fake if gen is LieGen.X1 else real(gen))
+    with pytest.raises(BracketNotInL, match=r"\[X1, X_j\]"):
+        differential(chi)
 
 
 def test_equivariance_of_named_cochains():

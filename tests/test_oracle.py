@@ -431,8 +431,9 @@ def test_adjudication_is_sized_by_the_oracle(monkeypatch):
     assert points == [5] and ks == [0, 1, 0, 1]
 
 
-def test_adjudication_of_an_empty_sweep_fails():
-    accepted, row = adjudicate_variant([0], 2, 1e-6, 0, j_max=Fraction(-1))
+def test_adjudication_of_an_empty_sweep_fails(monkeypatch):
+    monkeypatch.setattr(oracle, "ADJUDICATION_J_MAX", Fraction(-1))
+    accepted, row = adjudicate_variant([0], 2, 1e-6, 0)
     assert accepted is None and not row.passed
     assert row.detail == "accepted=None; plus1: err=inf, plus2: err=inf"
     assert _variant_errors(row) == {"plus1": math.inf, "plus2": math.inf}

@@ -15,6 +15,7 @@ from su21coh.wigner import (
     admissible,
     admissible_indices,
     chi_index,
+    module_index,
     psi0_index,
     psi0_tilde_index,
     psi_index,
@@ -101,22 +102,48 @@ def test_act_p_variants_differ_only_in_x3():
 
 
 def test_named_families():
+    # each family against its hand-derived n = 3 m2 - 2k - 3
+    families = (
+        (psi_index, -1, 1, lambda k, l: WignerIndex(k + 2, -k, -k + 2 * l, k + 2)),
+        (psi0_index, 0, 0, lambda k, l: WignerIndex(k, -k - 6, -k + 2 * l, k)),
+        (psi0_tilde_index, 0, 1, lambda k, l: WignerIndex(k + 2, -k - 6, -k + 2 * l, k)),
+        (chi_index, 0, 1, lambda k, l: WignerIndex(k + 1, -k - 3, -(k + 1) + 2 * l, k + 1)),
+    )
+    for family, lo, extra, formula in families:
+        for k in range(31):
+            for l in range(lo, k + extra + 1):
+                idx = family(k, l)
+                assert idx == formula(k, l), (family.__name__, k, l)
+                assert admissible(idx, k)
+            with pytest.raises(OutOfRange, match=rf"^l={lo - 1} outside \[{lo}, {k + extra}\]$"):
+                family(k, lo - 1)
+            with pytest.raises(OutOfRange, match=rf"^l={k + extra + 1} outside"):
+                family(k, k + extra + 1)
     assert chi_index(0, 0) == WignerIndex(1, -3, -1, 1)
-    for k in (0, 2, 5):
-        for l in range(k + 1):
-            assert admissible(psi0_index(k, l), k)
     # the psi family extends one step beyond each end
-    idx = psi_index(4, -1)
-    assert idx.m12 == -4 - 2
-    assert admissible(idx, 4)
-    with pytest.raises(OutOfRange):
-        psi_index(4, -2)
-    with pytest.raises(OutOfRange):
-        psi0_index(3, 4)
-    with pytest.raises(OutOfRange):
-        chi_index(3, 5)
-    with pytest.raises(OutOfRange):
-        psi0_tilde_index(3, -1)
+    assert psi_index(4, -1).m12 == -4 - 2
+
+
+def _literal_admissible(idx, k):
+    """The two membership conditions written out: the torus window and the
+    central character, on a structurally valid index."""
+    j2, n2, _, m22 = idx
+    c = 4 * k + 6  # doubled 2k + 3
+    window = -3 * j2 - c <= n2 <= 3 * j2 - c
+    return idx.structurally_valid() and window and 3 * m22 - c == n2
+
+
+def test_admissible_is_the_literal_definition():
+    for k in range(7):
+        for j2 in range(9):
+            ms = range(-j2 - 2, j2 + 3)
+            for m12 in ms:
+                for m22 in ms:
+                    pinned = module_index(k, j2, m12, m22)
+                    assert admissible(pinned, k) == pinned.structurally_valid()
+                    for n2 in range(-70, 31):
+                        idx = WignerIndex(j2, n2, m12, m22)
+                        assert admissible(idx, k) == _literal_admissible(idx, k), (k, idx)
 
 
 def test_index_is_plain_doubled_ints():
