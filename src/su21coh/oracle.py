@@ -22,7 +22,7 @@ exact module and converted to machine numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,12 +70,21 @@ _G_REAL_BASIS = [m.to_numpy() for m in lie.U_REAL_BASIS + lie.Y_BASIS]
 class EulerAngles:
     """Coordinates on U(2): zeta in R, phi in (-pi, pi], theta in [0, pi],
     psi in (-pi, 3pi].  Each field is a float, or an array when the
-    coordinates describe a batch of points (the four broadcast together)."""
+    coordinates describe a batch of points (the four broadcast together).
+
+    A point set memoizes what `eval_wigner` derives from its coordinates
+    (see `table`), so its coordinates must not be mutated after its first
+    evaluation."""
 
     zeta: float | np.ndarray
     phi: float | np.ndarray
     theta: float | np.ndarray
     psi: float | np.ndarray
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def table(self, key, make):
+        """make(), computed once per point set and key."""
+        return self._tables[key] if key in self._tables else self._tables.setdefault(key, make())
 
 
 @dataclass(frozen=True)
@@ -95,24 +104,18 @@ def _first_bad(bad: np.ndarray) -> tuple[tuple, str]:
     return i, f" at point {i}" if i else ""
 
 
-def u2_from_angles(e: EulerAngles) -> np.ndarray:
-    """The 2x2 unitaries (..., 2, 2) with the given Euler coordinates."""
+def k_from_angles(e: EulerAngles) -> np.ndarray:
+    """The compact-group elements diag(U, det(U)^-1) (..., 3, 3), U the 2x2
+    unitary with the given Euler coordinates."""
     zeta, phi, theta, psi = np.broadcast_arrays(e.zeta, e.phi, e.theta, e.psi)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     z = np.exp(-0.5j * zeta)
-    u = np.empty(zeta.shape + (2, 2), dtype=complex)
+    out = np.zeros(zeta.shape + (3, 3), dtype=complex)
+    u = out[..., :2, :2]
     u[..., 0, 0] = z * np.exp(-0.5j * (phi + psi)) * c
     u[..., 0, 1] = -z * np.exp(0.5j * (phi - psi)) * s
     u[..., 1, 0] = z * np.exp(0.5j * (psi - phi)) * s
     u[..., 1, 1] = z * np.exp(0.5j * (phi + psi)) * c
-    return u
-
-
-def k_from_angles(e: EulerAngles) -> np.ndarray:
-    """The corresponding compact-group elements diag(U, det(U)^-1)."""
-    u = u2_from_angles(e)
-    out = np.zeros(u.shape[:-2] + (3, 3), dtype=complex)
-    out[..., :2, :2] = u
     out[..., 2, 2] = 1.0 / (u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0])
     return out
 
@@ -166,17 +169,27 @@ def eval_wigner(idx: WignerIndex, e: EulerAngles):
 
     The phase is a product of one exponential per angle, so on a product
     grid (coordinates broadcast along different axes) each exponential is
-    taken on its own axis only.
+    taken on its own axis only.  The pieces are computed once per point set
+    and kept in its tables: powers of sin and cos of theta/2, the theta
+    profile per (j, m1, m2) and each angle's exponential per frequency.
     """
     j2, n2, m12, m22 = idx
     if not idx.structurally_valid():
         raise ValueError(f"invalid index {idx}")
-    sh, ch = np.sin(e.theta / 2), np.cos(e.theta / 2)
-    profile = sum(c * sh**es * ch**ec for c, es, ec in _theta_terms(j2, m12, m22))
-    phase = (
-        np.exp(0.5j * n2 * e.zeta) * np.exp(0.5j * m12 * e.psi) * np.exp(0.5j * m22 * e.phi)
-    )
-    return phase * profile
+    profile = e.table(("profile", j2, m12, m22), lambda: _profile(e, j2, m12, m22))
+    return _phase(e, "zeta", n2) * _phase(e, "psi", m12) * _phase(e, "phi", m22) * profile
+
+
+def _profile(e: EulerAngles, j2: int, m12: int, m22: int):
+    """The theta profile sum_s coef * sin(theta/2)^es * cos(theta/2)^ec."""
+    return sum(c * e.table(("sin", es), lambda: np.sin(e.theta / 2) ** es)
+               * e.table(("cos", ec), lambda: np.cos(e.theta / 2) ** ec)
+               for c, es, ec in _theta_terms(j2, m12, m22))
+
+
+def _phase(e: EulerAngles, angle: str, freq2: int):
+    """exp(i/2 * freq2 * angle) over the point set."""
+    return e.table((angle, freq2), lambda: np.exp(0.5j * freq2 * getattr(e, angle)))
 
 
 def wigner_matrix(j2: int, n2: int, e: EulerAngles) -> np.ndarray:
@@ -527,15 +540,20 @@ def adjudicate_variant(ks, samples: int, tol: float, seed: int) -> tuple[str | N
 # ---------------------------------------------------------------------------
 
 
-def _trap_nodes(count: int) -> tuple[np.ndarray, float]:
-    return np.arange(count) * (FOUR_PI / count), FOUR_PI / count
-
-
 @lru_cache(maxsize=None)
-def _gauss_legendre_theta(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes in cos(theta), as angles, with their weights."""
-    x, w = np.polynomial.legendre.leggauss(count)
-    return np.arccos(x), w
+def _quad_grid(nz: int, nang: int, ng: int) -> tuple[EulerAngles, np.ndarray, float]:
+    """The product grid of `quadrature_ip` at these node counts, its weights
+    and its total weight.  Every pair of indices with the same counts shares
+    the grid and its tables, so its arrays are read-only."""
+    wz, wa = FOUR_PI / nz, FOUR_PI / nang
+    ag = np.arange(nang) * wa
+    x, wx = np.polynomial.legendre.leggauss(ng)
+    grid = EulerAngles(zeta=(np.arange(nz) * wz)[:, None, None, None], phi=ag[None, :, None, None],
+                       theta=np.arccos(x)[None, None, :, None], psi=ag[None, None, None, :])
+    weights = wz * wa * wa * wx[None, None, :, None]
+    for arr in (grid.zeta, grid.phi, grid.theta, grid.psi, weights):
+        arr.setflags(write=False)
+    return grid, weights, wz * nz * wa * nang * wa * nang * wx.sum()
 
 
 def quadrature_ip(idx1: WignerIndex, idx2: WignerIndex) -> complex:
@@ -546,23 +564,10 @@ def quadrature_ip(idx1: WignerIndex, idx2: WignerIndex) -> complex:
     measure is 1."""
     j2a, n2a, *_ = idx1
     j2b, n2b, *_ = idx2
-    nz = abs(n2a) + abs(n2b) + 4
-    nang = j2a + j2b + 4
-    ng = max(4, (j2a + j2b) // 2 + 2)
-
-    zg, wz = _trap_nodes(nz)
-    ag, wa = _trap_nodes(nang)
-    theta, wx = _gauss_legendre_theta(ng)
-    grid = EulerAngles(
-        zeta=zg[:, None, None, None],
-        phi=ag[None, :, None, None],
-        theta=theta[None, None, :, None],
-        psi=ag[None, None, None, :],
-    )
+    grid, weights, haar = _quad_grid(abs(n2a) + abs(n2b) + 4, j2a + j2b + 4,
+                                     max(4, (j2a + j2b) // 2 + 2))
     integrand = eval_wigner(idx1, grid) * np.conj(eval_wigner(idx2, grid))
-    weights = wz * wa * wa * wx[None, None, :, None]
     total = complex((integrand * weights).sum())
-    haar = wz * nz * wa * nang * wa * nang * wx.sum()
     return total / haar
 
 

@@ -232,12 +232,6 @@ def psi0_index(k: int, l: int) -> WignerIndex:
     return module_index(k, k, -k + 2 * l, k)
 
 
-def psi0_tilde_index(k: int, l: int) -> WignerIndex:
-    """Companion family with j shifted up by one; l in {0, ..., k+1}."""
-    _check_l(l, 0, k + 1)
-    return module_index(k, k + 2, -k + 2 * l, k)
-
-
 def chi_index(k: int, l: int) -> WignerIndex:
     """Index family carrying the primitive 1-cochain; l in {0, ..., k+1}."""
     _check_l(l, 0, k + 1)

@@ -13,6 +13,7 @@ from conftest import (
     act_poly_gen,
     act_tensor_seq,
     monomial_basis,
+    psi0_tilde_index,
     random_equivariant_cochain,
     random_radical,
     value,
@@ -33,7 +34,7 @@ from su21coh.lie import L_GENS, P_GENS, LieGen, bracket, gen_matrix
 from su21coh.polynomials import PolyVector, act_poly
 from su21coh.report import all_passed
 from su21coh.scalars import ComplexRadical, RadicalScalar
-from su21coh.wigner import act_p_index, chi_index, psi0_index, psi0_tilde_index, psi_index
+from su21coh.wigner import act_p_index, chi_index, psi0_index, psi_index
 from unitary_table import unitary
 
 CR = ComplexRadical

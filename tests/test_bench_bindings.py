@@ -53,6 +53,7 @@ def test_traced_commands_run(tmp_path):
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     assert record["codes"] == [0, 0, 0, 0, 1]
     assert {"lie.verify_structure", "oracle.fd_sweep", "oracle.eval_wigner",
+            "oracle.quadrature_ip", "oracle.self_consistency",
             "cochains.act_tensor", "cochains.differential", "cochains.build",
             "cochains.check_equivariance", "cochains.nullspace",
             "cochains.cochain_to_dict"} <= set(record["spans"])

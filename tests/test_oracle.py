@@ -498,6 +498,60 @@ def test_batched_eval_wigner_matches_scalar_and_literal():
             assert abs(batch[i] - eval_wigner_literal(idx, point)) <= 1e-14
 
 
+def eval_wigner_direct(idx: WignerIndex, e: EulerAngles):
+    """`eval_wigner` with every piece recomputed from the coordinates on each
+    call, in the same floating-point order: the point-set tables must
+    reproduce it bit for bit."""
+    j2, n2, m12, m22 = idx
+    sh, ch = np.sin(e.theta / 2), np.cos(e.theta / 2)
+    profile = sum(c * sh**es * ch**ec for c, es, ec in oracle._theta_terms(j2, m12, m22))
+    phase = (
+        np.exp(0.5j * n2 * e.zeta) * np.exp(0.5j * m12 * e.psi) * np.exp(0.5j * m22 * e.phi)
+    )
+    return phase * profile
+
+
+def _fresh(e: EulerAngles) -> EulerAngles:
+    """A copy of the point set with no tables."""
+    return EulerAngles(*(np.copy(x) for x in (e.zeta, e.phi, e.theta, e.psi)))
+
+
+def test_tabled_eval_wigner_is_bit_identical_to_direct_evaluation():
+    _, stencils = oracle._fd_points(20, 0, [LieGen.X1])
+    batch = stencils[0][1]
+    assert batch.theta.shape == (20, 8)
+    indices = [idx for k in range(4) for idx in admissible_indices(k, Fraction(5, 2))]
+    grid = oracle._quad_grid(34, 10, 5)[0]
+    window = list(admissible_indices(0, Fraction(3, 2)))
+    point = EulerAngles(0.9, -1.2, 2.2, 3.3)
+    for e, idxs in ((batch, indices), (grid, window), (point, indices)):
+        for idx in idxs:
+            assert np.array_equal(eval_wigner(idx, e), eval_wigner_direct(idx, e)), idx
+
+
+def test_tabled_eval_wigner_does_not_depend_on_evaluation_order():
+    rng = np.random.default_rng(5)
+    e = EulerAngles(*rng.uniform(0.1, 3.0, size=(4, 30)))
+    a, b = WignerIndex(3, -3, 1, -1), WignerIndex(5, -9, 1, -1)  # one (m1, m2), two j
+    ref_a, ref_b = eval_wigner(a, _fresh(e)), eval_wigner(b, _fresh(e))
+    for first, second in ((a, b), (b, a)):
+        shared = _fresh(e)
+        vals = {first: eval_wigner(first, shared), second: eval_wigner(second, shared)}
+        assert np.array_equal(vals[a], ref_a) and np.array_equal(vals[b], ref_b)
+
+
+def test_quadrature_grids_are_shared_and_read_only():
+    oracle._quad_grid.cache_clear()
+    oracle.orthogonality_report()
+    info = oracle._quad_grid.cache_info()
+    assert (info.misses, info.hits + info.misses) == (25, 465)
+    grid, weights, _ = oracle._quad_grid(8, 6, 4)
+    assert oracle._quad_grid(8, 6, 4)[0] is grid
+    for arr in (grid.zeta, grid.phi, grid.theta, grid.psi, weights):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
 def test_eval_wigner_broadcasts_over_a_product_grid():
     idx = WignerIndex(3, -3, 1, -1)
     zeta, phi = np.array([0.1, 2.0]), np.array([-1.0, 0.4, 2.5])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_tensor
+from conftest import psi0_tilde_index, random_tensor
 from su21coh.cochains import Cochain, act_tensor
 from su21coh.lie import L_GENS, P_GENS, LieGen, bracket, coords, gen_matrix
 from su21coh.scalars import ComplexRadical, RadicalScalar
@@ -17,7 +17,6 @@ from su21coh.wigner import (
     chi_index,
     module_index,
     psi0_index,
-    psi0_tilde_index,
     psi_index,
 )
 from unitary_table import unitary
