@@ -72,9 +72,10 @@ class EulerAngles:
     psi in (-pi, 3pi].  Each field is a float, or an array when the
     coordinates describe a batch of points (the four broadcast together).
 
-    A point set memoizes what `eval_wigner` derives from its coordinates
-    (see `table`), so its coordinates must not be mutated after its first
-    evaluation."""
+    A point set memoizes (see `table`) the pieces `eval_wigner` derives from
+    its coordinates and, at the base points of a finite-difference sweep, the
+    value of each target index, so its coordinates must not be mutated after
+    its first evaluation."""
 
     zeta: float | np.ndarray
     phi: float | np.ndarray
@@ -324,14 +325,17 @@ def _decompose_for_eval(g: np.ndarray) -> tuple[EulerAngles, np.ndarray]:
     return euler_from_k(fac.kappa), fac.r ** (-3)
 
 
-def eval_section(idx: WignerIndex, k: int, g: np.ndarray):
-    """Extension of the compact matrix coefficient to the whole group through
-    the Iwasawa decomposition: the Borel factor contributes r^(-3), the
-    unipotent part nothing."""
-    if not admissible(idx, k):
-        raise ValueError(f"{idx} not admissible for k={k}")
+def eval_sections(k: int, indices, g: np.ndarray) -> np.ndarray:
+    """(index, point) array of the sections r^(-3) * W_idx(kappa(g)): the
+    compact matrix coefficients extended to the whole group through the
+    Iwasawa decomposition, where the Borel factor contributes r^(-3) and the
+    unipotent part nothing.  g is decomposed once for all the indices."""
+    indices = list(indices)
+    for idx in indices:
+        if not admissible(idx, k):
+            raise ValueError(f"{idx} not admissible for k={k}")
     angles, rm3 = _decompose_for_eval(g)
-    return rm3 * eval_wigner(idx, angles)
+    return rm3 * np.array([eval_wigner(idx, angles) for idx in indices])
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +464,6 @@ def _fd_sweep(k, j_max, tol, variant, base, stencils) -> list[CheckResult]:
             )
         ]
     base_angles, base_rm3 = base
-    base_values: dict[WignerIndex, np.ndarray] = {}
-
-    def at_base(tgt):
-        if tgt not in base_values:
-            base_values[tgt] = eval_wigner(tgt, base_angles)
-        return base_values[tgt]
-
     results = []
     for gen, angles, weights in stencils:
         compact = gen in L_GENS
@@ -474,8 +471,10 @@ def _fd_sweep(k, j_max, tol, variant, base, stencils) -> list[CheckResult]:
         for idx in indices:
             image = act_l_index(gen, idx) if compact else act_p_index(gen, idx, variant)
             # the unitary coefficient is the rescaled one times a(idx)/a(tgt)
-            pred = base_rm3 * sum(c.to_complex() * _scale_ratio(idx, tgt) * at_base(tgt)
-                                  for tgt, c in image)
+            pred = base_rm3 * sum(
+                c.to_complex() * _scale_ratio(idx, tgt)
+                * base_angles.table(("value", tgt), lambda: eval_wigner(tgt, base_angles))
+                for tgt, c in image)
             fd = (weights * eval_wigner(idx, angles)).sum(axis=-1)
             worst = float((np.abs(fd - pred) / np.maximum(1.0, np.abs(pred))).max())
             results.append(
@@ -652,18 +651,13 @@ def covariance_report(k: int = 0, seed: int = 0) -> list[CheckResult]:
         s0.append(rng.uniform(-1, 1))
         t0.append(rng.uniform(-math.pi, math.pi))
     g, r0, t0 = np.array(g), np.array(r0), np.array(t0)
-
-    def sections(points):
-        """(index, point) array of the section values at the points."""
-        angles, rm3 = _decompose_for_eval(points)
-        return rm3 * np.array([eval_wigner(idx, angles) for idx in indices])
-
-    base = sections(g)
+    base = eval_sections(k, indices, g)
     scale = np.maximum(1.0, np.abs(base))
-    translated = sections(g @ an_gamma(r0, nu, s0))
+    translated = eval_sections(k, indices, g @ an_gamma(r0, nu, s0))
     worst_b = float((np.abs(translated - r0 ** (-3) * base) / scale).max())
     expected = np.exp(-1j * (2 * k + 3) * t0) * base
-    worst_m = float((np.abs(sections(g @ m_matrix(t0)) - expected) / scale).max())
+    worst_m = float((np.abs(eval_sections(k, indices, g @ m_matrix(t0)) - expected)
+                     / scale).max())
     return [
         _within(f"right Borel covariance [k={k}]", worst_b, 1e-9),
         _within(f"right compact-torus covariance [k={k}]", worst_m, 1e-9),

@@ -25,42 +25,36 @@ class NegativeRadicand(ValueError):
     """Square root of a negative rational requested."""
 
 
-def square_free_split(n: int) -> tuple[int, int]:
-    """Write n > 0 as s*s*d with d squarefree, by trial division.
+def _factor(n: int) -> dict[int, int]:
+    """{prime: exponent} of n by trial division, {} for n <= 1; meant for the
+    small integers of the coefficient formulas, not as a general factorizer."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
 
-    Returns (s, d).  Intended for the small integers produced by the
-    operator coefficient formulas; not a general-purpose factorizer.
-    """
+
+def square_free_split(n: int) -> tuple[int, int]:
+    """Write n > 0 as s*s*d with d squarefree.  Returns (s, d)."""
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     s, d = 1, 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    return s, d * n
+    for p, e in _factor(n).items():
+        s *= p ** (e // 2)
+        if e % 2:
+            d *= p
+    return s, d
 
 
 def prime_factors(n: int) -> list[int]:
-    """Prime divisors of n > 0, by trial division."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    """Prime divisors of n > 0, ascending."""
+    return list(_factor(n))
 
 
 def _num_den(x) -> tuple[int, int]:
@@ -106,28 +100,12 @@ class ComplexRadical:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "ComplexRadical":
-        return _wrap({})
-
-    @classmethod
-    def one(cls) -> "ComplexRadical":
-        return _wrap({1: _gauss(1, 0, 1)})
-
-    @classmethod
-    def i(cls) -> "ComplexRadical":
-        return _wrap({1: _gauss(0, 1, 1)})
-
-    @classmethod
     def of(cls, x) -> "ComplexRadical":
         """Embed an int, Fraction, GaussianRational or ComplexRadical."""
         if isinstance(x, ComplexRadical):
             return x
         x = GaussianRational.of(x)
         return _wrap({1: x} if x else {})
-
-    @classmethod
-    def i_times(cls, x) -> "ComplexRadical":
-        return cls.of(x) * cls.i()
 
     @classmethod
     def sqrt(cls, q) -> "ComplexRadical":
@@ -227,7 +205,7 @@ class ComplexRadical:
             return _wrap({d: (c * d).inverse()})
         flippers = {d: set(prime_factors(d)) for d in terms}
         gens = sorted(set().union(*flippers.values()))
-        acc = ComplexRadical.one()
+        acc = ComplexRadical.of(1)
         for mask in range(1, 1 << len(gens)):
             flips = {gens[i] for i in range(len(gens)) if mask >> i & 1}
             acc = acc * _wrap({d: -c if len(flippers[d] & flips) % 2 else c
@@ -427,6 +405,6 @@ def exact(x):
     return x if isinstance(x, (GaussianRational, ComplexRadical)) else GaussianRational.of(x)
 
 
-# bench/tracer.py binds RadicalScalar.__mul__/__add__/sqrt/inverse by name,
-# and tests build real values as RadicalScalar({d: c}); one class serves both.
+# Only bench/tracer.py uses this name: it binds RadicalScalar.__mul__,
+# __add__, sqrt and inverse through it.
 RadicalScalar = ComplexRadical

@@ -10,11 +10,13 @@ from functools import lru_cache
 from su21coh.cochains import Cochain, act_tensor, nullspace
 from su21coh.lie import LieGen, gen_matrix
 from su21coh.polynomials import Monomial, PolyVector, act_poly
-from su21coh.scalars import ComplexRadical
+from su21coh.scalars import ComplexRadical, GaussianRational
 from su21coh.wigner import OutOfRange, WignerIndex, admissible, admissible_indices, module_index
 
 # Squarefree radicands <= 50 (1 = rational part).
 SQUAREFREE_POOL = [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 21, 22, 26, 30, 33, 35, 38, 42, 46]
+
+I = ComplexRadical.of(GaussianRational(0, 1))
 
 
 def random_fraction(rng, bound=10**6) -> Fraction:
@@ -34,7 +36,7 @@ def random_radical(rng, max_terms=3, bound=10**6) -> ComplexRadical:
 
 def random_complex_radical(rng, max_terms=2, bound=1000) -> ComplexRadical:
     re = random_radical(rng, max_terms, bound)
-    return re + ComplexRadical.i_times(random_radical(rng, max_terms, bound))
+    return re + random_radical(rng, max_terms, bound) * I
 
 
 def psi0_tilde_index(k: int, l: int) -> WignerIndex:
@@ -72,7 +74,7 @@ def random_tensor(k: int, rng, j_max=Fraction(5, 2), max_terms=3) -> Cochain:
             (
                 keys[int(p)],
                 ComplexRadical.of(int(rng.integers(-5, 6)))
-                + ComplexRadical.i_times(int(rng.integers(-5, 6))),
+                + int(rng.integers(-5, 6)) * I,
             )
             for p in picks
         ]
@@ -172,7 +174,7 @@ def random_equivariant_cochain(k: int, rng, jmax2: int | None = None) -> Cochain
         vec = Cochain()
         for basis_vec in kernel:
             re, im = rng.integers(-3, 4), rng.integers(-3, 4)
-            coeff = ComplexRadical.of(int(re)) + ComplexRadical.i_times(int(im))
+            coeff = ComplexRadical.of(int(re)) + int(im) * I
             if coeff.is_zero():
                 continue
             vec = vec + Cochain(
@@ -182,6 +184,6 @@ def random_equivariant_cochain(k: int, rng, jmax2: int | None = None) -> Cochain
 
     v3 = draw("lower")
     w1 = draw("upper")
-    v4 = act_tensor(LieGen.U1_PLUS_IU2, v3).scaled(ComplexRadical.i())
-    w2 = act_tensor(LieGen.U1_MINUS_IU2, w1).scaled(ComplexRadical.i_times(-1))
+    v4 = act_tensor(LieGen.U1_PLUS_IU2, v3).scaled(I)
+    w2 = act_tensor(LieGen.U1_MINUS_IU2, w1).scaled(-I)
     return placed({(1,): w1, (2,): w2, (3,): v3, (4,): v4})

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import (
+    I,
     act_poly_gen,
     act_tensor_seq,
     monomial_basis,
@@ -33,12 +34,11 @@ from su21coh.cochains import (
 from su21coh.lie import L_GENS, P_GENS, LieGen, bracket, gen_matrix
 from su21coh.polynomials import PolyVector, act_poly
 from su21coh.report import all_passed
-from su21coh.scalars import ComplexRadical, RadicalScalar
+from su21coh.scalars import ComplexRadical
 from su21coh.wigner import act_p_index, chi_index, psi0_index, psi_index
 from unitary_table import unitary
 
 CR = ComplexRadical
-RS = RadicalScalar
 
 
 def _report(num: int, description: str, ok: bool, extra: str = ""):
@@ -113,7 +113,7 @@ def test_criterion_06_compact_pair_fixtures():
         ok = ok and act_tensor(F, chi3).is_zero()
         ok = ok and act_tensor_seq((E, E), chi3).is_zero()
         ok = ok and act_tensor_seq((F, E), chi3) == chi3.scaled(-1)
-        ok = ok and act_tensor(F, chi4) == chi3.scaled(CR.i_times(-1))
+        ok = ok and act_tensor(F, chi4) == chi3.scaled(-I)
     _report(6, "lowering/raising fixtures on the chi seed (consistent form), k=0..10", ok)
 
 
@@ -127,19 +127,19 @@ def test_criterion_07_noncompact_action_fixtures():
     for k in range(11):
         for l in range(k + 1):
             got = _unitary_image(LieGen.X1, chi_index(k, l))
-            ok = ok and got == {psi_index(k, l): RS.sqrt(Fraction(l + 1, k + 2))}
+            ok = ok and got == {psi_index(k, l): CR.sqrt(Fraction(l + 1, k + 2))}
         for l in range(1, k + 2):
             got = _unitary_image(LieGen.X3, chi_index(k, l))
             want = {
-                psi0_index(k, l - 1): RS.sqrt(l) * RS.sqrt(k + 1) * Fraction(1, k + 2),
-                psi0_tilde_index(k, l - 1): RS.sqrt(k + 2 - l) * Fraction(k + 3, k + 2),
+                psi0_index(k, l - 1): CR.sqrt(l) * CR.sqrt(k + 1) * Fraction(1, k + 2),
+                psi0_tilde_index(k, l - 1): CR.sqrt(k + 2 - l) * Fraction(k + 3, k + 2),
             }
             ok = ok and got == {a: b for a, b in want.items() if not b.is_zero()}
         for l in range(k + 1):
             got = _unitary_image(LieGen.X4, chi_index(k, l))
             want = {
-                psi0_index(k, l): RS.sqrt(k + 1 - l) * RS.sqrt(k + 1) * Fraction(-1, k + 2),
-                psi0_tilde_index(k, l): RS.sqrt(l + 1) * Fraction(k + 3, k + 2),
+                psi0_index(k, l): CR.sqrt(k + 1 - l) * CR.sqrt(k + 1) * Fraction(-1, k + 2),
+                psi0_tilde_index(k, l): CR.sqrt(l + 1) * Fraction(k + 3, k + 2),
             }
             ok = ok and got == {a: b for a, b in want.items() if not b.is_zero()}
     _report(7, "noncompact action identities on the named families, k=0..10", ok)
@@ -200,7 +200,7 @@ def test_criterion_10_property_suites():
         field_ok = field_ok and (a * b) * c == a * (b * c)
         field_ok = field_ok and a * (b + c) == a * b + a * c
         if not a.is_zero():
-            field_ok = field_ok and a * a.inverse() == RS.one()
+            field_ok = field_ok and a * a.inverse() == CR.of(1)
 
     # (c) representation property of the polynomial action for k <= 8
     rng = np.random.default_rng(7)

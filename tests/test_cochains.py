@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    I,
     act_tensor_seq,
     placed,
     random_complex_radical,
@@ -37,12 +38,11 @@ from su21coh.cochains import (
 from su21coh.lie import L_GENS, P_GENS, LieGen, wedge_action
 from su21coh.polynomials import Monomial, monomial_xy
 from su21coh.report import all_passed
-from su21coh.scalars import ComplexRadical, GaussianRational, RadicalScalar
+from su21coh.scalars import ComplexRadical, GaussianRational
 from su21coh.wigner import VARIANTS, chi_index, psi0_index, psi_index
 from unitary_table import unitary_coord
 
 CR = ComplexRadical
-RS = RadicalScalar
 E, F = LieGen.U1_PLUS_IU2, LieGen.U1_MINUS_IU2
 
 
@@ -52,7 +52,7 @@ def test_act_tensor_diagonal_weight():
     t = tensor_term(idx, monomial_xy(k, l))
     out = act_tensor(LieGen.U0, t)
     weight = Fraction(idx.n2, 2) + Fraction(k, 2)
-    assert out == t.scaled(CR.i_times(weight))
+    assert out == t.scaled(weight * I)
     assert act_tensor(LieGen.U0, Cochain()).is_zero()
 
 
@@ -64,14 +64,14 @@ def test_compact_pair_fixtures():
         assert act_tensor(F, chi3).is_zero()
         assert act_tensor_seq((E, E), chi3).is_zero()
         assert act_tensor_seq((F, E), chi3) == chi3.scaled(-1)
-        assert act_tensor(F, chi4) == chi3.scaled(CR.i_times(-1))
+        assert act_tensor(F, chi4) == chi3.scaled(-I)
 
 
 def test_lowering_raising_identity_not_minus_i():
     # regression pin: FE on the seed is -1 times the seed, not -i times it;
     # -i appears only after absorbing the i from the partner's definition
     chi3 = chi3_element(2)
-    assert act_tensor_seq((F, E), chi3) != chi3.scaled(CR.i_times(-1))
+    assert act_tensor_seq((F, E), chi3) != chi3.scaled(-I)
 
 
 def _unitary_family(element, family, k, mu_sq=1):
@@ -86,17 +86,17 @@ def _unitary_family(element, family, k, mu_sq=1):
 def test_gamma_coefficients():
     for k in (1, 3, 7):
         gamma = _unitary_family(chi3_element(k), chi_index, k)
-        assert gamma[0] == RS.one()
-        assert gamma[1] == RS.sqrt(k + 1) * Fraction(k, k + 1)
-        assert gamma[k] == RS.sqrt(Fraction(1, k + 1))
+        assert gamma[0] == CR.of(1)
+        assert gamma[1] == CR.sqrt(k + 1) * Fraction(k, k + 1)
+        assert gamma[k] == CR.sqrt(Fraction(1, k + 1))
         for l in range(k):
-            recur = gamma[l] * Fraction(k - l, 1) * (RS.sqrt(l + 1) * RS.sqrt(k - l + 1)).inverse()
+            recur = gamma[l] * Fraction(k - l, 1) * (CR.sqrt(l + 1) * CR.sqrt(k - l + 1)).inverse()
             assert gamma[l + 1] == recur
 
 
 def test_beta_coefficients():
     beta = _unitary_family(value(build_psi0(2), (3, 4)), psi0_index, 2)
-    assert beta == [RS.one(), RS.sqrt(2), RS.one()]
+    assert beta == [CR.of(1), CR.sqrt(2), CR.of(1)]
 
 
 def test_alpha_is_gamma_times_sqrt():
@@ -104,7 +104,7 @@ def test_alpha_is_gamma_times_sqrt():
         gamma = _unitary_family(chi3_element(k), chi_index, k)
         alpha = _unitary_family(psi_w13_element(k), psi_index, k, k + 2)
         for l in range(k + 1):
-            assert alpha[l] == gamma[l] * RS.sqrt(l + 1)
+            assert alpha[l] == gamma[l] * CR.sqrt(l + 1)
 
 
 def test_differential_on_chi():
@@ -117,7 +117,7 @@ def test_differential_on_chi():
     # k = 0 special value: d(chi)(X1^X3) = 1/sqrt(2) * W0 (x) 1
     ((_, idx, mono), coeff), = value(differential(build_chi(0)), (1, 3)).items()
     assert (idx, mono) == (psi_index(0, 0), Monomial(0, 0, 0))
-    assert unitary_coord(coeff, idx) == RS.sqrt(Fraction(1, 2))
+    assert unitary_coord(coeff, idx) == CR.sqrt(Fraction(1, 2))
 
 
 def test_differential_of_zero():
@@ -155,9 +155,9 @@ def test_determinacy_from_w13():
     for k in (0, 2):
         psi = build_psi(k)
         w13 = value(psi, (1, 3))
-        derived_23 = act_tensor(F, w13).scaled(CR.i_times(-1))
-        derived_14 = act_tensor(E, w13).scaled(CR.i())
-        derived_24 = w13 + act_tensor(E, derived_23).scaled(CR.i())
+        derived_23 = act_tensor(F, w13).scaled(-I)
+        derived_14 = act_tensor(E, w13).scaled(I)
+        derived_24 = w13 + act_tensor(E, derived_23).scaled(I)
         assert derived_23 == value(psi, (2, 3))
         assert derived_14 == value(psi, (1, 4))
         assert derived_24 == value(psi, (2, 4))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_complex_radical
+from conftest import I, random_complex_radical
 
 from su21coh.lie import (
     GAMMA,
@@ -39,8 +39,7 @@ from su21coh.lie import (
 from su21coh.report import all_passed
 from su21coh.scalars import ComplexRadical, GaussianRational
 
-i = ComplexRadical.i()
-ih = ComplexRadical.i_times(Fraction(1, 2))
+ih = Fraction(1, 2) * I
 
 
 def is_unitary_numeric(m, tol: float = 1e-12) -> bool:
@@ -52,7 +51,7 @@ def is_unitary_numeric(m, tol: float = 1e-12) -> bool:
 def test_builtin_matrices():
     mats = {gen: gen_matrix(gen) for gen in LieGen}
     assert len(set(mats.values())) == 8
-    assert mats[LieGen.U0] == Mat3([[ih, 0, 0], [0, ih, 0], [0, 0, -i]])
+    assert mats[LieGen.U0] == Mat3([[ih, 0, 0], [0, ih, 0], [0, 0, -I]])
     # X3 is the single entry 1 in row 3, column 1
     assert mats[LieGen.X3] == Mat3([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
     assert (GAMMA @ GAMMA) == IDENTITY
@@ -103,16 +102,16 @@ def test_table1_cells():
     res = {r.name: r.passed for r in verify_table1()}
     assert all(res.values())
     # spot values recomputed directly
-    assert coords(bracket(gen_matrix(LieGen.U1_PLUS_IU2), X2)) == {LieGen.X1: i}
-    assert coords(bracket(U0, X1)) == {LieGen.X1: ComplexRadical.i_times(Fraction(3, 2))}
+    assert coords(bracket(gen_matrix(LieGen.U1_PLUS_IU2), X2)) == {LieGen.X1: I}
+    assert coords(bracket(U0, X1)) == {LieGen.X1: Fraction(3, 2) * I}
 
 
 def test_table3_cells():
     assert all_passed(verify_table3())
-    assert wedge_action(LieGen.U3, (2, 3)) == {(2, 3): ComplexRadical.i_times(-1)}
+    assert wedge_action(LieGen.U3, (2, 3)) == {(2, 3): -I}
     assert wedge_action(LieGen.U1_MINUS_IU2, (1, 2)) == {}
     act = wedge_action(LieGen.U1_PLUS_IU2, (2, 3))
-    assert act == {(1, 3): i, (2, 4): -i}
+    assert act == {(1, 3): I, (2, 4): -I}
 
 
 def test_memberships():
@@ -216,8 +215,8 @@ def test_mat3_random_products_match_dense_reference():
 
 
 def test_mat3_constructors_agree_and_validate():
-    rows = [[1, 0, i], [0, ih, 0], [Fraction(2, 3), 0, 0]]
-    assert Mat3(rows) == Mat3({(0, 0): 1, (0, 2): i, (1, 1): ih, (2, 0): Fraction(2, 3)})
+    rows = [[1, 0, I], [0, ih, 0], [Fraction(2, 3), 0, 0]]
+    assert Mat3(rows) == Mat3({(0, 0): 1, (0, 2): I, (1, 1): ih, (2, 0): Fraction(2, 3)})
     assert Mat3([[0, 0, 0]] * 3) == Mat3() == Mat3({(1, 1): 0})
     for bad in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], [[0, 0, 0, 0]] * 3):
         with pytest.raises(ValueError):

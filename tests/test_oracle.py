@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.linalg
 import scipy.special
 
 from su21coh import oracle
+from su21coh.cli import main
 from su21coh.lie import L_GENS, P_GENS, LieGen
 from su21coh.oracle import (
     EulerAngles,
@@ -15,7 +17,7 @@ from su21coh.oracle import (
     NotInK,
     an_gamma,
     adjudicate_variant,
-    eval_section,
+    eval_sections,
     eval_wigner,
     euler_from_k,
     iwasawa,
@@ -258,19 +260,59 @@ def test_eval_section_on_compact_points():
     idx = next(iter(admissible_indices(k, Fraction(1, 2))))
     e = EulerAngles(0.4, 0.2, 1.0, -0.3)
     kap = k_from_angles(e)
-    assert abs(eval_section(idx, k, kap) - eval_wigner(idx, euler_from_k(kap))) <= 1e-12
+    assert abs(eval_sections(k, [idx], kap)[0] - eval_wigner(idx, euler_from_k(kap))) <= 1e-12
     with pytest.raises(ValueError):
-        eval_section(WignerIndex(0, 0, 0, 0), 0, np.eye(3))
+        eval_sections(0, [WignerIndex(0, 0, 0, 0)], np.eye(3))
 
 
 def test_eval_section_on_a_stack_matches_pointwise():
     k = 1
     g = oracle.random_group_points(range(6))
     for idx in admissible_indices(k, Fraction(3, 2)):
-        values = eval_section(idx, k, g)
+        values = eval_sections(k, [idx], g)[0]
         assert values.shape == (6,)
         for i in range(6):
-            assert abs(values[i] - eval_section(idx, k, g[i])) <= 1e-14
+            assert abs(values[i] - eval_sections(k, [idx], g[i])[0]) <= 1e-14
+
+
+def test_eval_sections_stacks_indices_and_points():
+    k = 1
+    g = oracle.random_group_points(range(6))
+    indices = list(admissible_indices(k, Fraction(3, 2)))
+    values = eval_sections(k, indices, g)
+    assert values.shape == (len(indices), 6)
+    for row, idx in zip(values, indices):
+        for i in range(6):
+            assert abs(row[i] - eval_sections(k, [idx], g[i])[0]) <= 1e-14
+    # one inadmissible index refuses the whole stack, naming it
+    with pytest.raises(ValueError, match=r"not admissible for k=1"):
+        eval_sections(k, indices + [WignerIndex(0, 0, 0, 0)], g)
+
+
+def test_auto_oracle_evaluates_each_base_target_once(monkeypatch, capsys):
+    # the finite-difference sweeps read each target at their base points
+    # from the point set's table, also when the adjudication runs a second
+    # variant on the same base points
+    bases, calls = [], Counter()
+    real_points, real_eval = oracle._fd_points, oracle.eval_wigner
+
+    def fd_points(*args):
+        base, stencils = real_points(*args)
+        bases.append(base[0])
+        return base, stencils
+
+    def eval_wigner_counted(idx, e):
+        if any(e is b for b in bases):
+            calls[id(e), idx] += 1
+        return real_eval(idx, e)
+
+    monkeypatch.setattr(oracle, "_fd_points", fd_points)
+    monkeypatch.setattr(oracle, "eval_wigner", eval_wigner_counted)
+    argv = ["oracle", "--k", "0..1", "--samples", "3", "--thm37-variant", "auto"]
+    assert main(argv) == 0
+    assert len(bases) == 2  # the adjudication's points and check_action's
+    assert {key[0] for key in calls} == {id(b) for b in bases}
+    assert max(calls.values()) == 1
 
 
 def test_section_covariance_suites():
@@ -330,8 +372,8 @@ def test_fd_matches_compact_weight():
     k = 0
     idx = WignerIndex(1, -3, 1, 1)
     g = random_group_points([17])[0]
-    base = eval_section(idx, k, g)
-    fd = fd_derivative(lambda p: eval_section(idx, k, p), LieGen.U0, g)
+    base = eval_sections(k, [idx], g)[0]
+    fd = fd_derivative(lambda p: eval_sections(k, [idx], p)[0], LieGen.U0, g)
     assert abs(fd - 1j * (-1.5) * base) <= 1e-7 * max(1.0, abs(base))
 
 
@@ -339,9 +381,9 @@ def test_fd_matches_noncompact_prediction():
     k, l = 1, 1
     idx = chi_index(k, l)
     g = random_group_points([23])[0]
-    fd = fd_derivative(lambda p: eval_section(idx, k, p), LieGen.X1, g)
+    fd = fd_derivative(lambda p: eval_sections(k, [idx], p)[0], LieGen.X1, g)
     coeff = math.sqrt((l + 1) / (k + 2))
-    predicted = coeff * eval_section(psi_index(k, l), k, g)
+    predicted = coeff * eval_sections(k, [psi_index(k, l)], g)[0]
     assert abs(fd - predicted) <= 1e-7 * max(1.0, abs(predicted))
 
 
@@ -350,7 +392,7 @@ def test_fd_annihilation_at_bottom_weight():
     k = 3
     idx = WignerIndex(3, -15, -3, 1)
     g = random_group_points([29])[0]
-    fd = fd_derivative(lambda p: eval_section(idx, k, p), LieGen.U1_MINUS_IU2, g)
+    fd = fd_derivative(lambda p: eval_sections(k, [idx], p)[0], LieGen.U1_MINUS_IU2, g)
     assert abs(fd) <= 1e-8
 
 

@@ -10,7 +10,7 @@ from su21coh.polynomials import (
     act_poly,
     monomial_xy,
 )
-from conftest import act_poly_gen, monomial_basis
+from conftest import I, act_poly_gen, monomial_basis
 from su21coh.scalars import ComplexRadical
 
 CR = ComplexRadical
@@ -53,18 +53,18 @@ def test_compact_action_fixtures():
     k = 4
     for l in range(k + 1):
         p = PolyVector({monomial_xy(k, l): CR.of(1)})
-        assert act_poly_gen(LieGen.U0, p) == p.scaled(CR.i_times(Fraction(k, 2)))
-        assert act_poly_gen(LieGen.U3, p) == p.scaled(CR.i_times(Fraction(k, 2) - l))
+        assert act_poly_gen(LieGen.U0, p) == p.scaled(Fraction(k, 2) * I)
+        assert act_poly_gen(LieGen.U3, p) == p.scaled((Fraction(k, 2) - l) * I)
         lowered = act_poly_gen(LieGen.U1_MINUS_IU2, p)
         if l == k:
             assert lowered.is_zero()
         else:
-            assert lowered == mono(k - l - 1, l + 1, 0, CR.i_times(k - l))
+            assert lowered == mono(k - l - 1, l + 1, 0, (k - l) * I)
         raised = act_poly_gen(LieGen.U1_PLUS_IU2, p)
         if l == 0:
             assert raised.is_zero()
         else:
-            assert raised == mono(k - l + 1, l - 1, 0, CR.i_times(l))
+            assert raised == mono(k - l + 1, l - 1, 0, l * I)
 
 
 def test_degree_preserved_and_dimension():

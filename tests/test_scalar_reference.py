@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_complex_radical, random_fraction
+from conftest import I, random_complex_radical, random_fraction
 from fraction_radical import FractionRadical
 from su21coh.scalars import ComplexRadical, GaussianRational, prime_factors, square_free_split
 
@@ -78,7 +78,7 @@ def _step(rng, pool):
     if op == 4:
         return a.conj(), ra.conj()
     if op == 5:
-        return ComplexRadical.i_times(a), FractionRadical.i_times(ra)
+        return a * I, FractionRadical.i_times(ra)
     if op == 6 and _inverse_is_cheap(a):
         return a.inverse(), ra.inverse()
     q = _rational(rng)

@@ -3,10 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import psi0_tilde_index, random_tensor
+from conftest import I, psi0_tilde_index, random_tensor
 from su21coh.cochains import Cochain, act_tensor
 from su21coh.lie import L_GENS, P_GENS, LieGen, bracket, coords, gen_matrix
-from su21coh.scalars import ComplexRadical, RadicalScalar
+from su21coh.scalars import ComplexRadical
 from su21coh.wigner import (
     OutOfRange,
     WignerIndex,
@@ -22,7 +22,6 @@ from su21coh.wigner import (
 from unitary_table import unitary
 
 CR = ComplexRadical
-RS = RadicalScalar
 
 
 def test_index_validity():
@@ -53,9 +52,9 @@ def test_admissible_enumeration():
 def test_act_l_weights_and_shifts():
     idx = WignerIndex(3, -9, 1, -1)  # k=0 admissible
     (out,) = act_l_index(LieGen.U0, idx)
-    assert out == (idx, CR.i_times(Fraction(-9, 2)))
+    assert out == (idx, Fraction(-9, 2) * I)
     (out,) = act_l_index(LieGen.U3, idx)
-    assert out == (idx, CR.i_times(Fraction(1, 2)))
+    assert out == (idx, Fraction(1, 2) * I)
     # lowering annihilates the bottom weight
     bottom = WignerIndex(3, -9, -3, -1)
     assert act_l_index(LieGen.U1_MINUS_IU2, bottom) == []
@@ -63,7 +62,7 @@ def test_act_l_weights_and_shifts():
     k, l = 3, 1
     (tgt, coeff), = act_l_index(LieGen.U1_PLUS_IU2, chi_index(k, l))
     assert tgt == chi_index(k, l + 1)
-    assert unitary(coeff, chi_index(k, l), tgt) == CR.i_times(-(RS.sqrt(k + 1 - l) * RS.sqrt(l + 1)))
+    assert unitary(coeff, chi_index(k, l), tgt) == -(CR.sqrt(k + 1 - l) * CR.sqrt(l + 1)) * I
 
 
 def test_act_p_annihilation_case():
@@ -76,7 +75,7 @@ def test_act_p_x1_on_chi_family():
         for l in range(k + 1):
             (tgt, coeff), = act_p_index(LieGen.X1, chi_index(k, l))
             assert tgt == psi_index(k, l)
-            assert unitary(coeff, chi_index(k, l), tgt) == RS.sqrt(Fraction(l + 1, k + 2))
+            assert unitary(coeff, chi_index(k, l), tgt) == CR.sqrt(Fraction(l + 1, k + 2))
 
 
 def test_act_p_x3_on_chi_family():
@@ -84,10 +83,10 @@ def test_act_p_x3_on_chi_family():
     for l in range(1, k + 2):
         out = {t: unitary(c, chi_index(k, l), t) for t, c in act_p_index(LieGen.X3, chi_index(k, l))}
         expected = {
-            psi0_tilde_index(k, l - 1): RS.sqrt(k + 2 - l) * Fraction(k + 3, k + 2),
+            psi0_tilde_index(k, l - 1): CR.sqrt(k + 2 - l) * Fraction(k + 3, k + 2),
         }
         if l >= 1:
-            expected[psi0_index(k, l - 1)] = RS.sqrt(l) * RS.sqrt(k + 1) * Fraction(1, k + 2)
+            expected[psi0_index(k, l - 1)] = CR.sqrt(l) * CR.sqrt(k + 1) * Fraction(1, k + 2)
         assert out == {key: val for key, val in expected.items() if not val.is_zero()}
 
 
@@ -174,7 +173,7 @@ def test_su2_commutation():
         for _ in range(20):
             t = random_tensor(k, rng)
             lhs = act_tensor(E, act_tensor(F, t)) - act_tensor(F, act_tensor(E, t))
-            assert lhs == act_tensor(U3, t).scaled(CR.i_times(2))
+            assert lhs == act_tensor(U3, t).scaled(2 * I)
 
 
 def _bracket_failures(variant, seed=7):

@@ -13,6 +13,7 @@ coefficient by coefficient, through a(t)/a(idx).
 import math
 from fractions import Fraction
 
+from conftest import I
 from su21coh.lie import LieGen
 from su21coh.scalars import ComplexRadical
 from su21coh.wigner import WignerIndex, scale_sq
@@ -33,9 +34,9 @@ def unitary_coord(coeff, idx: WignerIndex, mu_sq=1) -> ComplexRadical:
 def act_l_index(gen: LieGen, idx: WignerIndex) -> list[tuple[WignerIndex, ComplexRadical]]:
     j2, n2, m12, m22 = idx
     if gen is LieGen.U0:
-        return [(idx, ComplexRadical.i_times(Fraction(n2, 2)))] if n2 else []
+        return [(idx, Fraction(n2, 2) * I)] if n2 else []
     if gen is LieGen.U3:
-        return [(idx, ComplexRadical.i_times(Fraction(m12, 2)))] if m12 else []
+        return [(idx, Fraction(m12, 2) * I)] if m12 else []
     if gen is LieGen.U1_PLUS_IU2:
         product, shift = ((j2 - m12) // 2) * ((j2 + m12) // 2 + 1), 2
     elif gen is LieGen.U1_MINUS_IU2:
@@ -44,7 +45,7 @@ def act_l_index(gen: LieGen, idx: WignerIndex) -> list[tuple[WignerIndex, Comple
         raise ValueError(f"{gen} is not a compact generator")
     if product == 0:
         return []
-    coeff = -ComplexRadical.i_times(ComplexRadical.sqrt(product))
+    coeff = -ComplexRadical.sqrt(product) * I
     return [(WignerIndex(j2, n2, m12 + shift, m22), coeff)]
 
 
