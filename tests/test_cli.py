@@ -176,6 +176,22 @@ def test_oracle_auto_adjudicates(capsys):
     assert "accepted=plus1" in out
 
 
+@pytest.mark.parametrize(
+    "argv, code, count, failing",
+    [
+        (["--j-max", "0"], 0, 23, set()),  # one index per sweep
+        (["--samples", "1"], 0, 1 + 8 * 91 + 14, set()),  # one point
+        (["--samples", "1", "--thm37-variant", "plus2"], 1, 8 * 91 + 14, {"dp:plus2[k=0,X3"}),
+        (["--tol", "1e-300"], 1, 1, {"variant adjudication"}),
+    ],
+)
+def test_oracle_edge_sizes_and_failing_controls(argv, code, count, failing, capsys):
+    assert main(["oracle", "--k", "0", "--format", "structured"] + argv) == code
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == count
+    assert {c["check"].split(",W[")[0] for c in checks if not c["pass"]} == failing
+
+
 def test_failed_adjudication_reports_every_param(monkeypatch, capsys):
     def rejecting(ks, samples, tol, seed):
         return None, CheckResult("variant adjudication", False, "accepted=None")

@@ -30,7 +30,15 @@ from su21coh.oracle import (
     wigner_matrix,
 )
 from su21coh.report import all_passed
-from su21coh.wigner import WignerIndex, admissible_indices, chi_index, psi_index, scale_sq
+from su21coh.wigner import (
+    WignerIndex,
+    act_l_index,
+    act_p_index,
+    admissible_indices,
+    chi_index,
+    psi_index,
+    scale_sq,
+)
 
 
 # Reference evaluations kept out of the package: the Jacobi polynomial by its
@@ -289,30 +297,57 @@ def test_eval_sections_stacks_indices_and_points():
         eval_sections(k, indices + [WignerIndex(0, 0, 0, 0)], g)
 
 
-def test_auto_oracle_evaluates_each_base_target_once(monkeypatch, capsys):
-    # the finite-difference sweeps read each target at their base points
-    # from the point set's table, also when the adjudication runs a second
-    # variant on the same base points
-    bases, calls = [], Counter()
+def _count_fd_evaluations(monkeypatch, argv):
+    """Run the CLI with `eval_wigner` and `_fd_points` wrapped.  Returns the
+    base point sets, the stencil point sets, and how often each (point set,
+    index) pair was evaluated on any of them, counting every index of a
+    stacked call."""
+    bases, stencil_sets, calls = [], [], Counter()
     real_points, real_eval = oracle._fd_points, oracle.eval_wigner
 
     def fd_points(*args):
         base, stencils = real_points(*args)
         bases.append(base[0])
+        stencil_sets.extend(angles for _, angles, _ in stencils)
         return base, stencils
 
     def eval_wigner_counted(idx, e):
-        if any(e is b for b in bases):
-            calls[id(e), idx] += 1
+        if any(e is p for p in bases + stencil_sets):
+            for one in [idx] if isinstance(idx, WignerIndex) else idx:
+                calls[id(e), one] += 1
         return real_eval(idx, e)
 
     monkeypatch.setattr(oracle, "_fd_points", fd_points)
     monkeypatch.setattr(oracle, "eval_wigner", eval_wigner_counted)
-    argv = ["oracle", "--k", "0..1", "--samples", "3", "--thm37-variant", "auto"]
     assert main(argv) == 0
+    return bases, stencil_sets, calls
+
+
+def test_auto_oracle_evaluates_each_base_target_once(monkeypatch, capsys):
+    # the finite-difference sweeps read each target at their base points
+    # from the point set's table, also when the adjudication runs a second
+    # variant on the same base points
+    argv = ["oracle", "--k", "0..1", "--samples", "3", "--thm37-variant", "auto"]
+    bases, _, calls = _count_fd_evaluations(monkeypatch, argv)
     assert len(bases) == 2  # the adjudication's points and check_action's
-    assert {key[0] for key in calls} == {id(b) for b in bases}
-    assert max(calls.values()) == 1
+    base_calls = {key: n for key, n in calls.items() if any(key[0] == id(b) for b in bases)}
+    assert {key[0] for key in base_calls} == {id(b) for b in bases}
+    assert max(base_calls.values()) == 1
+
+
+def test_auto_oracle_evaluates_each_stencil_index_once(monkeypatch, capsys):
+    # the finite differences do not depend on the variant: the adjudication's
+    # plus2 sweep reads plus1's from the stencil's table
+    argv = ["oracle", "--k", "0..1", "--samples", "3", "--thm37-variant", "auto"]
+    _, stencil_sets, calls = _count_fd_evaluations(monkeypatch, argv)
+    assert len(stencil_sets) == len(P_GENS) + len(L_GENS + P_GENS)
+    stencil_calls = {key: n for key, n in calls.items()
+                     if any(key[0] == id(s) for s in stencil_sets)}
+    assert {key[0] for key in stencil_calls} == {id(s) for s in stencil_sets}
+    # k = 0 and 1 with j <= 3/2 on the adjudication's four stencils, with
+    # j <= 5/2 on check_action's eight
+    assert len(stencil_calls) == 2 * (30 * 4 + 91 * 8)
+    assert max(stencil_calls.values()) == 1
 
 
 def test_section_covariance_suites():
@@ -406,6 +441,62 @@ def test_scale_ratio_is_within_ulps_at_any_j():
                         WignerIndex(j2 + 1, 0, m12 - 1, m22 + 1)):
                 exact = math.sqrt(scale_sq(idx) / scale_sq(tgt))
                 assert abs(oracle._scale_ratio(idx, tgt) - exact) <= 4 * math.ulp(exact)
+
+
+def fd_sweep_reference(k, j_max, tol, variant, base, stencils):
+    """`oracle._fd_sweep` as a loop over (generator, index): one
+    `eval_wigner` call per index on the stencil and per image target on the
+    base points, the prediction summed term by term with `sum`."""
+    indices = list(admissible_indices(k, j_max))
+    base_angles, base_rm3 = base
+    results = []
+    for gen, angles, weights in stencils:
+        compact = gen in L_GENS
+        label = "dl" if compact else f"dp:{variant}"
+        for idx in indices:
+            image = act_l_index(gen, idx) if compact else act_p_index(gen, idx, variant)
+            pred = base_rm3 * sum(c.to_complex() * oracle._scale_ratio(idx, tgt)
+                                  * eval_wigner(tgt, base_angles) for tgt, c in image)
+            fd = (weights * eval_wigner(idx, angles)).sum(axis=-1)
+            worst = float((np.abs(fd - pred) / np.maximum(1.0, np.abs(pred))).max())
+            results.append(oracle._within(f"{label}[k={k},{gen.value},{idx}]", worst, tol,
+                                          k=k, gen=gen.value))
+    return results
+
+
+def _fd_rows(res):
+    return [(r.name, r.passed, r.max_err, r.tol, r.params) for r in res]
+
+
+@pytest.mark.parametrize("ks, j_max, samples, variant, gens", [
+    (range(4), Fraction(5, 2), 20, "plus1", L_GENS + P_GENS),
+    ([0, 1], Fraction(3, 2), 5, "plus2", P_GENS),
+    ([0, 2], Fraction(0), 4, "plus1", L_GENS + P_GENS),  # one index per sweep
+    ([0, 3], Fraction(3, 2), 1, "plus1", L_GENS + P_GENS),  # one point
+])
+def test_stacked_fd_sweep_equals_the_per_index_loop(ks, j_max, samples, variant, gens):
+    # fresh point sets on each side, so neither reads the other's tables
+    stacked = oracle._fd_points(samples, 7, gens)
+    looped = oracle._fd_points(samples, 7, gens)
+    for k in ks:
+        rows = oracle._fd_sweep(k, j_max, 1e-6, variant, *stacked)
+        assert len(rows) == len(gens) * len(list(admissible_indices(k, j_max)))
+        assert _fd_rows(rows) == _fd_rows(fd_sweep_reference(k, j_max, 1e-6, variant, *looped))
+        assert all_passed(rows) == (variant == "plus1")
+
+
+def test_fd_sweep_of_empty_images_predicts_zero():
+    # at j = 0 raising and lowering annihilate every index: the prediction
+    # is exactly 0, so each row's error is the largest finite difference
+    base, stencils = oracle._fd_points(3, 2, L_GENS)
+    for gen, angles, weights in stencils:
+        if gen not in (LieGen.U1_PLUS_IU2, LieGen.U1_MINUS_IU2):
+            continue
+        (idx,) = admissible_indices(1, 0)
+        assert act_l_index(gen, idx) == []
+        (row,) = oracle._fd_sweep(1, 0, 1e-6, "plus1", base, [(gen, angles, weights)])
+        fd = (weights * eval_wigner(idx, _fresh(angles))).sum(axis=-1)
+        assert row.max_err == float(np.abs(fd).max()) and row.passed
 
 
 def test_operator_sweeps_small():
@@ -569,6 +660,14 @@ def test_tabled_eval_wigner_is_bit_identical_to_direct_evaluation():
     for e, idxs in ((batch, indices), (grid, window), (point, indices)):
         for idx in idxs:
             assert np.array_equal(eval_wigner(idx, e), eval_wigner_direct(idx, e)), idx
+    # stacked calls, row by row, on fresh point sets and on the tabled ones
+    for e, idxs in ((batch, indices), (grid, window), (point, indices)):
+        for shared in (_fresh(e), e):
+            stack = eval_wigner(idxs, shared)
+            assert stack.shape == (len(idxs),) + np.broadcast_shapes(
+                *(np.shape(x) for x in (e.zeta, e.phi, e.theta, e.psi)))
+            for idx, row in zip(idxs, stack):
+                assert np.array_equal(row, eval_wigner_direct(idx, e)), idx
 
 
 def test_tabled_eval_wigner_does_not_depend_on_evaluation_order():
