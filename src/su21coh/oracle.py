@@ -75,9 +75,9 @@ class EulerAngles:
     psi in (-pi, 3pi].  Each field is a float, or an array when the
     coordinates describe a batch of points (the four broadcast together).
 
-    A point set memoizes (see `table` and `rows`) the pieces `eval_wigner`
-    derives from its coordinates, at the base points of a finite-difference
-    sweep the value of each target index, and on a stencil its finite
+    A point set memoizes (see `table`) the pieces `eval_wigner` derives from
+    its coordinates, at the base points of a finite-difference sweep the
+    value of each target index, and on an adjudication stencil its finite
     differences per index window, so its coordinates must not be mutated
     after its first evaluation."""
 
@@ -90,16 +90,6 @@ class EulerAngles:
     def table(self, key, make):
         """make(), computed once per point set and key."""
         return self._tables[key] if key in self._tables else self._tables.setdefault(key, make())
-
-    def rows(self, keys, make) -> np.ndarray:
-        """(key, ...) stack of the table entries at keys (repeats allowed).
-        The keys not yet in the table come from one make(missing) call, which
-        returns their entries stacked in the order of `missing`."""
-        tables = self._tables
-        missing = [key for key in dict.fromkeys(keys) if key not in tables]
-        if missing:
-            tables.update(zip(missing, make(missing)))
-        return np.array([tables[key] for key in keys])
 
 
 @dataclass(frozen=True)
@@ -182,72 +172,37 @@ def eval_wigner(idx: WignerIndex | Sequence[WignerIndex], e: EulerAngles):
     """Value of the matrix-coefficient function named by idx at the given
     Euler coordinates, in the broadcast shape of the coordinates.  For a
     sequence of indices the values are stacked along a new leading index
-    axis, (index, *points), and each row is bit-identical to the one-index
-    call.
+    axis, (index, *points); each row is the one-index value.
 
     The phase is a product of one exponential per angle, so on a product
     grid (coordinates broadcast along different axes) each exponential is
     taken on its own axis only.  The pieces are computed once per point set
     and kept in its tables: powers of sin and cos of theta/2, the theta
-    profile per (j, m1, m2) and each angle's exponential per frequency.  A
-    stack gathers the same pieces and multiplies them in the same order.
+    profile per (j, m1, m2) and each angle's exponential per frequency.
     """
-    if isinstance(idx, WignerIndex):
-        return _eval_one(idx, e)
-    return _eval_stack(list(idx), e)
+    if not isinstance(idx, WignerIndex):
+        return np.array([_eval_one(one, e) for one in idx])
+    return _eval_one(idx, e)
 
 
 def _eval_one(idx: WignerIndex, e: EulerAngles):
+    j2, n2, m12, m22 = idx
     if not idx.structurally_valid():
         raise ValueError(f"invalid index {idx}")
-    zeta, psi, phi, profile = (e.table(key, lambda: _piece(e, key)) for key in _pieces(idx))
-    return zeta * psi * phi * profile
+    profile = e.table(("profile", j2, m12, m22), lambda: _profile(e, j2, m12, m22))
+    return _phase(e, "zeta", n2) * _phase(e, "psi", m12) * _phase(e, "phi", m22) * profile
 
 
-def _eval_stack(indices: list[WignerIndex], e: EulerAngles) -> np.ndarray:
-    """`eval_wigner` over a list of indices, as an (index, *points) stack."""
-    for idx in indices:
-        if not idx.structurally_valid():
-            raise ValueError(f"invalid index {idx}")
-    shape = np.broadcast_shapes(*(np.shape(x) for x in (e.zeta, e.phi, e.theta, e.psi)))
-    if not shape:
-        # numpy's scalar products may round differently from its array loops
-        return np.array([_eval_one(idx, e) for idx in indices], dtype=complex)
-    if not indices:
-        return np.zeros((0,) + shape, dtype=complex)
-
-    def stacked(keys) -> np.ndarray:
-        s = e.rows(keys, lambda missing: [_piece(e, key) for key in missing])
-        # a piece lives on some axes of the point shape; pad it to full rank
-        return s.reshape(s.shape[:1] + (1,) * (len(shape) + 1 - s.ndim) + s.shape[1:])
-
-    # in place, so that one gathered factor at a time is alive next to out
-    zeta, psi, phi, profile = zip(*map(_pieces, indices))
-    out = np.empty((len(indices),) + shape, dtype=complex)
-    out[...] = stacked(zeta)
-    for keys in (psi, phi, profile):
-        out *= stacked(keys)
-    return out
+def _profile(e: EulerAngles, j2: int, m12: int, m22: int):
+    """The theta profile sum_s coef * sin(theta/2)^es * cos(theta/2)^ec."""
+    return sum(c * e.table(("sin", es), lambda: np.sin(e.theta / 2) ** es)
+               * e.table(("cos", ec), lambda: np.cos(e.theta / 2) ** ec)
+               for c, es, ec in _theta_terms(j2, m12, m22))
 
 
-def _pieces(idx: WignerIndex) -> tuple[tuple, ...]:
-    """Table keys of the factors of a coefficient function, in the order
-    they are multiplied: the phases of zeta, psi and phi, then the theta
-    profile."""
-    j2, n2, m12, m22 = idx
-    return ("zeta", n2), ("psi", m12), ("phi", m22), ("profile", j2, m12, m22)
-
-
-def _piece(e: EulerAngles, key: tuple):
-    """The factor named by a `_pieces` key over the point set: the theta
-    profile sum_s coef * sin(theta/2)^es * cos(theta/2)^ec, or the phase
-    exp(i/2 * freq2 * angle)."""
-    if key[0] == "profile":
-        return sum(c * e.table(("sin", es), lambda: np.sin(e.theta / 2) ** es)
-                   * e.table(("cos", ec), lambda: np.cos(e.theta / 2) ** ec)
-                   for c, es, ec in _theta_terms(*key[1:]))
-    angle, freq2 = key
-    return np.exp(0.5j * freq2 * getattr(e, angle))
+def _phase(e: EulerAngles, angle: str, freq2: int):
+    """exp(i/2 * freq2 * angle) over the point set."""
+    return e.table((angle, freq2), lambda: np.exp(0.5j * freq2 * getattr(e, angle)))
 
 
 def wigner_matrix(j2: int, n2: int, e: EulerAngles) -> np.ndarray:
@@ -505,17 +460,19 @@ def _scale_ratio(idx: WignerIndex, tgt: WignerIndex) -> float:
     return math.ldexp(m / mt, e - et)
 
 
-def _fd_sweep(k, j_max, tol, variant, base, stencils) -> list[CheckResult]:
+def _fd_sweep(k, j_max, tol, variant, base, stencils,
+              keep_fd: bool = False) -> list[CheckResult]:
     """Compare the exact operator prediction against finite differences for
     every admissible index with j <= j_max and every decomposed stencil.
     One result row per (generator, index) with the max relative error over
     the points; a sweep over no index is a single failing row.
 
-    Each stencil is evaluated once for all the indices, and its finite
-    differences are kept in its point set's table: they do not depend on the
-    variant, so a second variant's sweep on the same stencils reuses them
-    (a stencil's point set comes with its weights, see `_fd_points`).  The
-    base points keep the value of each image target, evaluated once per
+    Each stencil is evaluated with one `eval_wigner` call per window of
+    indices, at most FD_STACK_SIZE values.  The finite differences do not
+    depend on the variant: with keep_fd they are kept in the stencil point
+    set's table, so a second variant's sweep on the same stencils reuses
+    them (a stencil's point set comes with its weights, see `_fd_points`).
+    The base points keep the value of each image target, evaluated once per
     point set.  The predictions sum each index's image terms in image order,
     so every row equals that of a per-index loop bit for bit."""
     indices = list(admissible_indices(k, j_max))
@@ -529,38 +486,59 @@ def _fd_sweep(k, j_max, tol, variant, base, stencils) -> list[CheckResult]:
             )
         ]
     names = [str(idx) for idx in indices]
-    base_angles, base_rm3 = base
     results = []
     for gen, angles, weights in stencils:
-        compact = gen in L_GENS
-        label = "dl" if compact else f"dp:{variant}"
-        fd = angles.table(("fd", tuple(indices)), lambda: _fd_values(indices, angles, weights))
-        term_rows, targets, coeffs = [], [], []
-        for row, idx in enumerate(indices):
-            image = act_l_index(gen, idx) if compact else act_p_index(gen, idx, variant)
-            for tgt, c in image:
-                # the unitary coefficient is the rescaled one times a(idx)/a(tgt)
-                term_rows.append(row)
-                targets.append(("value", tgt))
-                coeffs.append(c.to_complex() * _scale_ratio(idx, tgt))
-        pred = np.zeros(fd.shape, dtype=complex)
-        if targets:
-            values = base_angles.rows(
-                targets, lambda keys: eval_wigner([tgt for _, tgt in keys], base_angles))
-            np.add.at(pred, term_rows, np.array(coeffs)[:, None] * values)
-        pred = base_rm3 * pred
-        worst = (np.abs(fd - pred) / np.maximum(1.0, np.abs(pred))).max(axis=-1)
-        results += [
-            _within(f"{label}[k={k},{gen.value},{name}]", float(err), tol, k=k, gen=gen.value)
-            for name, err in zip(names, worst)
-        ]
+        label = "dl" if gen in L_GENS else f"dp:{variant}"
+        size = max(1, FD_STACK_SIZE // weights.size)
+        for start in range(0, len(indices), size):
+            window = indices[start:start + size]
+            if keep_fd:
+                fd = angles.table(("fd", tuple(window)), lambda: _fd_values(window, angles, weights))
+            else:
+                fd = _fd_values(window, angles, weights)
+            results += [
+                _within(f"{label}[k={k},{gen.value},{name}]", float(err), tol, k=k, gen=gen.value)
+                for name, err in zip(names[start:start + size],
+                                     _fd_errors(fd, gen, window, variant, base))
+            ]
     return results
+
+
+# Values per stacked stencil evaluation in `_fd_sweep` (25 indices at the
+# default 20 points): bounds the arrays alive at once whatever j_max and the
+# number of points are.  Larger windows gave no speed at the defaults and
+# more peak memory at j <= 6 on 200 points.
+FD_STACK_SIZE = 1 << 12
 
 
 def _fd_values(indices, angles, weights) -> np.ndarray:
     """(index, point) finite differences sum(weights * W_idx) over a stencil."""
     values = eval_wigner(indices, angles)
     return np.multiply(weights, values, out=values).sum(axis=-1)
+
+
+def _fd_errors(fd, gen, indices, variant, base) -> np.ndarray:
+    """Per index, the max over the points of the relative error of the
+    finite differences fd against the exact prediction at the base points.
+    Each index's image terms are summed in image order, as `sum` would."""
+    base_angles, base_rm3 = base
+    term_rows, targets, coeffs = [], [], []
+    for row, idx in enumerate(indices):
+        image = act_l_index(gen, idx) if gen in L_GENS else act_p_index(gen, idx, variant)
+        for tgt, c in image:
+            # the unitary coefficient is the rescaled one times a(idx)/a(tgt)
+            term_rows.append(row)
+            targets.append(tgt)
+            coeffs.append(c.to_complex() * _scale_ratio(idx, tgt))
+    pred = np.zeros(fd.shape, dtype=complex)
+    if targets:
+        values = np.array([
+            base_angles.table(("value", tgt), lambda: eval_wigner(tgt, base_angles))
+            for tgt in targets])
+        values *= np.array(coeffs)[:, None]
+        np.add.at(pred, term_rows, values)
+    pred = base_rm3 * pred
+    return (np.abs(fd - pred) / np.maximum(1.0, np.abs(pred))).max(axis=-1)
 
 
 def _fd_points(samples: int, seed: int, gens) -> tuple[tuple, list]:
@@ -604,7 +582,8 @@ def adjudicate_variant(ks, samples: int, tol: float, seed: int) -> tuple[str | N
     worst, passing = {}, []
     for variant in VARIANTS:
         res = [r for k in range(min(max(ks), 1) + 1)
-               for r in _fd_sweep(k, ADJUDICATION_J_MAX, tol, variant, base, stencils)]
+               for r in _fd_sweep(k, ADJUDICATION_J_MAX, tol, variant, base, stencils,
+                                  keep_fd=True)]
         worst[variant] = max((r.max_err for r in res if r.max_err is not None), default=math.inf)
         if all_passed(res):
             passing.append(variant)

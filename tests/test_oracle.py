@@ -485,6 +485,38 @@ def test_stacked_fd_sweep_equals_the_per_index_loop(ks, j_max, samples, variant,
         assert all_passed(rows) == (variant == "plus1")
 
 
+@pytest.mark.parametrize("stack_size", [1, 7 * 20 * 8, 1 << 20])
+def test_fd_sweep_windows_equal_the_per_index_loop(monkeypatch, stack_size):
+    # one index a window, seven with a ragged last window, and one window;
+    # with kept finite differences plus2 reads plus1's
+    monkeypatch.setattr(oracle, "FD_STACK_SIZE", stack_size)
+    stacked = oracle._fd_points(20, 5, P_GENS)
+    looped = oracle._fd_points(20, 5, P_GENS)
+    for variant in oracle.VARIANTS:
+        rows = oracle._fd_sweep(1, Fraction(5, 2), 1e-6, variant, *stacked, keep_fd=True)
+        assert _fd_rows(rows) == _fd_rows(
+            fd_sweep_reference(1, Fraction(5, 2), 1e-6, variant, *looped))
+
+
+def test_only_the_adjudication_keeps_finite_differences(monkeypatch):
+    # check_action sweeps each k once under one variant, so its stencils
+    # keep no finite differences; the adjudication's serve both variants
+    stencil_sets = []
+    real_points = oracle._fd_points
+
+    def fd_points(*args):
+        base, stencils = real_points(*args)
+        stencil_sets.append([angles for _, angles, _ in stencils])
+        return base, stencils
+
+    monkeypatch.setattr(oracle, "_fd_points", fd_points)
+    adjudicate_variant([0, 1], 3, 1e-6, 0)
+    oracle.check_action([0, 1], samples=3)
+    kept = [[key for angles in sets for key in angles._tables if key[0] == "fd"]
+            for sets in stencil_sets]
+    assert len(kept) == 2 and kept[0] and not kept[1]
+
+
 def test_fd_sweep_of_empty_images_predicts_zero():
     # at j = 0 raising and lowering annihilate every index: the prediction
     # is exactly 0, so each row's error is the largest finite difference
@@ -556,7 +588,8 @@ def test_adjudication_is_sized_by_the_oracle(monkeypatch):
     # k <= min(max(ks), 1) and at most 5 points, whatever the sweep asks for
     ks, points = [], []
     real_sweep, real_points = oracle._fd_sweep, oracle._fd_points
-    monkeypatch.setattr(oracle, "_fd_sweep", lambda k, *a: ks.append(k) or real_sweep(k, *a))
+    monkeypatch.setattr(oracle, "_fd_sweep",
+                        lambda k, *a, **kw: ks.append(k) or real_sweep(k, *a, **kw))
     monkeypatch.setattr(oracle, "_fd_points",
                         lambda n, *a: points.append(n) or real_points(n, *a))
     accepted, _ = adjudicate_variant(range(4), 20, 1e-6, 0)
