@@ -14,7 +14,7 @@ The numeric routines work on stacks: Euler coordinates may be arrays of any
 point is a one-point stack; a lone (3, 3) matrix or float coordinates give
 numpy scalars or 0-d arrays.  `eval_wigner` also stacks over indices: a
 sequence of indices gives an (index, *points) array, so a finite-difference
-sweep evaluates each stencil once for all its indices.
+sweep evaluates a stencil with one call per window of indices.
 
 Everything here is deliberately independent of the exact engine: the only
 shared input is the list of generator matrices, which are read off from the
