@@ -37,7 +37,6 @@ from .wigner import (
     DEFAULT_VARIANT,
     act_l_index,
     act_p_index,
-    admissible,
     chi_index,
     module_index,
     psi0_index,
@@ -328,8 +327,9 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
         tj, _, tm1, tm2 = t
         for gen, dm1 in ((LieGen.X3, +1), (LieGen.X4, -1)):
             for dj in (-1, +1):
+                # a module index is admissible exactly when it is structurally valid
                 cand = module_index(k, tj + dj, tm1 + dm1, tm2 + 1)
-                if not admissible(cand, k):
+                if not cand.structurally_valid():
                     continue
                 image = dict(act_p_index(gen, cand, variant))
                 if t in image:

@@ -20,6 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
+from .report import CheckResult
 from .scalars import ComplexRadical, GaussianRational
 from .sparse import LinComb
 
@@ -280,10 +281,8 @@ def wedge_action(u: LieGen, w: tuple[int, ...]) -> dict[tuple[int, ...], Gaussia
     return dict(LinComb(terms).items())
 
 
-def _compare_cells(cells) -> list:
+def _compare_cells(cells) -> list[CheckResult]:
     """One check per (name, computed, printed) table cell."""
-    from .report import CheckResult
-
     return [
         CheckResult(
             name=name,
@@ -294,7 +293,7 @@ def _compare_cells(cells) -> list:
     ]
 
 
-def verify_table1(fixture=None) -> list:
+def verify_table1(fixture=None) -> list[CheckResult]:
     """Recompute every printed (X, U) action cell from 3x3 brackets."""
     if fixture is None:
         fixture = table1_fixture()
@@ -308,7 +307,7 @@ def verify_table1(fixture=None) -> list:
     )
 
 
-def verify_table3() -> list:
+def verify_table3() -> list[CheckResult]:
     """Recompute every printed wedge-action cell from 3x3 brackets."""
     return _compare_cells(
         (
@@ -320,14 +319,12 @@ def verify_table3() -> list:
     )
 
 
-def verify_structure(inject_error: bool = False) -> list:
+def verify_structure(inject_error: bool = False) -> list[CheckResult]:
     """Full structural suite: tables, p-bracket vanishing, closure, conjugation.
 
     inject_error corrupts one table fixture cell before comparing; it exists
     so the failure path of the suite (and its exit code) can be exercised.
     """
-    from .report import CheckResult
-
     fixture = table1_fixture()
     if inject_error:
         fixture[(LieGen.X1, LieGen.U0)] = [(_it(Fraction(5, 2)), LieGen.X1)]

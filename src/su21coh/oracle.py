@@ -76,9 +76,8 @@ class EulerAngles:
     coordinates describe a batch of points (the four broadcast together).
 
     A point set memoizes (see `table`) the pieces `eval_wigner` derives from
-    its coordinates, at the base points of a finite-difference sweep the
-    value of each target index, and on an adjudication stencil its finite
-    differences per index window, so its coordinates must not be mutated
+    its coordinates and, at the base points of a finite-difference sweep,
+    the value of each target index, so its coordinates must not be mutated
     after its first evaluation."""
 
     zeta: float | np.ndarray
@@ -209,10 +208,8 @@ def wigner_matrix(j2: int, n2: int, e: EulerAngles) -> np.ndarray:
     """Matrix of coefficient values over m1 (rows) and m2 (columns); for
     array coordinates a stack (..., 2j+1, 2j+1)."""
     ms = range(-j2, j2 + 1, 2)
-    vals = np.array(
-        [[eval_wigner(WignerIndex(j2, n2, m12, m22), e) for m22 in ms] for m12 in ms]
-    )
-    return np.moveaxis(vals, (0, 1), (-2, -1))
+    vals = eval_wigner([WignerIndex(j2, n2, m12, m22) for m12 in ms for m22 in ms], e)
+    return np.moveaxis(vals.reshape((len(ms), len(ms)) + vals.shape[1:]), (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +344,7 @@ def eval_sections(k: int, indices, g: np.ndarray) -> np.ndarray:
         if not admissible(idx, k):
             raise ValueError(f"{idx} not admissible for k={k}")
     angles, rm3 = _decompose_for_eval(g)
-    return rm3 * np.array([eval_wigner(idx, angles) for idx in indices])
+    return rm3 * eval_wigner(indices, angles)
 
 
 # ---------------------------------------------------------------------------
@@ -460,47 +457,45 @@ def _scale_ratio(idx: WignerIndex, tgt: WignerIndex) -> float:
     return math.ldexp(m / mt, e - et)
 
 
-def _fd_sweep(k, j_max, tol, variant, base, stencils,
-              keep_fd: bool = False) -> list[CheckResult]:
-    """Compare the exact operator prediction against finite differences for
-    every admissible index with j <= j_max and every decomposed stencil.
-    One result row per (generator, index) with the max relative error over
-    the points; a sweep over no index is a single failing row.
+def _fd_sweep(ks, j_max, tol, variants, base, stencils) -> dict[str, list[CheckResult]]:
+    """Compare the exact operator prediction under each variant against
+    finite differences for every k in ks, every admissible index with
+    j <= j_max and every decomposed stencil.  Per variant, one result row
+    per (k, generator, index) with the max relative error over the points;
+    a k with no index gives a single failing row.
 
     Each stencil is evaluated with one `eval_wigner` call per window of
-    indices, at most FD_STACK_SIZE values.  The finite differences do not
-    depend on the variant: with keep_fd they are kept in the stencil point
-    set's table, so a second variant's sweep on the same stencils reuses
-    them (a stencil's point set comes with its weights, see `_fd_points`).
+    indices, at most FD_STACK_SIZE values, and the window's finite
+    differences, which do not depend on the variant, serve every variant.
     The base points keep the value of each image target, evaluated once per
     point set.  The predictions sum each index's image terms in image order,
     so every row equals that of a per-index loop bit for bit."""
-    indices = list(admissible_indices(k, j_max))
-    if not indices:
-        return [
-            CheckResult(
-                name=f"fd[k={k}] admissible indices with j <= {j_max}",
-                passed=False,
-                detail="empty sweep: no index to compare",
-                params={"k": k},
-            )
-        ]
-    names = [str(idx) for idx in indices]
-    results = []
-    for gen, angles, weights in stencils:
-        label = "dl" if gen in L_GENS else f"dp:{variant}"
-        size = max(1, FD_STACK_SIZE // weights.size)
-        for start in range(0, len(indices), size):
-            window = indices[start:start + size]
-            if keep_fd:
-                fd = angles.table(("fd", tuple(window)), lambda: _fd_values(window, angles, weights))
-            else:
+    results = {variant: [] for variant in variants}
+    for k in ks:
+        indices = list(admissible_indices(k, j_max))
+        if not indices:
+            for rows in results.values():
+                rows.append(CheckResult(
+                    name=f"fd[k={k}] admissible indices with j <= {j_max}",
+                    passed=False,
+                    detail="empty sweep: no index to compare",
+                    params={"k": k},
+                ))
+            continue
+        names = [str(idx) for idx in indices]
+        for gen, angles, weights in stencils:
+            size = max(1, FD_STACK_SIZE // weights.size)
+            for start in range(0, len(indices), size):
+                window = indices[start:start + size]
                 fd = _fd_values(window, angles, weights)
-            results += [
-                _within(f"{label}[k={k},{gen.value},{name}]", float(err), tol, k=k, gen=gen.value)
-                for name, err in zip(names[start:start + size],
-                                     _fd_errors(fd, gen, window, variant, base))
-            ]
+                for variant, rows in results.items():
+                    label = "dl" if gen in L_GENS else f"dp:{variant}"
+                    rows += [
+                        _within(f"{label}[k={k},{gen.value},{name}]", float(err), tol,
+                                k=k, gen=gen.value)
+                        for name, err in zip(names[start:start + size],
+                                             _fd_errors(fd, gen, window, variant, base))
+                    ]
     return results
 
 
@@ -561,11 +556,8 @@ def check_action(ks, j_max=Fraction(5, 2), samples: int = 20, tol: float = 1e-6,
     noncompact ones with the chosen coefficient variant), for every k in ks,
     at `samples` seeded random group points.  The points and each
     generator's stencil around them are decomposed once and serve every k."""
-    base, stencils = _fd_points(samples, seed, L_GENS + P_GENS)
-    results = []
-    for k in ks:
-        results += _fd_sweep(k, j_max, tol, variant, base, stencils)
-    return results
+    return _fd_sweep(ks, j_max, tol, (variant,),
+                     *_fd_points(samples, seed, L_GENS + P_GENS))[variant]
 
 
 ADJUDICATION_J_MAX = Fraction(3, 2)
@@ -574,19 +566,16 @@ ADJUDICATION_J_MAX = Fraction(3, 2)
 def adjudicate_variant(ks, samples: int, tol: float, seed: int) -> tuple[str | None, CheckResult]:
     """Run the noncompact sweep at three fixed sizes, k <= min(max(ks), 1),
     j <= ADJUDICATION_J_MAX = 3/2 and min(samples, 5) seeded points, under
-    both coefficient variants on one set of decomposed points, and accept
-    the one variant the finite differences pass; a variant whose sweep
-    compares nothing fails, with error inf.  Returns the accepted variant
+    both coefficient variants in one `_fd_sweep`, so each stencil window's
+    finite differences are taken once and compared with both predictions,
+    and accept the one variant the finite differences pass; a variant whose
+    sweep compares nothing fails, with error inf.  Returns the accepted variant
     (None unless exactly one passes) and the report row."""
-    base, stencils = _fd_points(min(samples, 5), seed, P_GENS)
-    worst, passing = {}, []
-    for variant in VARIANTS:
-        res = [r for k in range(min(max(ks), 1) + 1)
-               for r in _fd_sweep(k, ADJUDICATION_J_MAX, tol, variant, base, stencils,
-                                  keep_fd=True)]
-        worst[variant] = max((r.max_err for r in res if r.max_err is not None), default=math.inf)
-        if all_passed(res):
-            passing.append(variant)
+    rows = _fd_sweep(range(min(max(ks), 1) + 1), ADJUDICATION_J_MAX, tol, VARIANTS,
+                     *_fd_points(min(samples, 5), seed, P_GENS))
+    worst = {variant: max((r.max_err for r in res if r.max_err is not None), default=math.inf)
+             for variant, res in rows.items()}
+    passing = [variant for variant, res in rows.items() if all_passed(res)]
     accepted = passing[0] if len(passing) == 1 else None
     errs = ", ".join(f"{v}: err={e:.2e}" for v, e in worst.items())
     return accepted, CheckResult("variant adjudication", accepted is not None,
@@ -624,7 +613,9 @@ def quadrature_ip(idx1: WignerIndex, idx2: WignerIndex) -> complex:
     j2b, n2b, *_ = idx2
     grid, weights, haar = _quad_grid(abs(n2a) + abs(n2b) + 4, j2a + j2b + 4,
                                      max(4, (j2a + j2b) // 2 + 2))
-    integrand = eval_wigner(idx1, grid) * np.conj(eval_wigner(idx2, grid))
+    w1, w2 = eval_wigner([idx1, idx2], grid)
+    # the product is written over w2's row: one grid-sized temporary fewer
+    integrand = np.multiply(w1, np.conj(w2, out=w2), out=w2)
     total = complex((integrand * weights).sum())
     return total / haar
 

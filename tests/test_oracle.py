@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -336,8 +337,8 @@ def test_auto_oracle_evaluates_each_base_target_once(monkeypatch, capsys):
 
 
 def test_auto_oracle_evaluates_each_stencil_index_once(monkeypatch, capsys):
-    # the finite differences do not depend on the variant: the adjudication's
-    # plus2 sweep reads plus1's from the stencil's table
+    # the finite differences do not depend on the variant: the adjudication
+    # compares each stencil window's with both variants in one sweep
     argv = ["oracle", "--k", "0..1", "--samples", "3", "--thm37-variant", "auto"]
     _, stencil_sets, calls = _count_fd_evaluations(monkeypatch, argv)
     assert len(stencil_sets) == len(P_GENS) + len(L_GENS + P_GENS)
@@ -365,12 +366,20 @@ def test_covariance_decomposes_each_point_set_once(monkeypatch):
 
 
 def test_covariance_checks_every_index_of_the_window(monkeypatch):
-    seen = set()
+    # one stacked call per point set, counting every index of the stack
+    seen, calls = set(), []
     real = oracle.eval_wigner
-    monkeypatch.setattr(oracle, "eval_wigner", lambda idx, e: seen.add(idx) or real(idx, e))
+
+    def eval_wigner_counted(idx, e):
+        calls.append(e)
+        seen.update([idx] if isinstance(idx, WignerIndex) else idx)
+        return real(idx, e)
+
+    monkeypatch.setattr(oracle, "eval_wigner", eval_wigner_counted)
     assert all_passed(oracle.covariance_report(k=1))
     window = set(admissible_indices(1, Fraction(3, 2)))
     assert len(window) == 30 and seen == window
+    assert len(calls) == 3
 
 
 def test_real_imag_parts_generic_matrix():
@@ -443,17 +452,17 @@ def test_scale_ratio_is_within_ulps_at_any_j():
                 assert abs(oracle._scale_ratio(idx, tgt) - exact) <= 4 * math.ulp(exact)
 
 
-def fd_sweep_reference(k, j_max, tol, variant, base, stencils):
-    """`oracle._fd_sweep` as a loop over (generator, index): one
-    `eval_wigner` call per index on the stencil and per image target on the
-    base points, the prediction summed term by term with `sum`."""
-    indices = list(admissible_indices(k, j_max))
+def fd_sweep_reference(ks, j_max, tol, variant, base, stencils):
+    """One variant's rows of `oracle._fd_sweep` as a loop over (k,
+    generator, index): one `eval_wigner` call per index on the stencil and
+    per image target on the base points, the prediction summed term by term
+    with `sum`."""
     base_angles, base_rm3 = base
     results = []
-    for gen, angles, weights in stencils:
+    for k, (gen, angles, weights) in itertools.product(ks, stencils):
         compact = gen in L_GENS
         label = "dl" if compact else f"dp:{variant}"
-        for idx in indices:
+        for idx in admissible_indices(k, j_max):
             image = act_l_index(gen, idx) if compact else act_p_index(gen, idx, variant)
             pred = base_rm3 * sum(c.to_complex() * oracle._scale_ratio(idx, tgt)
                                   * eval_wigner(tgt, base_angles) for tgt, c in image)
@@ -478,43 +487,64 @@ def test_stacked_fd_sweep_equals_the_per_index_loop(ks, j_max, samples, variant,
     # fresh point sets on each side, so neither reads the other's tables
     stacked = oracle._fd_points(samples, 7, gens)
     looped = oracle._fd_points(samples, 7, gens)
-    for k in ks:
-        rows = oracle._fd_sweep(k, j_max, 1e-6, variant, *stacked)
-        assert len(rows) == len(gens) * len(list(admissible_indices(k, j_max)))
-        assert _fd_rows(rows) == _fd_rows(fd_sweep_reference(k, j_max, 1e-6, variant, *looped))
-        assert all_passed(rows) == (variant == "plus1")
+    rows = oracle._fd_sweep(ks, j_max, 1e-6, (variant,), *stacked)[variant]
+    assert len(rows) == len(gens) * sum(len(list(admissible_indices(k, j_max))) for k in ks)
+    assert _fd_rows(rows) == _fd_rows(fd_sweep_reference(ks, j_max, 1e-6, variant, *looped))
+    assert all_passed(rows) == (variant == "plus1")
 
 
 @pytest.mark.parametrize("stack_size", [1, 7 * 20 * 8, 1 << 20])
 def test_fd_sweep_windows_equal_the_per_index_loop(monkeypatch, stack_size):
     # one index a window, seven with a ragged last window, and one window;
-    # with kept finite differences plus2 reads plus1's
+    # each window's finite differences serve both variants
     monkeypatch.setattr(oracle, "FD_STACK_SIZE", stack_size)
     stacked = oracle._fd_points(20, 5, P_GENS)
     looped = oracle._fd_points(20, 5, P_GENS)
+    rows = oracle._fd_sweep([1], Fraction(5, 2), 1e-6, oracle.VARIANTS, *stacked)
+    assert list(rows) == list(oracle.VARIANTS)
     for variant in oracle.VARIANTS:
-        rows = oracle._fd_sweep(1, Fraction(5, 2), 1e-6, variant, *stacked, keep_fd=True)
-        assert _fd_rows(rows) == _fd_rows(
-            fd_sweep_reference(1, Fraction(5, 2), 1e-6, variant, *looped))
+        assert _fd_rows(rows[variant]) == _fd_rows(
+            fd_sweep_reference([1], Fraction(5, 2), 1e-6, variant, *looped))
 
 
-def test_only_the_adjudication_keeps_finite_differences(monkeypatch):
-    # check_action sweeps each k once under one variant, so its stencils
-    # keep no finite differences; the adjudication's serve both variants
-    stencil_sets = []
-    real_points = oracle._fd_points
+def test_fd_sweep_over_both_variants_equals_one_variant_at_a_time():
+    # fresh point sets per sweep, so no sweep reads another's tables
+    both = oracle._fd_sweep(range(3), Fraction(3, 2), 1e-6, oracle.VARIANTS,
+                            *oracle._fd_points(4, 3, L_GENS + P_GENS))
+    for variant in oracle.VARIANTS:
+        alone = oracle._fd_sweep(range(3), Fraction(3, 2), 1e-6, (variant,),
+                                 *oracle._fd_points(4, 3, L_GENS + P_GENS))
+        assert list(alone) == [variant]
+        assert _fd_rows(both[variant]) == _fd_rows(alone[variant])
 
-    def fd_points(*args):
-        base, stencils = real_points(*args)
-        stencil_sets.append([angles for _, angles, _ in stencils])
-        return base, stencils
 
-    monkeypatch.setattr(oracle, "_fd_points", fd_points)
-    adjudicate_variant([0, 1], 3, 1e-6, 0)
-    oracle.check_action([0, 1], samples=3)
-    kept = [[key for angles in sets for key in angles._tables if key[0] == "fd"]
-            for sets in stencil_sets]
-    assert len(kept) == 2 and kept[0] and not kept[1]
+def test_fd_sweep_keeps_one_failing_row_per_empty_k_and_variant():
+    rows = oracle._fd_sweep([0, 1], Fraction(-1), 1e-6, oracle.VARIANTS,
+                            *oracle._fd_points(2, 0, P_GENS))
+    for res in rows.values():
+        assert [(r.name, r.passed, r.params) for r in res] == [
+            (f"fd[k={k}] admissible indices with j <= -1", False, {"k": k}) for k in (0, 1)]
+
+
+def test_auto_oracle_keeps_no_finite_differences(monkeypatch, capsys):
+    # each stencil window is compared with every variant as it is evaluated,
+    # so no point set's table holds finite differences
+    bases, stencil_sets, _ = _count_fd_evaluations(
+        monkeypatch, ["oracle", "--k", "0..1", "--samples", "3", "--thm37-variant", "auto"])
+    assert len(stencil_sets) == len(P_GENS) + len(L_GENS + P_GENS)
+    for angles in bases + stencil_sets:
+        assert angles._tables and not [key for key in angles._tables if key[0] == "fd"]
+
+
+def test_auto_oracle_sweeps_once_per_caller(monkeypatch, capsys):
+    # one sweep for the adjudication (every k, both variants), one for
+    # check_action (every k, the accepted variant)
+    sweeps = []
+    real = oracle._fd_sweep
+    monkeypatch.setattr(oracle, "_fd_sweep",
+                        lambda ks, *a: sweeps.append((list(ks), a[2])) or real(ks, *a))
+    assert main(["oracle", "--k", "0..1", "--samples", "3", "--thm37-variant", "auto"]) == 0
+    assert sweeps == [([0, 1], oracle.VARIANTS), ([0, 1], ("plus1",))]
 
 
 def test_fd_sweep_of_empty_images_predicts_zero():
@@ -526,7 +556,8 @@ def test_fd_sweep_of_empty_images_predicts_zero():
             continue
         (idx,) = admissible_indices(1, 0)
         assert act_l_index(gen, idx) == []
-        (row,) = oracle._fd_sweep(1, 0, 1e-6, "plus1", base, [(gen, angles, weights)])
+        (row,) = oracle._fd_sweep([1], 0, 1e-6, ("plus1",), base,
+                                  [(gen, angles, weights)])["plus1"]
         fd = (weights * eval_wigner(idx, _fresh(angles))).sum(axis=-1)
         assert row.max_err == float(np.abs(fd).max()) and row.passed
 
@@ -589,12 +620,12 @@ def test_adjudication_is_sized_by_the_oracle(monkeypatch):
     ks, points = [], []
     real_sweep, real_points = oracle._fd_sweep, oracle._fd_points
     monkeypatch.setattr(oracle, "_fd_sweep",
-                        lambda k, *a, **kw: ks.append(k) or real_sweep(k, *a, **kw))
+                        lambda k_range, *a: ks.append(list(k_range)) or real_sweep(k_range, *a))
     monkeypatch.setattr(oracle, "_fd_points",
                         lambda n, *a: points.append(n) or real_points(n, *a))
     accepted, _ = adjudicate_variant(range(4), 20, 1e-6, 0)
     assert accepted == "plus1"
-    assert points == [5] and ks == [0, 1, 0, 1]
+    assert points == [5] and ks == [[0, 1]]
 
 
 def test_adjudication_of_an_empty_sweep_fails(monkeypatch):
