@@ -658,6 +658,69 @@ def test_quadrature_orthogonality_spot():
     assert abs(quadrature_ip(a, d)) <= 1e-12
 
 
+def product_grid(nz: int, nang: int, ng: int) -> tuple[EulerAngles, np.ndarray, float]:
+    """The 4-D product grid at these node counts (trapezoid over the full
+    4*pi angle periods, Gauss-Legendre in cos(theta)), its weights and its
+    total weight."""
+    wz, wa = 4 * math.pi / nz, 4 * math.pi / nang
+    ag = np.arange(nang) * wa
+    x, wx = np.polynomial.legendre.leggauss(ng)
+    grid = EulerAngles(zeta=(np.arange(nz) * wz)[:, None, None, None], phi=ag[None, :, None, None],
+                       theta=np.arccos(x)[None, None, :, None], psi=ag[None, None, None, :])
+    return grid, wz * wa * wa * wx[None, None, :, None], wz * nz * wa * nang * wa * nang * wx.sum()
+
+
+def quadrature_ip_reference(idx1: WignerIndex, idx2: WignerIndex) -> complex:
+    """Per-pair invariant inner product: the integrand W1 conj(W2) evaluated
+    through `eval_wigner` on the whole product grid sized for the pair and
+    summed, over the total weight."""
+    j2, n2 = idx1.j2 + idx2.j2, abs(idx1.n2) + abs(idx2.n2)
+    grid, weights, haar = product_grid(n2 + 4, j2 + 4, max(4, j2 // 2 + 2))
+    w1, w2 = eval_wigner([idx1, idx2], grid)
+    return complex((w1 * np.conj(w2) * weights).sum()) / haar
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_gram_matrix_matches_per_pair_quadrature(k):
+    window = list(admissible_indices(k, Fraction(3, 2)))
+    gram = quadrature_ip(window, window)
+    assert gram.shape == (len(window), len(window))
+    ref = np.array([[quadrature_ip_reference(a, b) for b in window] for a in window])
+    assert np.abs(gram - ref).max() <= 1e-14
+    a, b = window[3], window[-2]
+    one = quadrature_ip(a, b)
+    assert type(one) is complex and one == quadrature_ip([a], [b])[0, 0]
+    assert abs(one - gram[3, -2]) <= 1e-14
+    rect = quadrature_ip(window[:4], window)
+    assert rect.shape == (4, len(window)) and np.abs(rect - ref[:4]).max() <= 1e-14
+
+
+def test_orthogonality_report_catches_a_scaled_norm(monkeypatch):
+    real = oracle._theta_terms
+
+    def scaled(j2, m12, m22):
+        terms = real(j2, m12, m22)
+        if (j2, m12, m22) == (3, -1, -1):
+            return [(c * (1 + 1e-6), es, ec) for c, es, ec in terms]
+        return terms
+
+    monkeypatch.setattr(oracle, "_theta_terms", scaled)
+    orthogonality, norms = oracle.orthogonality_report()
+    assert norms.name.startswith("squared norms") and not norms.passed
+    assert orthogonality.passed
+
+
+def test_orthogonality_report_catches_a_shared_profile(monkeypatch):
+    # (3, -9, -1, -1) takes the profile of (1, -9, -1, -1): same phases, so
+    # their inner product becomes the squared norm 1/2
+    real = oracle._theta_terms
+    monkeypatch.setattr(oracle, "_theta_terms", lambda j2, m12, m22: real(
+        1 if (j2, m12, m22) == (3, -1, -1) else j2, m12, m22))
+    orthogonality, _ = oracle.orthogonality_report()
+    assert orthogonality.name.startswith("pairwise orthogonality")
+    assert not orthogonality.passed and orthogonality.max_err >= 0.4
+
+
 def test_homomorphism_suite():
     assert all_passed(oracle.homomorphism_report(seed=3))
 
@@ -718,7 +781,7 @@ def test_tabled_eval_wigner_is_bit_identical_to_direct_evaluation():
     batch = stencils[0][1]
     assert batch.theta.shape == (20, 8)
     indices = [idx for k in range(4) for idx in admissible_indices(k, Fraction(5, 2))]
-    grid = oracle._quad_grid(34, 10, 5)[0]
+    grid = product_grid(34, 10, 5)[0]
     window = list(admissible_indices(0, Fraction(3, 2)))
     point = EulerAngles(0.9, -1.2, 2.2, 3.3)
     for e, idxs in ((batch, indices), (grid, window), (point, indices)):
@@ -745,16 +808,15 @@ def test_tabled_eval_wigner_does_not_depend_on_evaluation_order():
         assert np.array_equal(vals[a], ref_a) and np.array_equal(vals[b], ref_b)
 
 
-def test_quadrature_grids_are_shared_and_read_only():
-    oracle._quad_grid.cache_clear()
-    oracle.orthogonality_report()
-    info = oracle._quad_grid.cache_info()
-    assert (info.misses, info.hits + info.misses) == (25, 465)
-    grid, weights, _ = oracle._quad_grid(8, 6, 4)
-    assert oracle._quad_grid(8, 6, 4)[0] is grid
-    for arr in (grid.zeta, grid.phi, grid.theta, grid.psi, weights):
-        with pytest.raises(ValueError):
-            arr[(0,) * arr.ndim] = 1.0
+def test_orthogonality_report_makes_one_gram_matrix(monkeypatch):
+    # one `quadrature_ip` call through the module global: the whole window's
+    # Gram matrix, so a span on `oracle.quadrature_ip` times that one matrix
+    calls = []
+    real = oracle.quadrature_ip
+    monkeypatch.setattr(oracle, "quadrature_ip", lambda *a: calls.append(a) or real(*a))
+    assert all_passed(oracle.orthogonality_report())
+    window = list(admissible_indices(0, Fraction(3, 2)))
+    assert calls == [(window, window)]
 
 
 def test_eval_wigner_broadcasts_over_a_product_grid():
