@@ -25,6 +25,7 @@ exact module and converted to machine numbers.
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -351,7 +352,9 @@ def eval_sections(k: int, indices, g: np.ndarray) -> np.ndarray:
         if not admissible(idx, k):
             raise ValueError(f"{idx} not admissible for k={k}")
     angles, rm3 = _decompose_for_eval(g)
-    return rm3 * eval_wigner(indices, angles)
+    values = eval_wigner(indices, angles)
+    values *= rm3
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +431,11 @@ def _fd_steps(x) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(steps), np.concatenate([w * np.array(ws) for _, w in parts])
 
 
-def random_group_points(seeds) -> np.ndarray:
-    """Stack of exp(z), one per seed (an integer or a Generator), for
-    pseudo-random z in the real form with norm <= 1."""
-    coeffs = np.array(
-        [np.random.default_rng(seed).uniform(-1.0, 1.0, size=8) for seed in seeds]
-    )
+def random_group_points(rng: random.Random, count: int) -> np.ndarray:
+    """Stack of `count` points exp(z), z pseudo-random in the real form with
+    norm <= 1.  The 8 coordinates of each z are drawn from rng, point after
+    point, so a smaller count gives a prefix of the same points."""
+    coeffs = np.array([rng.uniform(-1.0, 1.0) for _ in range(8 * count)]).reshape(count, 8)
     z = sum(c[:, None, None] * b for c, b in zip(coeffs.T, _G_REAL_BASIS))
     nrm = np.sqrt((np.abs(z) ** 2).sum(axis=(-2, -1)))
     return expm(z / np.maximum(nrm, 1.0)[:, None, None])
@@ -544,10 +546,10 @@ def _fd_errors(fd, gen, indices, variant, base) -> np.ndarray:
 
 
 def _fd_points(samples: int, seed: int, gens) -> tuple[tuple, list]:
-    """The decomposed seeded base points and, per generator in gens, its
-    decomposed stencil around them: the inputs `_fd_sweep` shares across k
-    and variants."""
-    g = random_group_points(1_000_003 * seed + i for i in range(samples))
+    """The decomposed base points, the first `samples` points of the stream
+    seeded "fd:{seed}", and, per generator in gens, its decomposed stencil
+    around them: the inputs `_fd_sweep` shares across k and variants."""
+    g = random_group_points(random.Random(f"fd:{seed}"), samples)
     base = _decompose_for_eval(g)
     stencils = []
     for gen in gens:
@@ -651,13 +653,13 @@ def homomorphism_report(seed: int = 0) -> list[CheckResult]:
     """Multiplicativity and unitarity, to 1e-9, of the coefficient matrices
     at fixed (j, n) for 20 random compact pairs: validates the Euler
     conventions and the theta-profile independently of any derivative
-    formula."""
-    rng = np.random.default_rng(seed)
-    lows, highs = np.array(_ANGLE_RANGES).T
+    formula.  The angles come from one stream seeded "homomorphism:{seed}"."""
+    rng = random.Random(f"homomorphism:{seed}")
     results = []
     for j2, n2 in ((1, 1), (2, 0), (3, -3), (4, 2)):
         # drawn point by point, e1 then e2 for each pair
-        draws = rng.uniform(lows, highs, size=(20, 2, 4))
+        draws = np.array([rng.uniform(lo, hi) for _ in range(2 * 20)
+                          for lo, hi in _ANGLE_RANGES]).reshape(20, 2, 4)
         e1, e2 = (EulerAngles(*draws[:, i].T) for i in (0, 1))
         d1 = wigner_matrix(j2, n2, e1)
         d2 = wigner_matrix(j2, n2, e2)
@@ -673,8 +675,8 @@ def homomorphism_report(seed: int = 0) -> list[CheckResult]:
 
 def iwasawa_report(seed: int = 0) -> list[CheckResult]:
     """Membership (to 1e-12) and reconstruction (to 1e-10) residuals over
-    1000 random group points."""
-    g = random_group_points(7_900_003 * seed + i for i in range(1000))
+    1000 random group points from one stream seeded "iwasawa:{seed}"."""
+    g = random_group_points(random.Random(f"iwasawa:{seed}"), 1000)
     worst_member = float(np.max(membership_residual(g)))
     fac = iwasawa(g)
     recon = fac.kappa @ an_gamma(fac.r, fac.nu, fac.s)
@@ -689,12 +691,13 @@ def covariance_report(k: int = 0, seed: int = 0) -> list[CheckResult]:
     """Functional-equation checks, to 1e-9, for the extended sections of
     every index of the j <= 3/2 window at 10 random points: right
     translation by a Borel factor scales by r^(-3); right translation by a
-    compact-torus element produces the phase pinned by the window."""
-    rng = np.random.default_rng(seed)
+    compact-torus element produces the phase pinned by the window.  The
+    points and translations come from one stream seeded "covariance:{seed}"."""
+    rng = random.Random(f"covariance:{seed}")
     indices = list(admissible_indices(k, Fraction(3, 2)))
     g, r0, nu, s0, t0 = [], [], [], [], []
     for _ in range(10):  # per trial: the point, then r0, nu, s0 and t0
-        g.append(random_group_points([rng])[0])
+        g.append(random_group_points(rng, 1)[0])
         r0.append(rng.uniform(0.5, 2.0))
         nu.append(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
         s0.append(rng.uniform(-1, 1))

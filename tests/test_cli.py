@@ -252,13 +252,39 @@ def test_unwritable_out_path(tmp_path, monkeypatch, argv, target, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_import_leaves_scipy_out():
+def _fresh_python(code: str, **env: str) -> str:
+    """Standard output of `code` run in a new interpreter that imports this
+    checkout's su21coh, with env added to the environment."""
     src = str(Path(su21coh.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_out():
     code = "import sys, su21coh.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_oracle_never_loads_numpy_random():
+    # the oracle draws its points from the standard library's random.Random
+    code = ("import contextlib, io, sys\n"
+            "from su21coh.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(['oracle', '--k', '0', '--j-max', '0', '--samples', '1'])\n"
+            "print(status, 'numpy.random' in sys.modules)")
+    assert _fresh_python(code).split() == ["0", "False"]
+
+
+def test_oracle_report_is_identical_across_hash_seeds():
+    # no draw may depend on str hashing, which PYTHONHASHSEED salts per process
+    code = ("import sys\n"
+            "from su21coh.cli import main\n"
+            "sys.exit(main(['oracle', '--k', '0', '--j-max', '1/2', '--samples', '3',"
+            " '--format', 'structured']))")
+    first, second = (_fresh_python(code, PYTHONHASHSEED=h) for h in ("1", "2"))
+    assert json.loads(first)["pass"] and first == second
 
 
 # Golden values: the export bytes and the ordered check names are part of the
@@ -328,6 +354,19 @@ def test_oracle_verdicts_pinned(capsys):
     pairs = [f"{c['check']}\t{c['pass']}" for c in json.loads(capsys.readouterr().out)["checks"]]
     digest = hashlib.sha256("\n".join(pairs).encode()).hexdigest()
     assert (len(pairs), digest) == ORACLE_VERDICTS_SHA256
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_oracle_verdicts_hold_at_every_seed(seed, capsys):
+    # the pinned verdicts and the plus2 control do not hang on one lucky draw
+    argv = ["oracle", "--k", "0..1", "--j-max", "3/2", "--samples", "5", "--seed", str(seed),
+            "--format", "structured"]
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["checks"]) == 495
+    assert main(argv + ["--thm37-variant", "plus2"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failing = [c["check"] for c in checks if not c["pass"]]
+    assert failing and all(name.startswith("dp:plus2[") and ",X3," in name for name in failing)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import cmath
 import itertools
 import math
+import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -248,7 +250,7 @@ def test_iwasawa_basics():
 def test_iwasawa_random_round_trip():
     worst = 0.0
     for seed in range(300):
-        g = random_group_points([seed])[0]
+        g = random_group_points(random.Random(seed), 1)[0]
         assert membership_residual(g) <= 1e-12
         fac = iwasawa(g)
         assert fac.r > 0
@@ -258,10 +260,17 @@ def test_iwasawa_random_round_trip():
 
 
 def test_random_group_point_deterministic():
-    a = random_group_points([123])[0]
-    b = random_group_points([123])[0]
+    a = random_group_points(random.Random(123), 1)[0]
+    b = random_group_points(random.Random(123), 1)[0]
     assert np.array_equal(a, b)
-    assert np.abs(a - random_group_points([124])[0]).max() > 1e-8
+    assert np.abs(a - random_group_points(random.Random(124), 1)[0]).max() > 1e-8
+
+
+def test_random_group_points_of_a_smaller_count_are_a_prefix():
+    # the adjudication's 5 base points are the first 5 of check_action's 20
+    full = random_group_points(random.Random("fd:0"), 20)
+    assert np.array_equal(random_group_points(random.Random("fd:0"), 5), full[:5])
+    assert len({p.tobytes() for p in full}) == 20
 
 
 def test_eval_section_on_compact_points():
@@ -276,7 +285,7 @@ def test_eval_section_on_compact_points():
 
 def test_eval_section_on_a_stack_matches_pointwise():
     k = 1
-    g = oracle.random_group_points(range(6))
+    g = oracle.random_group_points(random.Random(0), 6)
     for idx in admissible_indices(k, Fraction(3, 2)):
         values = eval_sections(k, [idx], g)[0]
         assert values.shape == (6,)
@@ -286,7 +295,7 @@ def test_eval_section_on_a_stack_matches_pointwise():
 
 def test_eval_sections_stacks_indices_and_points():
     k = 1
-    g = oracle.random_group_points(range(6))
+    g = oracle.random_group_points(random.Random(0), 6)
     indices = list(admissible_indices(k, Fraction(3, 2)))
     values = eval_sections(k, indices, g)
     assert values.shape == (len(indices), 6)
@@ -296,6 +305,29 @@ def test_eval_sections_stacks_indices_and_points():
     # one inadmissible index refuses the whole stack, naming it
     with pytest.raises(ValueError, match=r"not admissible for k=1"):
         eval_sections(k, indices + [WignerIndex(0, 0, 0, 0)], g)
+
+
+def _traced_peak(f, *args) -> int:
+    """tracemalloc peak, in bytes, of the allocations made by f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_sections_scales_the_stack_in_place():
+    # 91 indices at 2,000 points: the r^(-3) scaling allocates no second stack
+    k = 0
+    indices = list(admissible_indices(k, Fraction(5, 2)))
+    assert len(indices) == 91
+    g = oracle.random_group_points(random.Random(0), 2000)
+    angles, rm3 = oracle._decompose_for_eval(g)
+    assert np.array_equal(eval_sections(k, indices, g), rm3 * eval_wigner(indices, angles))
+    fresh = oracle._decompose_for_eval(g)[0]  # untabled, like the one eval_sections makes
+    wrapped = _traced_peak(eval_wigner, indices, fresh)
+    assert _traced_peak(eval_sections, k, indices, g) <= 1.1 * wrapped
 
 
 def _count_fd_evaluations(monkeypatch, argv):
@@ -406,7 +438,7 @@ def fd_derivative(f, x, g: np.ndarray) -> complex:
 
 
 def test_fd_derivative_zero_direction():
-    g = random_group_points([0])[0]
+    g = random_group_points(random.Random(0), 1)[0]
     val = fd_derivative(lambda h: 1.0, np.zeros((3, 3)), g)
     assert abs(val) <= 1e-12
 
@@ -415,7 +447,7 @@ def test_fd_matches_compact_weight():
     # dl(U0) multiplies a section by i*n
     k = 0
     idx = WignerIndex(1, -3, 1, 1)
-    g = random_group_points([17])[0]
+    g = random_group_points(random.Random(17), 1)[0]
     base = eval_sections(k, [idx], g)[0]
     fd = fd_derivative(lambda p: eval_sections(k, [idx], p)[0], LieGen.U0, g)
     assert abs(fd - 1j * (-1.5) * base) <= 1e-7 * max(1.0, abs(base))
@@ -424,7 +456,7 @@ def test_fd_matches_compact_weight():
 def test_fd_matches_noncompact_prediction():
     k, l = 1, 1
     idx = chi_index(k, l)
-    g = random_group_points([23])[0]
+    g = random_group_points(random.Random(23), 1)[0]
     fd = fd_derivative(lambda p: eval_sections(k, [idx], p)[0], LieGen.X1, g)
     coeff = math.sqrt((l + 1) / (k + 2))
     predicted = coeff * eval_sections(k, [psi_index(k, l)], g)[0]
@@ -435,7 +467,7 @@ def test_fd_annihilation_at_bottom_weight():
     # lowering at m1 = -j: the derivative vanishes identically
     k = 3
     idx = WignerIndex(3, -15, -3, 1)
-    g = random_group_points([29])[0]
+    g = random_group_points(random.Random(29), 1)[0]
     fd = fd_derivative(lambda p: eval_sections(k, [idx], p)[0], LieGen.U1_MINUS_IU2, g)
     assert abs(fd) <= 1e-8
 
@@ -859,7 +891,7 @@ def test_expm_scaling_and_squaring():
 
 
 def test_stacked_iwasawa_and_euler_match_pointwise():
-    g = oracle.random_group_points(range(40))
+    g = oracle.random_group_points(random.Random(0), 40)
     fac = iwasawa(g)
     angles = euler_from_k(fac.kappa)
     for i in range(40):
@@ -878,7 +910,7 @@ def test_stacked_iwasawa_and_euler_match_pointwise():
 
 
 def test_stack_with_one_bad_matrix_raises():
-    g = oracle.random_group_points(range(5))
+    g = oracle.random_group_points(random.Random(0), 5)
     g[3] = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(NotInGroup):
         iwasawa(g)
