@@ -16,7 +16,13 @@ A generator acts on a cochain through all three slots (`act_tensor`):
 on the function and polynomial slots by the Leibniz rule, and on the
 wedge slot by pulling back, (u.psi)(w) = u.(psi(w)) - psi(u.w).  A
 cochain is K-equivariant exactly when the compact generators annihilate
-it.  The differential uses only the first-order terms: the pairwise
+it.  The torus generators U0 and U3 act diagonally, multiplying the term
+at each key by i/2 times an integer `weight` (index, monomial and wedge
+parts, read off `wigner.index_weight`, the matrix diagonal and the
+pullback table), so they annihilate a cochain exactly when every key in
+its support has weight 0: a nonzero coefficient times a nonzero weight is
+nonzero.  `check_equivariance` tests that on the keys and acts only with
+U1 +- iU2.  The differential uses only the first-order terms: the pairwise
 brackets of the X's project to zero in the quotient, which it checks (not
 assumes) on every call by reading the pullback tables `act_tensor` applies.
 """
@@ -38,6 +44,7 @@ from .wigner import (
     act_l_index,
     act_p_index,
     chi_index,
+    index_weight,
     module_index,
     psi0_index,
     psi_index,
@@ -48,11 +55,20 @@ _I = GaussianRational(0, 1)
 
 Wedge = tuple  # sorted tuple of distinct indices from {1, 2, 3, 4}
 
+TORUS_GENS = (LieGen.U0, LieGen.U3)
+
 
 class BracketNotInL(RuntimeError):
     """A pairwise bracket of noncompact generators escaped the compact part.
 
     Structurally impossible for this algebra; kept as a tripwire."""
+
+
+class NotDiagonal(RuntimeError):
+    """A torus generator moved a wedge or a coordinate, or acted by other
+    than i times a half-integer.
+
+    Structurally impossible for U0 and U3; kept as a tripwire."""
 
 
 class Cochain(LinComb):
@@ -64,6 +80,9 @@ class Cochain(LinComb):
 
 def basis_wedges(q: int) -> tuple[Wedge, ...]:
     return tuple(itertools.combinations((1, 2, 3, 4), q))
+
+
+ALL_WEDGES = tuple(itertools.chain.from_iterable(basis_wedges(q) for q in range(5)))
 
 
 def _placed(values: dict) -> Cochain:
@@ -85,7 +104,7 @@ def _pullback(gen: LieGen) -> dict:
     p-parts of [gen, X_i]; `differential` checks it is empty for each X_i.
     Memoized: callers share the dict and only read it."""
     out: dict = {}
-    for w in itertools.chain.from_iterable(basis_wedges(q) for q in range(5)):
+    for w in ALL_WEDGES:
         for w2, c in wedge_action(gen, w).items():
             out.setdefault(w2, []).append((w, -c))
     return {w2: tuple(pairs) for w2, pairs in out.items()}
@@ -142,10 +161,52 @@ def differential(psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
+def _doubled_imaginary(c, what: str) -> int:
+    """2 Im(c) for c = i * (an integer / 2); NotDiagonal otherwise."""
+    c = GaussianRational.of(c)
+    if c.re or (2 * c.im) % c.den:
+        raise NotDiagonal(f"{what} is {c}, not i times a half-integer")
+    return 2 * c.im // c.den
+
+
+@lru_cache(maxsize=None)
+def _weight_table(gen: LieGen) -> tuple[dict, tuple[int, int, int]]:
+    """The doubled imaginary weights of a torus generator on the 16 basis
+    wedges, read off its pullback rows, and on x, y, z, read off its matrix
+    diagonal.  Raises NotDiagonal if a row leaves its wedge, the matrix has
+    an off-diagonal entry, or an entry is not i times a half-integer."""
+    pullback = _pullback(gen)
+    wedges = {}
+    for w in ALL_WEDGES:
+        pairs = pullback.get(w, ())
+        if any(w1 != w for w1, _ in pairs):
+            raise NotDiagonal(f"{gen.value} moves the wedge {w}")
+        wedges[w] = sum(_doubled_imaginary(c, f"{gen.value} on {w}") for _, c in pairs)
+    mat = gen_matrix(gen)
+    if any(i != j for i, j in mat.support()):
+        raise NotDiagonal(f"{gen.value} has an off-diagonal matrix entry")
+    diag = tuple(_doubled_imaginary(mat[i, i], f"{gen.value}[{i},{i}]") for i in range(3))
+    return wedges, diag
+
+
+def weight(gen: LieGen, key) -> int:
+    """The doubled imaginary weight of U0 or U3 on the term at a (wedge,
+    index, monomial) key: act_tensor(gen, Cochain({key: 1})) is that term
+    times i * weight / 2.  The sum of the index part, the monomial's
+    exponents dotted with the matrix diagonal, and the wedge part."""
+    w, idx, (a, b, c) = key
+    wedges, (da, db, dc) = _weight_table(gen)
+    return wedges[w] + index_weight(gen, idx) + da * a + db * b + dc * c
+
+
 def check_equivariance(psi: Cochain) -> bool:
     """Exact K-equivariance: the four compact generators annihilate psi,
-    i.e. u.(psi(w)) = psi(u.w) for every u and basis wedge w."""
-    return all(act_tensor(u, psi).is_zero() for u in L_GENS)
+    i.e. u.(psi(w)) = psi(u.w) for every u and basis wedge w.  U0 and U3
+    annihilate it exactly when every key has weight 0, so only U1 +- iU2
+    act."""
+    if any(weight(u, key) for u in TORUS_GENS for key in psi.support()):
+        return False
+    return all(act_tensor(u, psi).is_zero() for u in (LieGen.U1_PLUS_IU2, LieGen.U1_MINUS_IU2))
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +254,11 @@ def build_psi0(k: int) -> Cochain:
 # Bigrading.
 # ---------------------------------------------------------------------------
 
-_P_PLUS = {1, 2}
-
-
 def wedge_bidegree(w: Wedge) -> tuple[int, int]:
-    p = sum(1 for i in w if i in _P_PLUS)
+    """(p, q), the numbers of p+ = <X1, X2> and p- = <X3, X4> slots, read
+    off U0's wedge weight -(3i/2)(p - q) and p + q = |w|."""
+    p_minus_q = -_weight_table(LieGen.U0)[0][w] // 3
+    p = (len(w) + p_minus_q) // 2
     return (p, len(w) - p)
 
 

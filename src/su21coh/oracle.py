@@ -431,14 +431,25 @@ def _fd_steps(x) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(steps), np.concatenate([w * np.array(ws) for _, w in parts])
 
 
+def _draw_coords(rng: random.Random) -> list[float]:
+    """The 8 real-form coordinates of one random point, uniform in [-1, 1]."""
+    return [rng.uniform(-1.0, 1.0) for _ in range(8)]
+
+
+def _exp_points(coords) -> np.ndarray:
+    """Stack of the points exp(z), one per row of 8 real-form coordinates,
+    z scaled down to norm <= 1, by one stacked `expm` call."""
+    coeffs = np.array(coords, dtype=float).reshape(-1, 8)
+    z = sum(c[:, None, None] * b for c, b in zip(coeffs.T, _G_REAL_BASIS))
+    nrm = np.sqrt((np.abs(z) ** 2).sum(axis=(-2, -1)))
+    return expm(z / np.maximum(nrm, 1.0)[:, None, None])
+
+
 def random_group_points(rng: random.Random, count: int) -> np.ndarray:
     """Stack of `count` points exp(z), z pseudo-random in the real form with
     norm <= 1.  The 8 coordinates of each z are drawn from rng, point after
     point, so a smaller count gives a prefix of the same points."""
-    coeffs = np.array([rng.uniform(-1.0, 1.0) for _ in range(8 * count)]).reshape(count, 8)
-    z = sum(c[:, None, None] * b for c, b in zip(coeffs.T, _G_REAL_BASIS))
-    nrm = np.sqrt((np.abs(z) ** 2).sum(axis=(-2, -1)))
-    return expm(z / np.maximum(nrm, 1.0)[:, None, None])
+    return _exp_points([_draw_coords(rng) for _ in range(count)])
 
 
 # ---------------------------------------------------------------------------
@@ -692,17 +703,18 @@ def covariance_report(k: int = 0, seed: int = 0) -> list[CheckResult]:
     every index of the j <= 3/2 window at 10 random points: right
     translation by a Borel factor scales by r^(-3); right translation by a
     compact-torus element produces the phase pinned by the window.  The
-    points and translations come from one stream seeded "covariance:{seed}"."""
+    points and translations come from one stream seeded "covariance:{seed}",
+    and the 10 points are exponentiated as one stack."""
     rng = random.Random(f"covariance:{seed}")
     indices = list(admissible_indices(k, Fraction(3, 2)))
-    g, r0, nu, s0, t0 = [], [], [], [], []
+    coords, r0, nu, s0, t0 = [], [], [], [], []
     for _ in range(10):  # per trial: the point, then r0, nu, s0 and t0
-        g.append(random_group_points(rng, 1)[0])
+        coords.append(_draw_coords(rng))
         r0.append(rng.uniform(0.5, 2.0))
         nu.append(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
         s0.append(rng.uniform(-1, 1))
         t0.append(rng.uniform(-math.pi, math.pi))
-    g, r0, t0 = np.array(g), np.array(r0), np.array(t0)
+    g, r0, t0 = _exp_points(coords), np.array(r0), np.array(t0)
     base = eval_sections(k, indices, g)
     scale = np.maximum(1.0, np.abs(base))
     translated = eval_sections(k, indices, g @ an_gamma(r0, nu, s0))

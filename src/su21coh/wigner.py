@@ -112,12 +112,21 @@ def scale_sq(idx: WignerIndex) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def act_l_index(gen: LieGen, idx: WignerIndex) -> list[tuple[WignerIndex, GaussianRational]]:
-    j2, n2, m12, m22 = idx
+def index_weight(gen: LieGen, idx: WignerIndex) -> int:
+    """The doubled imaginary weight of a diagonal compact generator on W'_idx:
+    U0 acts by i*n and U3 by i*m1, so the weight is n2 or m12."""
     if gen is LieGen.U0:
-        return [(idx, GaussianRational(0, n2, 2))] if n2 else []
+        return idx.n2
     if gen is LieGen.U3:
-        return [(idx, GaussianRational(0, m12, 2))] if m12 else []
+        return idx.m12
+    raise ValueError(f"{gen} is not a diagonal compact generator")
+
+
+def act_l_index(gen: LieGen, idx: WignerIndex) -> list[tuple[WignerIndex, GaussianRational]]:
+    if gen is LieGen.U0 or gen is LieGen.U3:
+        weight = index_weight(gen, idx)
+        return [(idx, GaussianRational(0, weight, 2))] if weight else []
+    j2, n2, m12, m22 = idx
     if gen is LieGen.U1_PLUS_IU2:
         product = ((j2 - m12) // 2) * ((j2 + m12) // 2 + 1)
         shift, coeff = 2, GaussianRational(0, -product)

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     I,
     act_tensor_seq,
+    monomial_basis,
     placed,
     random_complex_radical,
     random_equivariant_cochain,
@@ -17,8 +18,11 @@ from conftest import (
 
 from su21coh import cochains
 from su21coh.cochains import (
+    ALL_WEDGES,
+    TORUS_GENS,
     BracketNotInL,
     Cochain,
+    NotDiagonal,
     act_tensor,
     basis_wedges,
     build_chi,
@@ -34,12 +38,13 @@ from su21coh.cochains import (
     verify_closedness,
     verify_nonexactness,
     wedge_bidegree,
+    weight,
 )
-from su21coh.lie import L_GENS, P_GENS, LieGen, wedge_action
+from su21coh.lie import L_GENS, P_GENS, LieGen, Mat3, gen_matrix, wedge_action
 from su21coh.polynomials import Monomial, monomial_xy
 from su21coh.report import all_passed
 from su21coh.scalars import ComplexRadical, GaussianRational
-from su21coh.wigner import VARIANTS, chi_index, psi0_index, psi_index
+from su21coh.wigner import VARIANTS, admissible_indices, chi_index, psi0_index, psi_index
 from unitary_table import unitary_coord
 
 CR = ComplexRadical
@@ -143,6 +148,73 @@ def test_equivariance_of_named_cochains():
             assert check_equivariance(coch)
 
 
+def test_weight_is_the_torus_action_on_one_term():
+    # U0 and U3 scale the term at every key by i/2 times its weight, over
+    # k <= 4, j <= 2, all 16 wedges and every degree-k monomial
+    only_u3, only_u0 = [], []
+    for k in range(5):
+        for idx, w, mono in itertools.product(admissible_indices(k, 2), ALL_WEDGES,
+                                              monomial_basis(k)):
+            key = (w, idx, mono)
+            term = Cochain({key: 1})
+            w0, w3 = (weight(u, key) for u in TORUS_GENS)
+            for u, wt in zip(TORUS_GENS, (w0, w3)):
+                assert act_tensor(u, term) == term.scaled(GaussianRational(0, wt, 2))
+            if not w0 and w3:
+                only_u3.append(term)
+            elif w0 and not w3:
+                only_u0.append(term)
+    assert only_u3 and only_u0
+    assert not any(check_equivariance(term) for term in only_u3 + only_u0)
+
+
+@pytest.fixture
+def fresh_weight_tables():
+    cochains._weight_table.cache_clear()
+    yield
+    cochains._weight_table.cache_clear()
+
+
+def test_weight_tripwires(monkeypatch, fresh_weight_tables):
+    key = ((1, 3), chi_index(1, 0), monomial_xy(1, 0))  # n2 = -4, x: weight -3
+    real_pullback, real_matrix = cochains._pullback, cochains.gen_matrix
+    leaves = dict(real_pullback(LieGen.U0))
+    leaves[(1,)] += (((2,), GaussianRational(0, 1)),)
+    thirds = {w: tuple((w1, c + GaussianRational(0, 1, 3)) for w1, c in pairs)
+              for w, pairs in real_pullback(LieGen.U0).items()}
+    fakes = [
+        ("_pullback", lambda gen: leaves),  # a row that leaves its wedge
+        ("_pullback", lambda gen: thirds),  # entries i * (a half-integer + 1/3)
+        ("gen_matrix", lambda gen: real_matrix(gen) + Mat3({(0, 1): 1})),  # off the diagonal
+        ("gen_matrix", lambda gen: real_matrix(gen) + Mat3({(0, 0): 1})),  # a real part
+        ("gen_matrix", lambda gen: real_matrix(gen) + Mat3({(2, 2): GaussianRational(0, 1, 6)})),
+    ]
+    for name, fake in fakes:
+        with monkeypatch.context() as m:
+            m.setattr(cochains, name, fake)
+            cochains._weight_table.cache_clear()
+            with pytest.raises(NotDiagonal):
+                weight(LieGen.U0, key)
+    cochains._weight_table.cache_clear()
+    assert weight(LieGen.U0, key) == -3
+
+
+def test_equivariance_never_acts_with_the_torus(monkeypatch):
+    seen = set()
+    real = cochains.act_tensor
+
+    def spy(gen, psi, *args):
+        seen.add(gen)
+        return real(gen, psi, *args)
+
+    monkeypatch.setattr(cochains, "act_tensor", spy)
+    k = 2
+    for coch in (build_chi(k), build_psi(k), build_psi0(k)):
+        assert check_equivariance(coch)
+    assert not check_equivariance(placed({(1, 3): tensor_term(psi_index(k, 0), monomial_xy(k, 0))}))
+    assert seen == {LieGen.U1_PLUS_IU2, LieGen.U1_MINUS_IU2}
+
+
 def test_truncated_cochain_fails_equivariance():
     # keeping only the leading term of psi(X1^X3) breaks equivariance
     k = 1
@@ -174,6 +246,13 @@ def test_hodge_types():
     assert wedge_bidegree((1, 2)) == (2, 0)
     with pytest.raises(ValueError):
         hodge_type(build_chi(k))
+
+
+def test_bigrading_read_off_the_u0_weight():
+    p_plus = {1, 2}  # the holomorphic half <X1, X2>, the reference
+    for w in ALL_WEDGES:
+        p = sum(1 for i in w if i in p_plus)
+        assert wedge_bidegree(w) == (p, len(w) - p)
 
 
 def test_bigrading_preserved_by_compact_action():

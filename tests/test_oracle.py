@@ -273,6 +273,30 @@ def test_random_group_points_of_a_smaller_count_are_a_prefix():
     assert len({p.tobytes() for p in full}) == 20
 
 
+def test_stacked_points_match_one_point_at_a_time():
+    rng = random.Random("covariance:0")
+    coords = [oracle._draw_coords(rng) for _ in range(10)]
+    stacked = oracle._exp_points(coords)
+    single = np.concatenate([oracle._exp_points([row]) for row in coords])
+    assert np.abs(stacked - single).max() <= 1e-15
+
+
+def test_covariance_points_keep_the_per_trial_draw_order(monkeypatch):
+    # the points of one trial, then r0, nu, s0 and t0, from one stream
+    rng = random.Random("covariance:3")
+    want = []
+    for _ in range(10):
+        want.append(random_group_points(rng, 1)[0])
+        for _ in range(5):  # r0, the two parts of nu, s0 and t0
+            rng.random()
+    seen = []
+    real = oracle.eval_sections
+    monkeypatch.setattr(oracle, "eval_sections",
+                        lambda k, indices, g: seen.append(g) or real(k, indices, g))
+    assert all_passed(oracle.covariance_report(0, seed=3))
+    assert np.abs(seen[0] - np.array(want)).max() <= 1e-15
+
+
 def test_eval_section_on_compact_points():
     k = 0
     idx = next(iter(admissible_indices(k, Fraction(1, 2))))

@@ -15,6 +15,7 @@ from su21coh.wigner import (
     admissible,
     admissible_indices,
     chi_index,
+    index_weight,
     module_index,
     psi0_index,
     psi_index,
@@ -63,6 +64,14 @@ def test_act_l_weights_and_shifts():
     (tgt, coeff), = act_l_index(LieGen.U1_PLUS_IU2, chi_index(k, l))
     assert tgt == chi_index(k, l + 1)
     assert unitary(coeff, chi_index(k, l), tgt) == -(CR.sqrt(k + 1 - l) * CR.sqrt(l + 1)) * I
+
+
+def test_index_weight_is_the_diagonal_rule():
+    idx = WignerIndex(3, -9, 1, -1)
+    assert (index_weight(LieGen.U0, idx), index_weight(LieGen.U3, idx)) == (-9, 1)
+    for gen in (LieGen.U1_PLUS_IU2, LieGen.X1):
+        with pytest.raises(ValueError):
+            index_weight(gen, idx)
 
 
 def test_act_p_annihilation_case():
