@@ -128,15 +128,7 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_export_generators(args) -> int:
-    payload = {
-        "k": args.k,
-        "generators": {
-            "chi": cochains.cochain_to_dict(cochains.build_chi(args.k)),
-            "psi": cochains.cochain_to_dict(cochains.build_psi(args.k), args.k + 2),
-            "psi0": cochains.cochain_to_dict(cochains.build_psi0(args.k)),
-        },
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(cochains.generators_to_dict(args.k), indent=2, sort_keys=True) + "\n"
     if not _write(args.out, text):
         return 2
     print(f"wrote generators for k={args.k} to {args.out}")

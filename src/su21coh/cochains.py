@@ -11,7 +11,8 @@ module tensor polynomials) is the 0-cochain at wedge ().  Coordinates are
 in the rescaled Wigner basis W'_idx = W_idx / a(idx) of `wigner`.  There
 the explicit cochains have Gaussian-rational coordinates: k!/(k-l)! at l
 for `chi(X3)` and `psi0(X3^X4)`, (l+1) k!/(k-l)! for `psi(X1^X3)`, stored
-as psi/sqrt(k+2); `cochain_to_dict` converts back to the unitary basis.
+as psi/sqrt(k+2).  This module owns that scale: `generators_to_dict`
+exports all three in the unitary basis, psi times sqrt(k+2).
 A generator acts on a cochain through all three slots (`act_tensor`):
 on the function and polynomial slots by the Leibniz rule, and on the
 wedge slot by pulling back, (u.psi)(w) = u.(psi(w)) - psi(u.w).  A
@@ -430,10 +431,10 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
 # ---------------------------------------------------------------------------
 
 
-def cochain_to_dict(psi: Cochain, mu_sq=1) -> dict:
+def cochain_to_dict(psi: Cochain, mu_sq) -> dict:
     """The nonzero cochain in the unitary basis, for a cochain that stores
-    the unitary one divided by mu = sqrt(mu_sq) (k+2 for psi): a rescaled
-    coordinate c at idx is the unitary c * mu / a(idx)."""
+    the unitary one divided by mu = sqrt(mu_sq): a rescaled coordinate c at
+    idx is the unitary c * mu / a(idx)."""
     mu_sq = Fraction(mu_sq)
     # by (wedge, j2, m1_2, monomial, n2, m2_2)
     terms = sorted(psi.items(), key=lambda t: (t[0][0], t[0][1].j2, t[0][1].m12, t[0][2], t[0][1]))
@@ -459,3 +460,11 @@ def cochain_to_dict(psi: Cochain, mu_sq=1) -> dict:
         "entries": entries,
         "hodge_type": list(ht) if isinstance(ht, tuple) else ht,
     }
+
+
+def generators_to_dict(k: int) -> dict:
+    """The export of chi, psi and psi0 at k in the unitary basis; psi is
+    stored as psi/sqrt(k+2), so it is exported at mu_sq = k + 2."""
+    return {"k": k, "generators": {"chi": cochain_to_dict(build_chi(k), 1),
+                                   "psi": cochain_to_dict(build_psi(k), k + 2),
+                                   "psi0": cochain_to_dict(build_psi0(k), 1)}}

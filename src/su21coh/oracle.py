@@ -13,9 +13,9 @@ Fubini its product-grid quadrature is a product of one-axis sums.
 The numeric routines work on stacks: Euler coordinates may be arrays of any
 (broadcastable) shape, and group elements are stacks (..., 3, 3).  A single
 point is a one-point stack; a lone (3, 3) matrix or float coordinates give
-numpy scalars or 0-d arrays.  `eval_wigner` also stacks over indices: a
-sequence of indices gives an (index, *points) array, so a finite-difference
-sweep evaluates a stencil with one call per window of indices.
+numpy scalars or 0-d arrays.  `eval_wigner` and `quadrature_ip` take
+sequences of indices only (one index is a one-element sequence), so a
+finite-difference sweep evaluates a stencil with one call per window.
 
 Everything here is deliberately independent of the exact engine: the only
 shared input is the list of generator matrices, which are read off from the
@@ -169,11 +169,10 @@ def _theta_terms(j2: int, m12: int, m22: int) -> tuple[tuple[float, int, int], .
     return tuple(terms)
 
 
-def eval_wigner(idx: WignerIndex | Sequence[WignerIndex], e: EulerAngles):
-    """Value of the matrix-coefficient function named by idx at the given
-    Euler coordinates, in the broadcast shape of the coordinates.  For a
-    sequence of indices the values are written into one (index, *points)
-    array, each row the one-index value.
+def eval_wigner(indices: Sequence[WignerIndex], e: EulerAngles) -> np.ndarray:
+    """Values of the matrix-coefficient functions named by a sequence of
+    indices at the given Euler coordinates: one (index, *points) array, each
+    row one index's values in the broadcast shape of the coordinates.
 
     W is the product of one factor per angle (`_factors`), so on a product
     grid (coordinates broadcast along different axes) each exponential is
@@ -181,14 +180,12 @@ def eval_wigner(idx: WignerIndex | Sequence[WignerIndex], e: EulerAngles):
     and kept in its tables: powers of sin and cos of theta/2, the theta
     profile per (j, m1, m2) and each angle's exponential per frequency.
     """
-    lone = isinstance(idx, WignerIndex)
-    indices = [idx] if lone else idx
     points = np.broadcast_shapes(*map(np.shape, (e.zeta, e.phi, e.theta, e.psi)))
     out = np.empty((len(indices),) + points, dtype=complex)
-    for row, one in enumerate(indices):
-        zeta, psi, phi, theta = _factors(one, e)
+    for row, idx in enumerate(indices):
+        zeta, psi, phi, theta = _factors(idx, e)
         out[row] = zeta * psi * phi * theta
-    return out[0] if lone else out
+    return out
 
 
 def _factors(idx: WignerIndex, e: EulerAngles) -> tuple:
@@ -401,13 +398,10 @@ def expm(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def real_imag_parts(x) -> tuple[np.ndarray, np.ndarray | None]:
-    """Split a complexified algebra element into X = A + i*B with A, B in the
-    real form.  Accepts a generator symbol or any numpy matrix in the
-    complexified algebra."""
-    if isinstance(x, LieGen):
-        x = lie.gen_matrix(x).to_numpy()
-    x = np.asarray(x, dtype=complex)
+def real_imag_parts(gen: LieGen) -> tuple[np.ndarray, np.ndarray | None]:
+    """Split a generator's matrix X = A + i*B with A, B in the real form; B
+    is None when X lies in the real form."""
+    x = lie.gen_matrix(gen).to_numpy()
     cx = -(J_DIAG_NP @ x.conj().T @ J_DIAG_NP)  # conjugation fixing the real form
     a = (x + cx) / 2
     b = (x - cx) / 2j
@@ -416,17 +410,17 @@ def real_imag_parts(x) -> tuple[np.ndarray, np.ndarray | None]:
     return a, b
 
 
-def _fd_steps(x) -> tuple[np.ndarray, np.ndarray]:
+def _fd_steps(gen: LieGen) -> tuple[np.ndarray, np.ndarray]:
     """Left translations (P, 3, 3) and complex weights (P,) of a central
-    difference with step h = 1e-3 and one Richardson step along x = A + iB:
-    d/dt f(exp(-t x) g) at 0 is about sum_i w_i f(steps_i g), the two real
-    directions A and B combined linearly."""
+    difference with step h = 1e-3 and one Richardson step along gen's matrix
+    x = A + iB: d/dt f(exp(-t x) g) at 0 is about sum_i w_i f(steps_i g),
+    the two real directions A and B combined linearly."""
     h = 1e-3
     ts, ws = [], []
     for hh, rw in ((h, -1.0 / 3.0), (h / 2, 4.0 / 3.0)):
         ts += [-hh, hh]
         ws += [rw / (2 * hh), -rw / (2 * hh)]
-    parts = [(d, w) for d, w in zip(real_imag_parts(x), (1.0, 1j)) if d is not None]
+    parts = [(d, w) for d, w in zip(real_imag_parts(gen), (1.0, 1j)) if d is not None]
     steps = [expm(np.multiply.outer(ts, direction)) for direction, _ in parts]
     return np.concatenate(steps), np.concatenate([w * np.array(ws) for _, w in parts])
 
@@ -548,7 +542,7 @@ def _fd_errors(fd, gen, indices, variant, base) -> np.ndarray:
     pred = np.zeros(fd.shape, dtype=complex)
     if targets:
         values = np.array([
-            base_angles.table(("value", tgt), lambda: eval_wigner(tgt, base_angles))
+            base_angles.table(("value", tgt), lambda: eval_wigner([tgt], base_angles)[0])
             for tgt in targets])
         values *= np.array(coeffs)[:, None]
         np.add.at(pred, term_rows, values)
@@ -609,20 +603,18 @@ def adjudicate_variant(ks, samples: int, tol: float, seed: int) -> tuple[str | N
 # ---------------------------------------------------------------------------
 
 
-def quadrature_ip(rows: WignerIndex | Sequence[WignerIndex],
-                  cols: WignerIndex | Sequence[WignerIndex]):
+def quadrature_ip(rows: Sequence[WignerIndex], cols: Sequence[WignerIndex]) -> np.ndarray:
     """Invariant inner products int W_a conj(W_b), total measure 1: the
-    (len(rows), len(cols)) Gram matrix of two index sequences, a complex
-    number for two lone indices.  W is a product of one factor per axis
-    (`_factors`), so by Fubini its sum over a product grid is the entrywise
-    product of four axis Gram matrices (w F) @ F^H.  One grid is exact for
-    every pair: the trapezoid rule over a full 4*pi period is exact for every
-    frequency |f| < nodes (2 max|n2| + 4 in zeta, 2 max j2 + 4 in phi and
-    psi), so a sum over unequal phases vanishes, and ng = max(4, max j2 + 2)
-    Gauss-Legendre nodes in cos(theta) are exact to degree 2 ng - 1, above
-    the degree <= max j2 of a profile product of equal phases."""
-    lone = isinstance(rows, WignerIndex)
-    rows, cols = ([rows], [cols]) if lone else (list(rows), list(cols))
+    (len(rows), len(cols)) Gram matrix of two index sequences.  W is a
+    product of one factor per axis (`_factors`), so by Fubini its sum over a
+    product grid is the entrywise product of four axis Gram matrices
+    (w F) @ F^H.  One grid is exact for every pair: the trapezoid rule over a
+    full 4*pi period is exact for every frequency |f| < nodes (2 max|n2| + 4
+    in zeta, 2 max j2 + 4 in phi and psi), so a sum over unequal phases
+    vanishes, and ng = max(4, max j2 + 2) Gauss-Legendre nodes in cos(theta)
+    are exact to degree 2 ng - 1, above the degree <= max j2 of a profile
+    product of equal phases."""
+    rows, cols = list(rows), list(cols)
     j2, n2 = max(i.j2 for i in rows + cols), max(abs(i.n2) for i in rows + cols)
     nz, nang, (x, wx) = 2 * n2 + 4, 2 * j2 + 4, np.polynomial.legendre.leggauss(max(4, j2 + 2))
     az, aa = np.arange(nz) * (FOUR_PI / nz), np.arange(nang) * (FOUR_PI / nang)
@@ -634,7 +626,7 @@ def quadrature_ip(rows: WignerIndex | Sequence[WignerIndex],
         fa, fb = (np.array([_factors(i, grid)[axis] for i in idxs]).reshape(len(idxs), -1)
                   for idxs in (rows, cols))
         gram *= (w * fa) @ fb.conj().T
-    return complex(gram[0, 0]) if lone else gram
+    return gram
 
 
 def orthogonality_report() -> list[CheckResult]:

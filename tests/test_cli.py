@@ -267,6 +267,18 @@ def test_cli_import_leaves_scipy_out():
     assert _fresh_python(code).strip() == "False"
 
 
+def test_exact_side_never_loads_numpy():
+    # the exact modules, a theorem check and the export run without numpy,
+    # which only the oracle (imported by the CLI) needs
+    code = ("import sys\n"
+            "import su21coh.cochains as c, su21coh.lie, su21coh.wigner, su21coh.scalars\n"
+            "import su21coh.sparse, su21coh.polynomials, su21coh.report\n"
+            "ok = all(r.passed for r in c.verify_closedness(1) + c.verify_nonexactness(1))\n"
+            "c.generators_to_dict(1)\n"
+            "print(ok, 'numpy' in sys.modules)")
+    assert _fresh_python(code).split() == ["True", "False"]
+
+
 def test_oracle_never_loads_numpy_random():
     # the oracle draws its points from the standard library's random.Random
     code = ("import contextlib, io, sys\n"

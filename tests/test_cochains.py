@@ -30,8 +30,8 @@ from su21coh.cochains import (
     build_psi0,
     check_equivariance,
     chi3_element,
-    cochain_to_dict,
     differential,
+    generators_to_dict,
     hodge_type,
     nullspace,
     psi_w13_element,
@@ -485,14 +485,16 @@ def test_cochain_algebra_guards():
 
 
 def test_export_schema():
-    for k in (0, 1):
-        psi_dict = cochain_to_dict(build_psi(k))
+    # psi is stored as psi/sqrt(k+2) and exported times sqrt(k+2); chi and
+    # psi0 are stored unitary, so a dropped or doubled scale fails here
+    for k in range(4):
+        payload = generators_to_dict(k)
+        assert payload["k"] == k and list(payload["generators"]) == ["chi", "psi", "psi0"]
+        chi_dict, psi_dict, psi0_dict = payload["generators"].values()
         assert psi_dict["hodge_type"] == [1, 1]
         assert len(psi_dict["entries"]) == 4
-        psi0_dict = cochain_to_dict(build_psi0(k))
         assert psi0_dict["hodge_type"] == [0, 2]
         assert len(psi0_dict["entries"]) == 1
-        chi_dict = cochain_to_dict(build_chi(k))
         assert chi_dict["hodge_type"] is None
         assert chi_dict["degree"] == 1
         # terms are sorted by (j2, m1_2, monomial)
@@ -502,3 +504,13 @@ def test_export_schema():
                 for t in entry["terms"]
             ]
             assert keys == sorted(keys)
+        for name, build, mu_sq in (("chi", build_chi, 1), ("psi", build_psi, k + 2),
+                                   ("psi0", build_psi0, 1)):
+            exported = {
+                (tuple(entry["wedge"]), tuple(t["index"].values()), tuple(t["monomial"])):
+                    CR.from_dict(t["coeff"])
+                for entry in payload["generators"][name]["entries"] for t in entry["terms"]
+            }
+            want = {(w, tuple(idx), tuple(mono)): unitary_coord(c, idx, mu_sq)
+                    for (w, idx, mono), c in build(k).items()}
+            assert exported == want, (name, k)

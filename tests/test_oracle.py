@@ -143,16 +143,16 @@ def test_jacobi_matches_scipy_for_nonneg_params():
 def test_eval_wigner_j0():
     e = EulerAngles(0.9, -1.2, 2.2, 3.3)
     idx = WignerIndex(0, -6, 0, 0)
-    assert abs(eval_wigner(idx, e) - cmath.exp(-3j * 0.9)) < 1e-14
+    assert abs(eval_wigner([idx], e)[0] - cmath.exp(-3j * 0.9)) < 1e-14
 
 
 def test_eval_wigner_theta0_fixture():
     # diagonal compact element: only m1 = m2 entries survive, with unit profile
     for n2 in (-3, 1):
         e = EulerAngles(0.31, 0.0, 0.0, 0.0)
-        val = eval_wigner(WignerIndex(1, n2, 1, 1), e)
+        val = eval_wigner([WignerIndex(1, n2, 1, 1)], e)[0]
         assert abs(val - cmath.exp(0.5j * n2 * 0.31)) < 1e-14
-        off = eval_wigner(WignerIndex(1, n2, -1, 1), e)
+        off = eval_wigner([WignerIndex(1, n2, -1, 1)], e)[0]
         assert off == 0.0
 
 
@@ -171,7 +171,7 @@ def test_regrouped_matches_literal_formula():
             float(rng.uniform(0, 12)), float(rng.uniform(-3, 3)),
             float(rng.uniform(0.15, 2.95)), float(rng.uniform(-3, 9)),
         )
-        a, b = eval_wigner(idx, e), eval_wigner_literal(idx, e)
+        a, b = eval_wigner([idx], e)[0], eval_wigner_literal(idx, e)
         assert abs(a - b) <= 1e-11 * max(1.0, abs(b))
 
 
@@ -233,7 +233,7 @@ def test_m_element_phases_match_index_window():
     for idx in admissible_indices(k, Fraction(3, 2)):
         if idx.m12 != idx.m22:
             continue
-        val = eval_wigner(idx, e)
+        val = eval_wigner([idx], e)[0]
         assert abs(val - cmath.exp(-1j * (2 * k + 3) * t)) <= 1e-12
 
 
@@ -302,7 +302,7 @@ def test_eval_section_on_compact_points():
     idx = next(iter(admissible_indices(k, Fraction(1, 2))))
     e = EulerAngles(0.4, 0.2, 1.0, -0.3)
     kap = k_from_angles(e)
-    assert abs(eval_sections(k, [idx], kap)[0] - eval_wigner(idx, euler_from_k(kap))) <= 1e-12
+    assert abs(eval_sections(k, [idx], kap)[0] - eval_wigner([idx], euler_from_k(kap))[0]) <= 1e-12
     with pytest.raises(ValueError):
         eval_sections(0, [WignerIndex(0, 0, 0, 0)], np.eye(3))
 
@@ -368,11 +368,11 @@ def _count_fd_evaluations(monkeypatch, argv):
         stencil_sets.extend(angles for _, angles, _ in stencils)
         return base, stencils
 
-    def eval_wigner_counted(idx, e):
+    def eval_wigner_counted(indices, e):
         if any(e is p for p in bases + stencil_sets):
-            for one in [idx] if isinstance(idx, WignerIndex) else idx:
-                calls[id(e), one] += 1
-        return real_eval(idx, e)
+            for idx in indices:
+                calls[id(e), idx] += 1
+        return real_eval(indices, e)
 
     monkeypatch.setattr(oracle, "_fd_points", fd_points)
     monkeypatch.setattr(oracle, "eval_wigner", eval_wigner_counted)
@@ -426,10 +426,10 @@ def test_covariance_checks_every_index_of_the_window(monkeypatch):
     seen, calls = set(), []
     real = oracle.eval_wigner
 
-    def eval_wigner_counted(idx, e):
+    def eval_wigner_counted(indices, e):
         calls.append(e)
-        seen.update([idx] if isinstance(idx, WignerIndex) else idx)
-        return real(idx, e)
+        seen.update(indices)
+        return real(indices, e)
 
     monkeypatch.setattr(oracle, "eval_wigner", eval_wigner_counted)
     assert all_passed(oracle.covariance_report(k=1))
@@ -438,13 +438,13 @@ def test_covariance_checks_every_index_of_the_window(monkeypatch):
     assert len(calls) == 3
 
 
-def test_real_imag_parts_generic_matrix():
+def test_real_imag_parts_rebuild_each_generator():
     from su21coh.lie import gen_matrix
     from su21coh.oracle import J_DIAG_NP
 
-    for gen in (LieGen.X1, LieGen.U1_MINUS_IU2, LieGen.U0):
+    for gen in LieGen:
         x = gen_matrix(gen).to_numpy()
-        a, b = real_imag_parts(x)
+        a, b = real_imag_parts(gen)
         rebuilt = a + (1j * b if b is not None else 0)
         assert np.abs(rebuilt - x).max() <= 1e-14
         # both parts satisfy the real-form defining equation
@@ -454,17 +454,18 @@ def test_real_imag_parts_generic_matrix():
             assert np.abs(part.conj().T @ J_DIAG_NP + J_DIAG_NP @ part).max() <= 1e-14
 
 
-def fd_derivative(f, x, g: np.ndarray) -> complex:
-    """Left-invariant derivative d/dt f(exp(-t x) g) at t = 0 at one point,
-    through the stencil the operator sweeps use."""
-    steps, weights = oracle._fd_steps(x)
+def fd_derivative(f, gen: LieGen, g: np.ndarray) -> complex:
+    """Left-invariant derivative d/dt f(exp(-t x) g) at t = 0 at one point, x
+    the generator's matrix, through the stencil the operator sweeps use."""
+    steps, weights = oracle._fd_steps(gen)
     return sum(w * f(step @ g) for step, w in zip(steps, weights))
 
 
-def test_fd_derivative_zero_direction():
+def test_fd_derivative_of_a_constant_vanishes():
+    # the weights of each real direction's stencil sum to zero
     g = random_group_points(random.Random(0), 1)[0]
-    val = fd_derivative(lambda h: 1.0, np.zeros((3, 3)), g)
-    assert abs(val) <= 1e-12
+    for gen in LieGen:
+        assert abs(fd_derivative(lambda h: 1.0, gen, g)) <= 1e-12
 
 
 def test_fd_matches_compact_weight():
@@ -521,8 +522,8 @@ def fd_sweep_reference(ks, j_max, tol, variant, base, stencils):
         for idx in admissible_indices(k, j_max):
             image = act_l_index(gen, idx) if compact else act_p_index(gen, idx, variant)
             pred = base_rm3 * sum(c.to_complex() * oracle._scale_ratio(idx, tgt)
-                                  * eval_wigner(tgt, base_angles) for tgt, c in image)
-            fd = (weights * eval_wigner(idx, angles)).sum(axis=-1)
+                                  * eval_wigner([tgt], base_angles)[0] for tgt, c in image)
+            fd = (weights * eval_wigner([idx], angles)[0]).sum(axis=-1)
             worst = float((np.abs(fd - pred) / np.maximum(1.0, np.abs(pred))).max())
             results.append(oracle._within(f"{label}[k={k},{gen.value},{idx}]", worst, tol,
                                           k=k, gen=gen.value))
@@ -614,7 +615,7 @@ def test_fd_sweep_of_empty_images_predicts_zero():
         assert act_l_index(gen, idx) == []
         (row,) = oracle._fd_sweep([1], 0, 1e-6, ("plus1",), base,
                                   [(gen, angles, weights)])["plus1"]
-        fd = (weights * eval_wigner(idx, _fresh(angles))).sum(axis=-1)
+        fd = (weights * eval_wigner([idx], _fresh(angles))[0]).sum(axis=-1)
         assert row.max_err == float(np.abs(fd).max()) and row.passed
 
 
@@ -694,24 +695,24 @@ def test_adjudication_of_an_empty_sweep_fails(monkeypatch):
 
 def test_quadrature_normalization_and_diagonal():
     trivial = WignerIndex(0, -6, 0, 0)
-    assert abs(quadrature_ip(trivial, trivial) - 1.0) <= 1e-12
+    gram = quadrature_ip([trivial], [trivial])
+    assert gram.shape == (1, 1) and abs(gram[0, 0] - 1.0) <= 1e-12
     # squared norm at 2j = 1: computed fixture 1/2, independent of n and of
     # the signs of (m1, m2)
     for n2 in (-3, 3):
         for m12 in (-1, 1):
             for m22 in (-1, 1):
                 idx = WignerIndex(1, n2, m12, m22)
-                assert abs(quadrature_ip(idx, idx) - 0.5) <= 1e-12
+                assert abs(quadrature_ip([idx], [idx])[0, 0] - 0.5) <= 1e-12
 
 
 def test_quadrature_orthogonality_spot():
     a = WignerIndex(1, -3, 1, -1)
     b = WignerIndex(1, -3, 1, 1)
-    assert abs(quadrature_ip(a, b)) <= 1e-12
     c = WignerIndex(3, -3, 1, -1)  # same (n, m) frequencies, different j
-    assert abs(quadrature_ip(a, c)) <= 1e-12
     d = WignerIndex(2, -6, 0, 0)  # half-odd frequency differences vs a
-    assert abs(quadrature_ip(a, d)) <= 1e-12
+    for other in (b, c, d):
+        assert abs(quadrature_ip([a], [other])[0, 0]) <= 1e-12
 
 
 def product_grid(nz: int, nang: int, ng: int) -> tuple[EulerAngles, np.ndarray, float]:
@@ -743,12 +744,20 @@ def test_gram_matrix_matches_per_pair_quadrature(k):
     assert gram.shape == (len(window), len(window))
     ref = np.array([[quadrature_ip_reference(a, b) for b in window] for a in window])
     assert np.abs(gram - ref).max() <= 1e-14
-    a, b = window[3], window[-2]
-    one = quadrature_ip(a, b)
-    assert type(one) is complex and one == quadrature_ip([a], [b])[0, 0]
-    assert abs(one - gram[3, -2]) <= 1e-14
+    assert abs(quadrature_ip([window[3]], [window[-2]])[0, 0] - gram[3, -2]) <= 1e-14
     rect = quadrature_ip(window[:4], window)
     assert rect.shape == (4, len(window)) and np.abs(rect - ref[:4]).max() <= 1e-14
+
+
+def test_a_bare_index_is_not_a_sequence_of_indices():
+    # a WignerIndex is itself a 4-tuple: no routine may read it as four
+    # indices, or return a value for it
+    idx = WignerIndex(1, -3, 1, 1)
+    with pytest.raises((TypeError, AttributeError)):
+        eval_wigner(idx, EulerAngles(0.9, -1.2, 2.2, 3.3))
+    for rows, cols in ((idx, idx), (idx, [idx]), ([idx], idx)):
+        with pytest.raises((TypeError, AttributeError)):
+            quadrature_ip(rows, cols)
 
 
 def test_orthogonality_report_catches_a_scaled_norm(monkeypatch):
@@ -797,13 +806,13 @@ def test_batched_eval_wigner_matches_scalar_and_literal():
         rng.uniform(0, 12, count), rng.uniform(-3, 3, count), theta, rng.uniform(-3, 9, count)
     )
     for idx in _index_window(5):
-        batch = eval_wigner(idx, e)
+        (batch,) = eval_wigner([idx], e)
         assert batch.shape == (count,)
         for i in range(count):
             point = EulerAngles(
                 float(e.zeta[i]), float(e.phi[i]), float(e.theta[i]), float(e.psi[i])
             )
-            one = eval_wigner(idx, point)
+            (one,) = eval_wigner([idx], point)
             assert isinstance(one, complex)
             assert abs(batch[i] - one) <= 1e-14
             j2, _, m12, m22 = idx
@@ -842,7 +851,7 @@ def test_tabled_eval_wigner_is_bit_identical_to_direct_evaluation():
     point = EulerAngles(0.9, -1.2, 2.2, 3.3)
     for e, idxs in ((batch, indices), (grid, window), (point, indices)):
         for idx in idxs:
-            assert np.array_equal(eval_wigner(idx, e), eval_wigner_direct(idx, e)), idx
+            assert np.array_equal(eval_wigner([idx], e)[0], eval_wigner_direct(idx, e)), idx
     # stacked calls, row by row, on fresh point sets and on the tabled ones
     for e, idxs in ((batch, indices), (grid, window), (point, indices)):
         for shared in (_fresh(e), e):
@@ -857,10 +866,10 @@ def test_tabled_eval_wigner_does_not_depend_on_evaluation_order():
     rng = np.random.default_rng(5)
     e = EulerAngles(*rng.uniform(0.1, 3.0, size=(4, 30)))
     a, b = WignerIndex(3, -3, 1, -1), WignerIndex(5, -9, 1, -1)  # one (m1, m2), two j
-    ref_a, ref_b = eval_wigner(a, _fresh(e)), eval_wigner(b, _fresh(e))
+    (ref_a,), (ref_b,) = eval_wigner([a], _fresh(e)), eval_wigner([b], _fresh(e))
     for first, second in ((a, b), (b, a)):
         shared = _fresh(e)
-        vals = {first: eval_wigner(first, shared), second: eval_wigner(second, shared)}
+        vals = {first: eval_wigner([first], shared)[0], second: eval_wigner([second], shared)[0]}
         assert np.array_equal(vals[a], ref_a) and np.array_equal(vals[b], ref_b)
 
 
@@ -878,11 +887,11 @@ def test_orthogonality_report_makes_one_gram_matrix(monkeypatch):
 def test_eval_wigner_broadcasts_over_a_product_grid():
     idx = WignerIndex(3, -3, 1, -1)
     zeta, phi = np.array([0.1, 2.0]), np.array([-1.0, 0.4, 2.5])
-    grid = eval_wigner(idx, EulerAngles(zeta[:, None], phi[None, :], 0.7, 1.9))
+    (grid,) = eval_wigner([idx], EulerAngles(zeta[:, None], phi[None, :], 0.7, 1.9))
     assert grid.shape == (2, 3)
     for a, z in enumerate(zeta):
         for b, p in enumerate(phi):
-            assert abs(grid[a, b] - eval_wigner(idx, EulerAngles(z, p, 0.7, 1.9))) <= 1e-14
+            assert abs(grid[a, b] - eval_wigner([idx], EulerAngles(z, p, 0.7, 1.9))[0]) <= 1e-14
 
 
 def test_expm_matches_scipy():
