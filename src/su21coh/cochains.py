@@ -26,6 +26,11 @@ nonzero.  `check_equivariance` tests that on the keys and acts only with
 U1 +- iU2.  The differential uses only the first-order terms: the pairwise
 brackets of the X's project to zero in the quotient, which it checks (not
 assumes) on every call by reading the pullback tables `act_tensor` applies.
+`act_tensor` and `differential` (all four X_i) each add every image into
+one dict, computing each distinct index's and monomial's image once per
+call, and drop the cancelled terms at the end.  The kernel computation
+(`nullspace`) eliminates below each pivot and then back-substitutes, so
+the banded lowering matrix of the non-exactness argument stays banded.
 """
 
 from __future__ import annotations
@@ -111,23 +116,52 @@ def _pullback(gen: LieGen) -> dict:
     return {w2: tuple(pairs) for w2, pairs in out.items()}
 
 
+def _act_into(acc: dict, gen: LieGen, terms, variant: str) -> None:
+    """Add gen's action on the given (key, coefficient) pairs into acc, on
+    all three slots of every term.  Terms sharing an index or a monomial
+    share its image, computed once per call; the memo dies with the call."""
+    compact = gen in L_GENS
+    pullback = _pullback(gen)
+    moved_of: dict = {}
+    poly_of: dict = {}
+    for (w, idx, mono), coeff in terms:
+        moved = moved_of.get(idx)
+        if moved is None:
+            # read at call time, so a rebound module global is the one used
+            moved = moved_of[idx] = (act_l_index(gen, idx) if compact
+                                     else act_p_index(gen, idx, variant))
+        poly = poly_of.get(mono)
+        if poly is None:
+            poly = poly_of[mono] = _poly_image(gen, mono)
+        # three inlined copies of one add: a helper call per image costs
+        # more than the rest of the loop
+        for tgt, c in moved:
+            key, x = (w, tgt, mono), c * coeff
+            old = acc.get(key)
+            acc[key] = x if old is None else old + x
+        for pm, c in poly:
+            key, x = (w, idx, pm), c * coeff
+            old = acc.get(key)
+            acc[key] = x if old is None else old + x
+        for w1, c in pullback.get(w, ()):
+            key, x = (w1, idx, mono), c * coeff
+            old = acc.get(key)
+            acc[key] = x if old is None else old + x
+
+
+def _nonzero(acc: dict) -> Cochain:
+    """The cochain of an accumulator, terms that cancelled dropped."""
+    return _made(Cochain, {key: c for key, c in acc.items() if c})
+
+
 def act_tensor(gen: LieGen, psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
     """The action on all three slots of every term, (gen.psi)(w) =
     gen.(psi(w)) - psi(gen.w): gen on the function slot plus gen on the
     polynomial slot (Leibniz), and the pullback along gen on the wedge
     slot."""
-    compact = gen in L_GENS
-    pullback = _pullback(gen)
-    out: list = []
-    for (w, idx, mono), coeff in psi.items():
-        moved = act_l_index(gen, idx) if compact else act_p_index(gen, idx, variant)
-        for tgt, c in moved:
-            out.append(((w, tgt, mono), c * coeff))
-        for pm, pc in _poly_image(gen, mono):
-            out.append(((w, idx, pm), pc * coeff))
-        for w1, c in pullback.get(w, ()):
-            out.append(((w1, idx, mono), c * coeff))
-    return Cochain(out)
+    acc: dict = {}
+    _act_into(acc, gen, psi.items(), variant)
+    return _nonzero(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +176,18 @@ def differential(psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
     vanishes identically here because all pairwise brackets of the
     noncompact generators lie in the compact part.  That fact is checked on
     every call rather than trusted: X_i's pullback table, which `act_tensor`
-    applies, must be empty."""
-    out: list = []
+    applies, must be empty.  All four actions add into one accumulator."""
+    acc: dict = {}
     for i, gen in enumerate(P_GENS, 1):
         if _pullback(gen):
             raise BracketNotInL(f"a bracket [{gen.value}, X_j] has a nonzero noncompact part")
-        lacking = {}
+        lacking = []
         for (w, idx, mono), coeff in psi.items():
             if i not in w:
                 target, flip = wedge_insert(w, i)
-                lacking[target, idx, mono] = -coeff if flip else coeff
-        if lacking:
-            out.extend(act_tensor(gen, _made(Cochain, lacking), variant).items())
-    return Cochain(out)
+                lacking.append(((target, idx, mono), -coeff if flip else coeff))
+        _act_into(acc, gen, lacking, variant)
+    return _nonzero(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +317,20 @@ def hodge_type(psi: Cochain):
 
 def nullspace(rows: list[list], ncols: int) -> list[list]:
     """Basis of the solution space of rows . x = 0 over exact scalars
-    (GaussianRational or ComplexRadical), by sparse Gauss-Jordan elimination
-    with exact division.
+    (GaussianRational or ComplexRadical), by sparse elimination with exact
+    division: forward elimination below each pivot, then back substitution.
 
-    Rows are held as {col: nonzero entry} dicts and every pivot column is
-    cleared above and below the pivot, so the pivot rows end up in reduced
-    row echelon form.  That form is unique, hence so is the returned basis:
-    one vector per free column, with a 1 there and minus the reduced
-    entries of that column at the pivot positions.
+    Rows are held as {col: nonzero entry} dicts.  Each pivot row is scaled to
+    1 at its pivot and cleared from the rows below only, so the pivot rows
+    form an echelon form and no entry is created above a pivot (a banded
+    system stays banded).  The basis has one vector per free column: a 1
+    there, 0 at the other free columns, and at the pivot columns the values
+    that back substitution solves for.  Those values are determined by the
+    free ones, so the basis does not depend on the elimination order: it is
+    the one reduced row echelon form would read off.
     """
     pending = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
-    reduced: list[tuple[int, dict]] = []
+    echelon: list[tuple[int, dict]] = []
     for col in range(ncols):
         pivot = next((i for i, row in enumerate(pending) if col in row), None)
         if pivot is None:
@@ -302,12 +338,10 @@ def nullspace(rows: list[list], ncols: int) -> list[list]:
         prow = pending.pop(pivot)
         inv = prow[col].inverse()
         prow = {c: x * inv for c, x in prow.items()}
-        for _, row in reduced:
-            _eliminate(row, prow, col)
         for row in pending:
             _eliminate(row, prow, col)
-        reduced.append((col, prow))
-    pivot_cols = {col for col, _ in reduced}
+        echelon.append((col, prow))
+    pivot_cols = {col for col, _ in echelon}
     basis = []
     zero, one = GaussianRational(), GaussianRational(1)
     for free in range(ncols):
@@ -315,9 +349,13 @@ def nullspace(rows: list[list], ncols: int) -> list[list]:
             continue
         vec = [zero] * ncols
         vec[free] = one
-        for pc, prow in reduced:
-            if free in prow:
-                vec[pc] = -prow[free]
+        # a pivot row's other entries lie right of its pivot, already solved
+        for pc, prow in reversed(echelon):
+            acc = zero
+            for c, x in prow.items():
+                if c != pc and vec[c]:
+                    acc = acc + x * vec[c]
+            vec[pc] = -acc
         basis.append(vec)
     return basis
 

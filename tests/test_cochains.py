@@ -130,6 +130,21 @@ def test_differential_of_zero():
     assert differential(z).is_zero()
 
 
+def test_action_and_differential_store_no_zero():
+    # act_tensor and differential add every image into one accumulator, in
+    # which terms cancel; a cancelled term must not be stored, or "zero"
+    # would stop meaning an empty term collection
+    for k in range(4):
+        chi = build_chi(k)
+        for coch in (chi, build_psi(k), build_psi0(k), differential(chi)):
+            outs = [differential(coch)] + [act_tensor(g, coch) for g in L_GENS + P_GENS]
+            for out in outs:
+                assert not any(c.is_zero() for _, c in out.items())
+    # U0 is diagonal: on an equivariant cochain each term's function,
+    # polynomial and wedge images cancel at that term's own key
+    assert len(act_tensor(LieGen.U0, build_psi(2))) == 0
+
+
 def test_differential_tripwire_reads_the_pullback_table(monkeypatch):
     chi = build_chi(0)
     differential(chi)  # the true tables are empty for X1..X4
@@ -286,7 +301,7 @@ def test_nonexactness_range():
         assert all_passed(verify_nonexactness(k))
 
 
-@pytest.mark.parametrize("k", [40, 80])
+@pytest.mark.parametrize("k", [40, 80, 160])
 def test_theorem_at_large_k(k):
     results = verify_closedness(k) + verify_nonexactness(k)
     assert len(results) == 13
@@ -393,6 +408,61 @@ def test_sparse_nullspace_matches_dense_reference():
     assert any(0 < rank == min(nrows, ncols) for rank, nrows, ncols in shapes)
     assert any(0 < rank < min(nrows, ncols) for rank, nrows, ncols in shapes)
     assert any(0 < rank < ncols and nrows < ncols for rank, nrows, ncols in shapes)
+
+
+def _nonzero_entry(rng, field):
+    """A random nonzero GaussianRational or ComplexRadical."""
+    while True:
+        if field is GaussianRational:
+            x = GaussianRational(*(int(v) for v in rng.integers(-9, 10, 2)), int(rng.integers(1, 5)))
+        else:
+            x = random_complex_radical(rng, max_terms=1, bound=20)
+        if not x.is_zero():
+            return x
+
+
+def _bidiagonal(rng, field, n, ncols, lower, zero_at):
+    """n rows, row i nonzero at column i and at i - 1 (lower) or i + 1
+    (upper) where that column exists; the diagonal entry of row zero_at is
+    zero when zero_at is not None."""
+    rows = [[field() for _ in range(ncols)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for c in (i, i - 1 if lower else i + 1):
+            if 0 <= c < ncols and not (c == i == zero_at):
+                row[c] = _nonzero_entry(rng, field)
+    return rows
+
+
+def test_nullspace_of_banded_systems():
+    # the shape step (b)'s lowering matrix has: eliminating only below the
+    # pivot keeps it banded, and the basis must still be the reduced one
+    rng = np.random.default_rng(24)
+    dims = set()
+    for field, n, wide, lower in itertools.product(
+            (GaussianRational, ComplexRadical), (1, 2, 7, 30), (False, True), (False, True)):
+        ncols = n + wide
+        for zero_at in (None, n // 2):
+            rows = _bidiagonal(rng, field, n, ncols, lower, zero_at)
+            got = nullspace(rows, ncols)
+            assert got == dense_nullspace(rows, ncols)
+            dims.add(len(got))
+    assert dims == {0, 1, 2}
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 40])
+def test_nullspace_of_the_lowering_matrix(monkeypatch, k):
+    seen = []
+    real = cochains.nullspace
+
+    def spy(rows, ncols):
+        seen.append((rows, ncols))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(cochains, "nullspace", spy)
+    assert all_passed(verify_nonexactness(k))
+    (rows, ncols), = seen
+    assert ncols == k + 1
+    assert real(rows, ncols) == dense_nullspace(rows, ncols)
 
 
 def test_dd_zero_on_random_equivariant():
