@@ -29,8 +29,10 @@ assumes) on every call by reading the pullback tables `act_tensor` applies.
 `act_tensor` and `differential` (all four X_i) each add every image into
 one dict, computing each distinct index's and monomial's image once per
 call, and drop the cancelled terms at the end.  The kernel computation
-(`nullspace`) eliminates below each pivot and then back-substitutes, so
-the banded lowering matrix of the non-exactness argument stays banded.
+(`nullspace`) takes sparse rows and reduces each at its leftmost entry by
+the pivot row there, so the banded lowering matrix of the non-exactness
+argument stays banded.  That argument's step (a) reads the moves of X3 and
+X4 from `wigner.P_SHIFTS`, the table `act_p_index` applies.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .scalars import ComplexRadical, GaussianRational
 from .sparse import LinComb, _made
 from .wigner import (
     DEFAULT_VARIANT,
+    P_SHIFTS,
     act_l_index,
     act_p_index,
     chi_index,
@@ -315,63 +318,51 @@ def hodge_type(psi: Cochain):
 # ---------------------------------------------------------------------------
 
 
-def nullspace(rows: list[list], ncols: int) -> list[list]:
+def nullspace(rows: list[dict], ncols: int) -> list[list]:
     """Basis of the solution space of rows . x = 0 over exact scalars
-    (GaussianRational or ComplexRadical), by sparse elimination with exact
-    division: forward elimination below each pivot, then back substitution.
+    (GaussianRational or ComplexRadical), each row a {col: entry} mapping.
 
-    Rows are held as {col: nonzero entry} dicts.  Each pivot row is scaled to
-    1 at its pivot and cleared from the rows below only, so the pivot rows
-    form an echelon form and no entry is created above a pivot (a banded
-    system stays banded).  The basis has one vector per free column: a 1
-    there, 0 at the other free columns, and at the pivot columns the values
-    that back substitution solves for.  Those values are determined by the
-    free ones, so the basis does not depend on the elimination order: it is
-    the one reduced row echelon form would read off.
+    Each row, zeros dropped, is reduced at its leftmost entry by the pivot
+    row starting there until none does, then scaled to 1 there as that
+    column's pivot row: a banded system stays banded, in linear time.  The
+    basis has one vector per free column: a 1 there, 0 at the other free
+    columns, and at the pivot columns the unique values solving the rows,
+    by back substitution.  So it depends on neither the row order nor the
+    elimination order: it is the one reduced row echelon form reads off.
     """
-    pending = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
-    echelon: list[tuple[int, dict]] = []
-    for col in range(ncols):
-        pivot = next((i for i, row in enumerate(pending) if col in row), None)
-        if pivot is None:
-            continue
-        prow = pending.pop(pivot)
-        inv = prow[col].inverse()
-        prow = {c: x * inv for c, x in prow.items()}
-        for row in pending:
-            _eliminate(row, prow, col)
-        echelon.append((col, prow))
-    pivot_cols = {col for col, _ in echelon}
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        row = {c: x for c, x in row.items() if not x.is_zero()}
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                inv = row[col].inverse()
+                pivots[col] = {c: x * inv for c, x in row.items()}
+                break
+            f = row[col]
+            for c, x in prow.items():
+                new = row[c] - f * x if c in row else -(f * x)
+                if new.is_zero():
+                    del row[c]
+                else:
+                    row[c] = new
     basis = []
     zero, one = GaussianRational(), GaussianRational(1)
     for free in range(ncols):
-        if free in pivot_cols:
+        if free in pivots:
             continue
         vec = [zero] * ncols
         vec[free] = one
         # a pivot row's other entries lie right of its pivot, already solved
-        for pc, prow in reversed(echelon):
+        for pc in sorted(pivots, reverse=True):
             acc = zero
-            for c, x in prow.items():
+            for c, x in pivots[pc].items():
                 if c != pc and vec[c]:
                     acc = acc + x * vec[c]
             vec[pc] = -acc
         basis.append(vec)
     return basis
-
-
-def _eliminate(row: dict, prow: dict, col: int) -> None:
-    """row -= row[col] * prow in place, for a pivot row prow normalized at
-    col; entries that cancel are dropped."""
-    f = row.get(col)
-    if f is None:
-        return
-    for c, x in prow.items():
-        new = row[c] - f * x if c in row else -(f * x)
-        if new.is_zero():
-            del row[c]
-        else:
-            row[c] = new
 
 
 # ---------------------------------------------------------------------------
@@ -419,30 +410,28 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
     results = []
     seed = chi3_element(k)
 
-    # (a) admissible preimages of the psi0 support under X3, X4
-    targets = {idx for _w, idx, _mono in build_psi0(k).support()}
+    # (a) preimages of the psi0 support under X3, X4: each of its indices
+    # moved back by a P_SHIFTS row, n set by the module (valid = admissible)
     expected = {chi_index(k, l) for l in range(k + 2)}
     found = set()
-    for t in targets:
-        tj, _, tm1, tm2 = t
-        for gen, dm1 in ((LieGen.X3, +1), (LieGen.X4, -1)):
-            for dj in (-1, +1):
-                # a module index is admissible exactly when it is structurally valid
-                cand = module_index(k, tj + dj, tm1 + dm1, tm2 + 1)
-                if not cand.structurally_valid():
-                    continue
-                image = dict(act_p_index(gen, cand, variant))
-                if t in image:
+    for _w, t, _mono in build_psi0(k).support():
+        j2, _, m12, m22 = t
+        for gen in (LieGen.X3, LieGen.X4):
+            for dj, _dn, dm1, dm2 in P_SHIFTS[gen]:
+                cand = module_index(k, j2 - dj, m12 - dm1, m22 - dm2)
+                if cand.structurally_valid() and t in dict(act_p_index(gen, cand, variant)):
                     found.add(cand)
     detail = "" if found == expected else f"found {len(found)}, expected {len(expected)}"
     results.append(CheckResult(f"preimage candidates = chi family [k={k}]", not detail, detail))
 
-    # (b) lowering kernel inside span{ W_chi(l) (x) x^(k-l) y^l }, the seed's keys
+    # (b) lowering kernel inside span{ W_chi(l) (x) x^(k-l) y^l }, the seed's
+    # keys: one sparse row per key the lowering images reach
     basis_keys = list(seed.support())
-    images = [act_tensor(LieGen.U1_MINUS_IU2, Cochain({key: 1})) for key in basis_keys]
-    row_keys = sorted({key for img in images for key in img.support()})
-    rows = [[img.get(key) for img in images] for key in row_keys]
-    kernel = nullspace(rows, len(basis_keys))
+    rows: dict = {}
+    for col, key in enumerate(basis_keys):
+        for row_key, x in act_tensor(LieGen.U1_MINUS_IU2, Cochain({key: 1})).items():
+            rows.setdefault(row_key, {})[col] = x
+    kernel = nullspace(list(rows.values()), len(basis_keys))
     one_dim = len(kernel) == 1
     results.append(
         CheckResult(f"lowering kernel is 1-dimensional [k={k}]", one_dim, f"dim = {len(kernel)}")

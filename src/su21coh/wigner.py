@@ -150,13 +150,22 @@ def act_l_index(gen: LieGen, idx: WignerIndex) -> list[tuple[WignerIndex, Gaussi
 VARIANTS = ("plus1", "plus2")
 DEFAULT_VARIANT = "plus1"
 
-# Each operator is two rows (sign, root, linear, factor, doubled index
-# shifts).  The unitary coefficient sign * linear * sqrt(root) / (2(2j+1))
-# times a(target)/a(idx) is sign * linear * factor / (2(2j+1)); a zero root
-# still marks the targets outside |m| <= j.  The "variant" switch selects
-# between the two candidate inner shifts of one square-root factor of the X3
-# operator; only plus1 is consistent with the rest of the structure (see
-# README), plus2 is kept for the numeric adjudication harness.
+# The doubled (dj, dn, dm1, dm2) moves of each operator's two rows, to
+# j - 1/2 and j + 1/2; [U0, X_i] = i(dn/2) X_i and [U3, X_i] = i(dm1/2) X_i.
+P_SHIFTS = {
+    LieGen.X1: ((-1, 3, 1, 1), (1, 3, 1, 1)),
+    LieGen.X2: ((-1, 3, -1, 1), (1, 3, -1, 1)),
+    LieGen.X3: ((-1, -3, -1, -1), (1, -3, -1, -1)),
+    LieGen.X4: ((-1, -3, 1, -1), (1, -3, 1, -1)),
+}
+
+# Each operator is two rows (sign, root, linear, factor), moving the index
+# by its P_SHIFTS row.  The unitary coefficient sign * linear * sqrt(root) /
+# (2(2j+1)) times a(target)/a(idx) is sign * linear * factor / (2(2j+1)); a
+# zero root still marks the targets outside |m| <= j.  The "variant" switch
+# selects between the two candidate inner shifts of one square-root factor
+# of the X3 operator; only plus1 is consistent with the rest of the
+# structure (see README), plus2 is kept for the numeric adjudication harness.
 
 
 def act_p_index(
@@ -173,13 +182,13 @@ def act_p_index(
 
     if gen is LieGen.X1:
         spec = [
-            (-1, jm * km, j2 + d - 1, jm * km, (-1, 3, 1, 1)),
-            (+1, (jp + 1) * (kp + 1), j2 - d + 3, (jp + 1) * (kp + 1), (1, 3, 1, 1)),
+            (-1, jm * km, j2 + d - 1, jm * km),
+            (+1, (jp + 1) * (kp + 1), j2 - d + 3, (jp + 1) * (kp + 1)),
         ]
     elif gen is LieGen.X2:
         spec = [
-            (-1, jp * km, j2 + d - 1, km, (-1, 3, -1, 1)),
-            (-1, (jm + 1) * (kp + 1), j2 - d + 3, kp + 1, (1, 3, -1, 1)),
+            (-1, jp * km, j2 + d - 1, km),
+            (-1, (jm + 1) * (kp + 1), j2 - d + 3, kp + 1),
         ]
     elif gen is LieGen.X3:
         # plus2's inner shift leaves sqrt((jm+2)(km+1)) / sqrt((jm+1)(km+1))
@@ -187,20 +196,20 @@ def act_p_index(
             (1, 1) if variant == "plus1" else (2, ComplexRadical.sqrt(Fraction(jm + 2, jm + 1)))
         )
         spec = [
-            (-1, jp * kp, j2 - d - 1, 1, (-1, -3, -1, -1)),
-            (+1, (jm + inner) * (km + 1), j2 + d + 3, x3_factor, (1, -3, -1, -1)),
+            (-1, jp * kp, j2 - d - 1, 1),
+            (+1, (jm + inner) * (km + 1), j2 + d + 3, x3_factor),
         ]
     elif gen is LieGen.X4:
         spec = [
-            (+1, jm * kp, j2 - d - 1, jm, (-1, -3, 1, -1)),
-            (+1, (jp + 1) * (km + 1), j2 + d + 3, jp + 1, (1, -3, 1, -1)),
+            (+1, jm * kp, j2 - d - 1, jm),
+            (+1, (jp + 1) * (km + 1), j2 + d + 3, jp + 1),
         ]
     else:
         raise ValueError(f"{gen} is not a noncompact generator")
 
     denom = 2 * (j2 + 1)  # 2(2j+1)
     out = []
-    for sign, root, lin, factor, (dj, dn, dm1, dm2) in spec:
+    for (sign, root, lin, factor), (dj, dn, dm1, dm2) in zip(spec, P_SHIFTS[gen]):
         if root == 0 or lin == 0:
             continue
         target = WignerIndex(j2 + dj, n2 + dn, m12 + dm1, m22 + dm2)

@@ -153,9 +153,11 @@ def _seed_kernel(k: int, side: str, jmax2: int):
         )
     rows = []
     for pos in (0, 1):
-        row_keys = sorted({key for cons in constraints for key in cons[pos].support()})
-        for rk in row_keys:
-            rows.append([cons[pos].get(rk) for cons in constraints])
+        by_key: dict = {}
+        for col, cons in enumerate(constraints):
+            for rk, x in cons[pos].items():
+                by_key.setdefault(rk, {})[col] = x
+        rows.extend(by_key.values())
     return tuple(keys), tuple(tuple(v) for v in nullspace(rows, len(keys)))
 
 

@@ -44,7 +44,16 @@ from su21coh.lie import L_GENS, P_GENS, LieGen, Mat3, gen_matrix, wedge_action
 from su21coh.polynomials import Monomial, monomial_xy
 from su21coh.report import all_passed
 from su21coh.scalars import ComplexRadical, GaussianRational
-from su21coh.wigner import VARIANTS, admissible_indices, chi_index, psi0_index, psi_index
+from su21coh.wigner import (
+    DEFAULT_VARIANT,
+    VARIANTS,
+    act_p_index,
+    admissible_indices,
+    chi_index,
+    module_index,
+    psi0_index,
+    psi_index,
+)
 from unitary_table import unitary_coord
 
 CR = ComplexRadical
@@ -301,7 +310,52 @@ def test_nonexactness_range():
         assert all_passed(verify_nonexactness(k))
 
 
-@pytest.mark.parametrize("k", [40, 80, 160])
+def literal_preimage_probe(k, variant):
+    """Reference for non-exactness step (a), with the moves of X3 and X4
+    written out by hand: a candidate is one step in j either way, m1 + 1
+    under X3 and m1 - 1 under X4, and m2 + 1, with n set by the module.
+    Returns the candidates probed and those whose image hits psi0."""
+    targets = {idx for _w, idx, _mono in build_psi0(k).support()}
+    probed, found = set(), set()
+    for t in targets:
+        tj, _, tm1, tm2 = t
+        for gen, dm1 in ((LieGen.X3, +1), (LieGen.X4, -1)):
+            for dj in (-1, +1):
+                cand = module_index(k, tj + dj, tm1 + dm1, tm2 + 1)
+                if not cand.structurally_valid():
+                    continue
+                probed.add(cand)
+                if t in dict(act_p_index(gen, cand, variant)):
+                    found.add(cand)
+    return probed, found
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_preimage_candidates_equal_the_literal_probe(monkeypatch, variant):
+    # step (a) reads its moves from P_SHIFTS; the X3 and X4 calls it makes
+    # are the candidates it probes, and those whose image reaches psi0 are
+    # the ones it finds
+    real, calls = cochains.act_p_index, []
+
+    def spy(gen, idx, v=DEFAULT_VARIANT):
+        image = real(gen, idx, v)
+        if gen in (LieGen.X3, LieGen.X4):
+            calls.append((idx, {t for t, _ in image}))
+        return image
+
+    monkeypatch.setattr(cochains, "act_p_index", spy)
+    for k in [*range(11), 40]:
+        calls.clear()
+        results = verify_nonexactness(k, variant)
+        assert results[0].name.startswith("preimage candidates") and results[0].passed
+        targets = {idx for _w, idx, _mono in build_psi0(k).support()}
+        probed = {idx for idx, _ in calls}
+        found = {idx for idx, image in calls if image & targets}
+        assert (probed, found) == literal_preimage_probe(k, variant)
+        assert found == {chi_index(k, l) for l in range(k + 2)}
+
+
+@pytest.mark.parametrize("k", [40, 80, 160, 320])
 def test_theorem_at_large_k(k):
     results = verify_closedness(k) + verify_nonexactness(k)
     assert len(results) == 13
@@ -322,11 +376,21 @@ def test_sanity_inversion_for_exact_target():
 def test_nullspace_small():
     one = CR.of(1)
     two = CR.of(2)
-    rows = [[one, two, CR()], [CR(), CR(), one]]
+    rows = [{0: one, 1: two}, {2: one}]
     basis = nullspace(rows, 3)
     assert len(basis) == 1
     vec = basis[0]
     assert vec[0] + two * vec[1] == CR() and vec[2] == CR()
+
+
+def sparse(rows):
+    """Dense rows as the {col: entry} rows `nullspace` takes, zeros dropped."""
+    return [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
+
+
+def dense(rows, ncols):
+    """{col: entry} rows as dense rows, for `dense_nullspace`."""
+    return [[row.get(c, GaussianRational()) for c in range(ncols)] for row in rows]
 
 
 def dense_nullspace(rows, ncols):
@@ -398,7 +462,7 @@ def test_sparse_nullspace_matches_dense_reference():
         cases.append(([grown[int(i)] for i in order], ncols))
     shapes = set()
     for rows, ncols in cases:
-        got = nullspace(rows, ncols)
+        got = nullspace(sparse(rows), ncols)
         assert got == dense_nullspace(rows, ncols)
         shapes.add((ncols - len(got), len(rows), ncols))
         for vec in got:
@@ -443,14 +507,15 @@ def test_nullspace_of_banded_systems():
         ncols = n + wide
         for zero_at in (None, n // 2):
             rows = _bidiagonal(rng, field, n, ncols, lower, zero_at)
-            got = nullspace(rows, ncols)
+            got = nullspace(sparse(rows), ncols)
             assert got == dense_nullspace(rows, ncols)
             dims.add(len(got))
     assert dims == {0, 1, 2}
 
 
-@pytest.mark.parametrize("k", [0, 1, 5, 40])
-def test_nullspace_of_the_lowering_matrix(monkeypatch, k):
+def _lowering_matrix(monkeypatch, k):
+    """The sparse rows and column count non-exactness step (b) passes to
+    `nullspace`, after checking that the whole argument passes."""
     seen = []
     real = cochains.nullspace
 
@@ -462,7 +527,64 @@ def test_nullspace_of_the_lowering_matrix(monkeypatch, k):
     assert all_passed(verify_nonexactness(k))
     (rows, ncols), = seen
     assert ncols == k + 1
-    assert real(rows, ncols) == dense_nullspace(rows, ncols)
+    return rows, ncols
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 40])
+def test_nullspace_of_the_lowering_matrix(monkeypatch, k):
+    rows, ncols = _lowering_matrix(monkeypatch, k)
+    assert nullspace(rows, ncols) == dense_nullspace(dense(rows, ncols), ncols)
+
+
+def _rank_deficient_systems(rng, count):
+    """Dense random systems with dependent rows: a random combination of
+    the rows, a duplicate row and a zero row appended to a random matrix."""
+    for _ in range(count):
+        nrows, ncols = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        base = _random_matrix(rng, nrows, ncols, density=0.8)
+        yield base + [_combine(rng, base), list(base[0]), [CR()] * ncols], ncols
+
+
+def _assert_order_free(rows, ncols, rng):
+    """Shuffled, reversed and duplicated rows give the identical basis."""
+    want = nullspace(rows, ncols)
+    variants = [rows[::-1], rows + rows, rows[::-1] + rows[: len(rows) // 2]]
+    for _ in range(3):
+        variants.append([rows[int(i)] for i in rng.permutation(len(rows))])
+    for shuffled in variants:
+        assert nullspace(shuffled, ncols) == want
+
+
+def test_nullspace_is_free_of_row_order_and_duplicates():
+    rng = np.random.default_rng(25)
+    dims = set()
+    for rows, ncols in _rank_deficient_systems(rng, 12):
+        got = nullspace(sparse(rows), ncols)
+        assert got == dense_nullspace(rows, ncols)
+        _assert_order_free(sparse(rows), ncols, rng)
+        dims.add(len(got))
+    assert len(dims) > 1
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 40])
+def test_lowering_kernel_is_free_of_row_order_and_duplicates(monkeypatch, k):
+    rows, ncols = _lowering_matrix(monkeypatch, k)
+    _assert_order_free(rows, ncols, np.random.default_rng(k))
+
+
+def test_nullspace_drops_explicit_zero_entries(monkeypatch):
+    # every dense entry kept as an explicit zero, including a row's leftmost
+    # one, gives the same basis as the same rows without them
+    rng = np.random.default_rng(250)
+    cases = [([[CR(), CR.of(1), CR.of(2)], [CR(), CR(), CR.of(3)]], 3)]
+    cases += _rank_deficient_systems(rng, 8)
+    for rows, ncols in cases:
+        assert any(x.is_zero() for x in rows[0] + rows[-1])
+        explicit = [dict(enumerate(row)) for row in rows]
+        assert nullspace(explicit, ncols) == nullspace(sparse(rows), ncols)
+    rows, ncols = _lowering_matrix(monkeypatch, 5)
+    padded = [{**{c: GaussianRational() for c in range(ncols)}, **row} for row in rows]
+    assert nullspace(padded, ncols) == nullspace(rows, ncols)
 
 
 def test_dd_zero_on_random_equivariant():

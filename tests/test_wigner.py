@@ -5,10 +5,11 @@ import pytest
 
 from conftest import I, psi0_tilde_index, random_tensor
 from su21coh.cochains import Cochain, act_tensor
-from su21coh.lie import L_GENS, P_GENS, LieGen, bracket, coords, gen_matrix
-from su21coh.scalars import ComplexRadical
+from su21coh.lie import L_GENS, P_GENS, LieGen, bracket, bracket_coords, coords, gen_matrix
+from su21coh.scalars import ComplexRadical, GaussianRational
 from su21coh.wigner import (
     OutOfRange,
+    P_SHIFTS,
     WignerIndex,
     act_l_index,
     act_p_index,
@@ -106,6 +107,24 @@ def test_act_p_variants_differ_only_in_x3():
     assert act_p_index(LieGen.X3, idx, "plus1") != act_p_index(LieGen.X3, idx, "plus2")
     with pytest.raises(ValueError):
         act_p_index(LieGen.X1, idx, "plus3")
+
+
+def test_p_shifts_are_the_bracket_weights():
+    # each X_i moves n and m1 by twice its U0 and U3 bracket weights, m2 by
+    # the step the central character ties to that n, and j by -1/2 and +1/2
+    k, (j2, m12, m22) = 2, (7, 1, 3)
+    idx = module_index(k, j2, m12, m22)
+    for i, gen in enumerate(P_GENS, 1):
+        (u0_slot, u0_weight), = bracket_coords(LieGen.U0, i)
+        (u3_slot, u3_weight), = bracket_coords(LieGen.U3, i)
+        assert u0_slot == u3_slot == i
+        assert [dj2 for dj2, *_ in P_SHIFTS[gen]] == [-1, 1]
+        for dj2, dn2, dm12, dm22 in P_SHIFTS[gen]:
+            assert GaussianRational(0, dn2, 2) == u0_weight
+            assert GaussianRational(0, dm12, 2) == u3_weight
+            assert dm22 == dn2 // 3
+            moved = module_index(k, j2 + dj2, m12 + dm12, m22 + dm22)
+            assert moved.n2 - idx.n2 == dn2
 
 
 def test_named_families():
