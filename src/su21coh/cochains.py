@@ -32,7 +32,7 @@ call, and drop the cancelled terms at the end.  The kernel computation
 (`nullspace`) takes sparse rows and reduces each at its leftmost entry by
 the pivot row there, so the banded lowering matrix of the non-exactness
 argument stays banded.  That argument's step (a) reads the moves of X3 and
-X4 from `wigner.P_SHIFTS`, the table `act_p_index` applies.
+X4 from `wigner.P_ROWS`, the one operator table, which `act_p_index` reads.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .scalars import ComplexRadical, GaussianRational
 from .sparse import LinComb, _made
 from .wigner import (
     DEFAULT_VARIANT,
-    P_SHIFTS,
+    P_ROWS,
     act_l_index,
     act_p_index,
     chi_index,
@@ -411,13 +411,13 @@ def verify_nonexactness(k: int, variant: str = DEFAULT_VARIANT) -> list[CheckRes
     seed = chi3_element(k)
 
     # (a) preimages of the psi0 support under X3, X4: each of its indices
-    # moved back by a P_SHIFTS row, n set by the module (valid = admissible)
+    # moved back by a P_ROWS move, n set by the module (valid = admissible)
     expected = {chi_index(k, l) for l in range(k + 2)}
     found = set()
     for _w, t, _mono in build_psi0(k).support():
         j2, _, m12, m22 = t
         for gen in (LieGen.X3, LieGen.X4):
-            for dj, _dn, dm1, dm2 in P_SHIFTS[gen]:
+            for _sign, dj, _dn, dm1, dm2 in P_ROWS[gen]:
                 cand = module_index(k, j2 - dj, m12 - dm1, m22 - dm2)
                 if cand.structurally_valid() and t in dict(act_p_index(gen, cand, variant)):
                     found.add(cand)

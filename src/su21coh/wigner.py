@@ -150,22 +150,27 @@ def act_l_index(gen: LieGen, idx: WignerIndex) -> list[tuple[WignerIndex, Gaussi
 VARIANTS = ("plus1", "plus2")
 DEFAULT_VARIANT = "plus1"
 
-# The doubled (dj, dn, dm1, dm2) moves of each operator's two rows, to
-# j - 1/2 and j + 1/2; [U0, X_i] = i(dn/2) X_i and [U3, X_i] = i(dm1/2) X_i.
-P_SHIFTS = {
-    LieGen.X1: ((-1, 3, 1, 1), (1, 3, 1, 1)),
-    LieGen.X2: ((-1, 3, -1, 1), (1, 3, -1, 1)),
-    LieGen.X3: ((-1, -3, -1, -1), (1, -3, -1, -1)),
-    LieGen.X4: ((-1, -3, 1, -1), (1, -3, 1, -1)),
+# Each operator X_i is two rows (sign, dj, dn, dm1, dm2), to j - 1/2 and
+# j + 1/2: the sign of its coefficient and its doubled move of (j, n, m1, m2),
+# with [U0, X_i] = i(dn/2) X_i and [U3, X_i] = i(dm1/2) X_i.  p_C acts as a
+# tensor with spin 1/2, so every row's unitary coefficient is
+# sign * lin * sqrt(a * b) / (2(2j+1)): a is the spin-1/2 ladder factor on
+# the m1 side (j -+ m1 going down, j +- m1 + 1 going up, for dm1 = +-1), b
+# the same on the m2 side, and lin, linear in d = m2 - n, is 2j - 1 + s*d
+# going down and 2j + 3 - s*d going up, s = dn/3.  By `scale_sq` the m1 part
+# of a(t)/a(idx) is sqrt(a) where m1 rises and 1/sqrt(a) where it falls, and
+# likewise for b; so in the rescaled basis the roots cancel, and a or b is
+# left as a factor exactly where its m rises.  A zero a or b marks
+# the targets outside |m| <= j.  The "variant" switch selects between the two
+# candidate inner shifts of X3's up row: plus2 reads the root (a + 1) * b.
+# Only plus1 is consistent with the rest of the structure (see README);
+# plus2 is kept for the numeric adjudication harness.
+P_ROWS = {
+    LieGen.X1: ((-1, -1, 3, 1, 1), (1, 1, 3, 1, 1)),
+    LieGen.X2: ((-1, -1, 3, -1, 1), (-1, 1, 3, -1, 1)),
+    LieGen.X3: ((-1, -1, -3, -1, -1), (1, 1, -3, -1, -1)),
+    LieGen.X4: ((1, -1, -3, 1, -1), (1, 1, -3, 1, -1)),
 }
-
-# Each operator is two rows (sign, root, linear, factor), moving the index
-# by its P_SHIFTS row.  The unitary coefficient sign * linear * sqrt(root) /
-# (2(2j+1)) times a(target)/a(idx) is sign * linear * factor / (2(2j+1)); a
-# zero root still marks the targets outside |m| <= j.  The "variant" switch
-# selects between the two candidate inner shifts of one square-root factor
-# of the X3 operator; only plus1 is consistent with the rest of the
-# structure (see README), plus2 is kept for the numeric adjudication harness.
 
 
 def act_p_index(
@@ -173,54 +178,31 @@ def act_p_index(
 ) -> list[tuple[WignerIndex, GaussianRational | ComplexRadical]]:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    rows = P_ROWS.get(gen)
+    if rows is None:
+        raise ValueError(f"{gen} is not a noncompact generator")
+    plus2 = variant == "plus2" and gen is LieGen.X3
     j2, n2, m12, m22 = idx
     d = (m22 - n2) // 2  # m2 - n, an integer for any valid index
-    jp = (j2 + m12) // 2  # j + m1
-    jm = (j2 - m12) // 2  # j - m1
-    kp = (j2 + m22) // 2  # j + m2
-    km = (j2 - m22) // 2  # j - m2
-
-    if gen is LieGen.X1:
-        spec = [
-            (-1, jm * km, j2 + d - 1, jm * km),
-            (+1, (jp + 1) * (kp + 1), j2 - d + 3, (jp + 1) * (kp + 1)),
-        ]
-    elif gen is LieGen.X2:
-        spec = [
-            (-1, jp * km, j2 + d - 1, km),
-            (-1, (jm + 1) * (kp + 1), j2 - d + 3, kp + 1),
-        ]
-    elif gen is LieGen.X3:
-        # plus2's inner shift leaves sqrt((jm+2)(km+1)) / sqrt((jm+1)(km+1))
-        inner, x3_factor = (
-            (1, 1) if variant == "plus1" else (2, ComplexRadical.sqrt(Fraction(jm + 2, jm + 1)))
-        )
-        spec = [
-            (-1, jp * kp, j2 - d - 1, 1),
-            (+1, (jm + inner) * (km + 1), j2 + d + 3, x3_factor),
-        ]
-    elif gen is LieGen.X4:
-        spec = [
-            (+1, jm * kp, j2 - d - 1, jm),
-            (+1, (jp + 1) * (km + 1), j2 + d + 3, jp + 1),
-        ]
-    else:
-        raise ValueError(f"{gen} is not a noncompact generator")
-
     denom = 2 * (j2 + 1)  # 2(2j+1)
     out = []
-    for (sign, root, lin, factor), (dj, dn, dm1, dm2) in zip(spec, P_SHIFTS[gen]):
-        if root == 0 or lin == 0:
+    for sign, dj, dn, dm1, dm2 in rows:
+        up = dj > 0
+        a = (j2 + dj * dm1 * m12) // 2 + up
+        b = (j2 + dj * dm2 * m22) // 2 + up
+        lin = j2 - dj * (dn // 3) * d + 1 + 2 * dj
+        if a * b * lin == 0:
             continue
         target = WignerIndex(j2 + dj, n2 + dn, m12 + dm1, m22 + dm2)
         if not target.structurally_valid():
             raise InadmissibleResult(
                 f"{gen.value} on {idx} produced nonzero coefficient on invalid {target}"
             )
-        if type(factor) is int:
-            out.append((target, GaussianRational(sign * lin * factor, 0, denom)))
+        num = sign * lin * (a if dm1 > 0 else 1) * (b if dm2 > 0 else 1)
+        if plus2 and up:
+            out.append((target, ComplexRadical.sqrt(Fraction(a + 1, a)) * Fraction(num, denom)))
         else:
-            out.append((target, factor * Fraction(sign * lin, denom)))
+            out.append((target, GaussianRational(num, 0, denom)))
     return out
 
 

@@ -332,7 +332,7 @@ def literal_preimage_probe(k, variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_preimage_candidates_equal_the_literal_probe(monkeypatch, variant):
-    # step (a) reads its moves from P_SHIFTS; the X3 and X4 calls it makes
+    # step (a) reads its moves from P_ROWS; the X3 and X4 calls it makes
     # are the candidates it probes, and those whose image reaches psi0 are
     # the ones it finds
     real, calls = cochains.act_p_index, []

@@ -3,11 +3,12 @@ kept as a reference for the rescaled engine.
 
 `su21coh.wigner` gives the actions in the rescaled basis
 W'_idx = W_idx / a(idx), in which every `plus1` coefficient is a Gaussian
-rational.  This module keeps the square-root form they were derived from:
-the su(2) ladder coefficients and the noncompact rows
-sign * linear * sqrt(root) / (2(2j+1)), and the cochain coefficients
-alpha, beta, gamma.  The tests assert that the two forms agree exactly,
-coefficient by coefficient, through a(t)/a(idx).
+rational, and derives each noncompact row from its move in `P_ROWS`.  This
+module is the one home of the literal rows: the square-root form they were
+derived from, the su(2) ladder coefficients and the noncompact rows
+sign * linear * sqrt(root) / (2(2j+1)) written out one by one, and the
+cochain coefficients alpha, beta, gamma.  The tests assert that the two
+forms agree exactly, coefficient by coefficient, through a(t)/a(idx).
 """
 
 import math
