@@ -44,42 +44,30 @@ def _parse_k_spec(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _parse_jmax(text: str) -> Fraction:
-    try:
-        if not _JMAX.fullmatch(text):
-            raise ValueError(text)
-        j = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"bad j-max {text!r} (use e.g. 5/2)") from None
-    if j < 0 or (2 * j).denominator != 1:
-        raise argparse.ArgumentTypeError(f"j-max must be a nonnegative half-integer, got {text!r}")
-    return j
-
-
-def _int_at_least(minimum: int, name: str):
-    """argparse type for an integer option that must be >= minimum."""
-    def parse(text: str) -> int:
+def _number(pattern: re.Pattern, convert, name: str, valid, rule: str, hint: str = ""):
+    """argparse type for a numeric option: text fully matching the ASCII
+    pattern, converted, whose value must satisfy valid (described by rule)."""
+    def parse(text: str):
         try:
-            value = _int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad {name} {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"{name} must be an integer >= {minimum}, got {text!r}")
+            if not pattern.fullmatch(text):
+                raise ValueError(text)
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):  # Fraction("1/0")
+            raise argparse.ArgumentTypeError(f"bad {name} {text!r}{hint}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {text!r}")
         return value
     return parse
 
 
-def _parse_tol(text: str) -> float:
-    try:
-        if not _TOL.fullmatch(text):
-            raise ValueError(text)
-        tol = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from None
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text!r}")
-    return tol
+def _int_at_least(minimum: int, name: str):
+    return _number(_INT, int, name, lambda n: n >= minimum, f"an integer >= {minimum}")
+
+
+_parse_jmax = _number(_JMAX, Fraction, "j-max", lambda j: j >= 0 and (2 * j).denominator == 1,
+                      "a nonnegative half-integer", hint=" (use e.g. 5/2)")
+_parse_tol = _number(_TOL, float, "tolerance", lambda t: math.isfinite(t) and t > 0,
+                     "positive and finite")
 
 
 def _write(path: str, text: str) -> bool:

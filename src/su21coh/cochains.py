@@ -27,8 +27,9 @@ U1 +- iU2.  The differential uses only the first-order terms: the pairwise
 brackets of the X's project to zero in the quotient, which it checks (not
 assumes) on every call by reading the pullback tables `act_tensor` applies.
 `act_tensor` and `differential` (all four X_i) each add every image into
-one dict, computing each distinct index's and monomial's image once per
-call, and drop the cancelled terms at the end.  The kernel computation
+one dict, computing each distinct index's image once per call and reading
+each monomial's image from a module cache, and drop the cancelled terms at
+the end.  The kernel computation
 (`nullspace`) takes sparse rows and reduces each at its leftmost entry by
 the pivot row there, so the banded lowering matrix of the non-exactness
 argument stays banded.  That argument's step (a) reads the moves of X3 and
@@ -121,28 +122,25 @@ def _pullback(gen: LieGen) -> dict:
 
 def _act_into(acc: dict, gen: LieGen, terms, variant: str) -> None:
     """Add gen's action on the given (key, coefficient) pairs into acc, on
-    all three slots of every term.  Terms sharing an index or a monomial
-    share its image, computed once per call; the memo dies with the call."""
+    all three slots of every term.  A monomial's image comes from
+    `_poly_image`'s module cache.  Terms sharing an index share its image,
+    computed once per call; that memo dies with the call."""
     compact = gen in L_GENS
     pullback = _pullback(gen)
     moved_of: dict = {}
-    poly_of: dict = {}
     for (w, idx, mono), coeff in terms:
         moved = moved_of.get(idx)
         if moved is None:
             # read at call time, so a rebound module global is the one used
             moved = moved_of[idx] = (act_l_index(gen, idx) if compact
                                      else act_p_index(gen, idx, variant))
-        poly = poly_of.get(mono)
-        if poly is None:
-            poly = poly_of[mono] = _poly_image(gen, mono)
         # three inlined copies of one add: a helper call per image costs
         # more than the rest of the loop
         for tgt, c in moved:
             key, x = (w, tgt, mono), c * coeff
             old = acc.get(key)
             acc[key] = x if old is None else old + x
-        for pm, c in poly:
+        for pm, c in _poly_image(gen, mono):
             key, x = (w, idx, pm), c * coeff
             old = acc.get(key)
             acc[key] = x if old is None else old + x

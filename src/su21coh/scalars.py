@@ -77,7 +77,23 @@ def _real_repr(terms) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-class ComplexRadical:
+class _Exact:
+    """What both exact number types share, through their own __add__,
+    __neg__ and __bool__: subtraction and the zero test."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+
+class ComplexRadical(_Exact):
     """An exact complex number  sum_d c_d * sqrt(d)  (d > 0 squarefree, c_d in
     Q(i)), stored as {d: nonzero GaussianRational}; zero is {}."""
 
@@ -131,9 +147,6 @@ class ComplexRadical:
         re, im = self._parts()
         return re + [(-d, c) for d, c in im]
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def conj(self) -> "ComplexRadical":
         return _wrap({d: c.conj() for d, c in self._terms.items()})
 
@@ -156,16 +169,6 @@ class ComplexRadical:
 
     def __neg__(self) -> "ComplexRadical":
         return _wrap({d: -c for d, c in self._terms.items()})
-
-    def __sub__(self, other) -> "ComplexRadical":
-        if (other := _operand(other)) is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "ComplexRadical":
-        if (other := _operand(other)) is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other) -> "ComplexRadical":
         if (other := _operand(other)) is None:
@@ -214,9 +217,7 @@ class ComplexRadical:
         return acc * norm.inverse()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = ComplexRadical.of(other)
-        if not isinstance(other, ComplexRadical):
+        if (other := _operand(other)) is None:
             return NotImplemented
         return self._terms == other._terms
 
@@ -281,9 +282,7 @@ _new = object.__new__
 
 def _operand(x) -> ComplexRadical | None:
     """x as a ComplexRadical; None for other types, whose own methods decide."""
-    if isinstance(x, ComplexRadical):
-        return x
-    return ComplexRadical.of(x) if isinstance(x, (int, Fraction, GaussianRational)) else None
+    return ComplexRadical.of(x) if isinstance(x, (int, Fraction, _Exact)) else None
 
 
 def _wrap(terms: dict[int, GaussianRational]) -> ComplexRadical:
@@ -293,7 +292,7 @@ def _wrap(terms: dict[int, GaussianRational]) -> ComplexRadical:
     return x
 
 
-class GaussianRational:
+class GaussianRational(_Exact):
     """An exact element (re + i*im)/den of Q(i), stored as ints with den > 0
     and gcd(re, im, den) == 1; zero is (0, 0, 1).  Prints as the
     ComplexRadical of the same value."""
@@ -319,9 +318,6 @@ class GaussianRational:
             raise ValueError(f"{x!r} is not in Q(i)")
         return x._terms.get(1, GaussianRational())
 
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
-
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
 
@@ -344,12 +340,6 @@ class GaussianRational:
 
     def __neg__(self) -> "GaussianRational":
         return _gauss(-self.re, -self.im, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
@@ -402,7 +392,7 @@ def _gauss(re: int, im: int, den: int) -> GaussianRational:
 def exact(x):
     """GaussianRationals and ComplexRadicals as they are; ints and Fractions
     as GaussianRationals."""
-    return x if isinstance(x, (GaussianRational, ComplexRadical)) else GaussianRational.of(x)
+    return x if isinstance(x, _Exact) else GaussianRational.of(x)
 
 
 # Only bench/tracer.py uses this name: it binds RadicalScalar.__mul__,

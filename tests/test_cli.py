@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -73,6 +74,51 @@ def test_usage_errors(capsys):
             main(["verify-theorem", f"--k={spec}"])
         assert exc.value.code == 2
         assert f"k values must be >= 0, got '{spec}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "--j-max", "x"], "argument --j-max: bad j-max 'x' (use e.g. 5/2)"),
+        (["oracle", "--j-max", "1/0"], "argument --j-max: bad j-max '1/0' (use e.g. 5/2)"),
+        (["oracle", "--j-max", "1/3"],
+         "argument --j-max: j-max must be a nonnegative half-integer, got '1/3'"),
+        (["oracle", "--j-max=-1"],
+         "argument --j-max: j-max must be a nonnegative half-integer, got '-1'"),
+        (["oracle", "--tol", "nan"], "argument --tol: bad tolerance 'nan'"),
+        (["oracle", "--tol", "0"], "argument --tol: tolerance must be positive and finite, got '0'"),
+        (["oracle", "--tol", "1e999"],
+         "argument --tol: tolerance must be positive and finite, got '1e999'"),
+        (["oracle", "--samples", "x"], "argument --samples: bad sample count 'x'"),
+        (["oracle", "--samples", "0"],
+         "argument --samples: sample count must be an integer >= 1, got '0'"),
+        (["oracle", "--seed", "1_000"], "argument --seed: bad seed '1_000'"),
+        (["oracle", "--seed=-1"], "argument --seed: seed must be an integer >= 0, got '-1'"),
+        (["export-generators", "--k", "0..2", "--out", "x.json"], "argument --k: bad k '0..2'"),
+        (["export-generators", "--k=-1", "--out", "x.json"],
+         "argument --k: k must be an integer >= 0, got '-1'"),
+    ],
+    ids=["jmax_text", "jmax_zero_denominator", "jmax_third", "jmax_negative", "tol_text",
+         "tol_zero", "tol_overflow", "samples_text", "samples_zero", "seed_text",
+         "seed_negative", "export_k_text", "export_k_negative"],
+)
+def test_numeric_option_usage_errors(argv, message, tmp_path, monkeypatch, capsys):
+    # each numeric option's malformed-text and out-of-range messages, verbatim
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"su21coh {argv[0]}: error: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_oracle_defaults_are_check_action_defaults():
+    args = build_parser().parse_args(["oracle"])
+    params = inspect.signature(oracle.check_action).parameters
+    names = ("j_max", "samples", "tol", "seed")
+    assert ({name: getattr(args, name) for name in names}
+            == {name: params[name].default for name in names}
+            == {"j_max": Fraction(5, 2), "samples": 20, "tol": 1e-6, "seed": 0})
 
 
 @pytest.mark.parametrize(
