@@ -2,7 +2,18 @@
 
 Exit codes: 0 = every check passed, 1 = at least one verification failure,
 2 = usage error.  All randomness is seeded; identical invocations produce
-identical reports.
+identical reports.  A tripwire of the exact engine (InadmissibleResult,
+BracketNotInL, NotDiagonal: consistency checks that correct tables never
+trip) that fires in verify-theorem becomes a failing check named
+``tripwire [k=K]`` carrying the exception text; the report still prints.
+
+The CLI runs on one OS thread: it sets OPENBLAS_NUM_THREADS=1 before numpy
+loads, unless the variable is already set.  The oracle only multiplies
+stacks of 3x3 matrices, which OpenBLAS never splits across threads, while
+its idle workers busy-wait and roughly double the CPU time of a short
+command.  To give OpenBLAS more threads, set OPENBLAS_NUM_THREADS yourself;
+the reports do not depend on it.  Code that imports su21coh.oracle as a
+library keeps its own BLAS setting.
 """
 
 from __future__ import annotations
@@ -10,13 +21,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
 
+# The oracle's arrays are stacks of 3x3 matrices, which OpenBLAS never splits
+# across threads, yet a pthreads OpenBLAS starts a worker per extra CPU when
+# numpy loads, and idle workers spin.  One thread unless the user chose.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import cochains, lie, oracle
+from .cochains import BracketNotInL, NotDiagonal
 from .report import CheckResult, all_passed, summarize
-from .wigner import DEFAULT_VARIANT, VARIANTS
+from .wigner import DEFAULT_VARIANT, VARIANTS, InadmissibleResult
 
 
 _INT = re.compile(r"-?[0-9]+")
@@ -107,10 +125,13 @@ def cmd_verify_structure(args) -> int:
 def cmd_verify_theorem(args) -> int:
     results: list[CheckResult] = []
     for k in args.k:
-        results += cochains.verify_closedness(
-            k, variant=args.thm37_variant, mutate_alpha0=args.perturb
-        )
-        results += cochains.verify_nonexactness(k, variant=args.thm37_variant)
+        try:
+            results += cochains.verify_closedness(
+                k, variant=args.thm37_variant, mutate_alpha0=args.perturb
+            )
+            results += cochains.verify_nonexactness(k, variant=args.thm37_variant)
+        except (InadmissibleResult, BracketNotInL, NotDiagonal) as exc:
+            results.append(CheckResult(f"tripwire [k={k}]", False, str(exc)))
     params = {"k": args.k, "variant": args.thm37_variant, "perturb": args.perturb}
     return _emit(args, "verify-theorem", params, results)
 

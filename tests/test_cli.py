@@ -11,8 +11,10 @@ import pytest
 
 import su21coh
 
-from su21coh import oracle
+from su21coh import cochains, oracle, wigner
 from su21coh.cli import build_parser, main
+from su21coh.cochains import BracketNotInL
+from su21coh.lie import LieGen
 from su21coh.report import CheckResult
 
 
@@ -336,13 +338,66 @@ def test_oracle_never_loads_numpy_random():
 
 
 def test_oracle_report_is_identical_across_hash_seeds():
-    # no draw may depend on str hashing, which PYTHONHASHSEED salts per process
+    # no draw may depend on str hashing, which PYTHONHASHSEED salts per
+    # process, and the BLAS thread count is not a numerics setting
     code = ("import sys\n"
             "from su21coh.cli import main\n"
             "sys.exit(main(['oracle', '--k', '0', '--j-max', '1/2', '--samples', '3',"
             " '--format', 'structured']))")
-    first, second = (_fresh_python(code, PYTHONHASHSEED=h) for h in ("1", "2"))
-    assert json.loads(first)["pass"] and first == second
+    first, *others = (_fresh_python(code, PYTHONHASHSEED=h, OPENBLAS_NUM_THREADS=t)
+                      for h, t in (("1", "1"), ("2", "1"), ("1", "2")))
+    assert json.loads(first)["pass"] and others == [first, first]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_runs_on_one_thread():
+    # idle OpenBLAS workers busy-wait after numpy loads; the CLI asks for none
+    # unless the user set a thread count, which it leaves alone
+    code = ("import contextlib, io, os\n"
+            "for name in ('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', 'OMP_NUM_THREADS'):\n"
+            "    os.environ.pop(name, None)\n"
+            "from su21coh.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(['oracle', '--k', '0', '--j-max', '0', '--samples', '1'])\n"
+            "print(status, len(os.listdir('/proc/self/task')))")
+    assert _fresh_python(code).split() == ["0", "1"]
+    code = "import os, su21coh.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
+
+
+def test_tripwires_become_failing_checks(monkeypatch, capsys):
+    # a move that breaks parity trips InadmissibleResult at every k
+    rows = wigner.P_ROWS[LieGen.X1]
+    monkeypatch.setitem(wigner.P_ROWS, LieGen.X1, ((-1, -1, 3, 1, 0), rows[1]))
+    assert main(["verify-theorem", "--k", "0..3", "--format", "structured"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["check"], c["pass"]) for c in checks] == [(f"tripwire [k={k}]", False)
+                                                         for k in range(4)]
+    assert checks[0]["detail"] == ("X1 on W[j=1,n=0,m1=-1,m2=1] produced nonzero coefficient"
+                                   " on invalid W[j=1/2,n=3/2,m1=-1/2,m2=1]")
+    monkeypatch.setitem(wigner.P_ROWS, LieGen.X1, rows)
+
+    # a tripwire at one k keeps the checks made before it and the other k
+    nonexactness = cochains.verify_nonexactness
+
+    def tripping(k, variant):
+        if k == 1:
+            raise BracketNotInL("a bracket [X1, X_j] has a nonzero noncompact part")
+        return nonexactness(k, variant=variant)
+
+    monkeypatch.setattr(cochains, "verify_nonexactness", tripping)
+    assert main(["verify-theorem", "--k", "0..2", "--format", "structured"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    # closedness has 8 checks and non-exactness 5, per k
+    assert [c["check"] for c in checks].index("tripwire [k=1]") == 13 + 8
+    assert len(checks) == 13 + 8 + 1 + 13
+    failing = [(c["check"], c["detail"]) for c in checks if not c["pass"]]
+    assert failing == [("tripwire [k=1]", "a bracket [X1, X_j] has a nonzero noncompact part")]
+
+    # any other exception is a bug, not a verdict, and still propagates
+    monkeypatch.setattr(cochains, "verify_nonexactness", lambda k, variant: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["verify-theorem", "--k", "0"])
 
 
 # Golden values: the export bytes and the ordered check names are part of the
