@@ -2,10 +2,12 @@
 
 Exit codes: 0 = every check passed, 1 = at least one verification failure,
 2 = usage error.  All randomness is seeded; identical invocations produce
-identical reports.  A tripwire of the exact engine (InadmissibleResult,
-BracketNotInL, NotDiagonal: consistency checks that correct tables never
-trip) that fires in verify-theorem becomes a failing check named
-``tripwire [k=K]`` carrying the exception text; the report still prints.
+identical reports.  A `report.Tripwire` (a consistency check that correct
+tables never trip) ends its phase in one failing check with its text:
+``tripwire [k=K]`` for one k of verify-theorem, ``tripwire [fd]`` for the
+finite-difference phase of oracle, which also ends its report.  The report
+still prints; export-generators writes no file and prints ``tripwire:
+<text>`` on stderr.  Each exits 1; any other exception propagates.
 
 The CLI runs on one OS thread: it sets OPENBLAS_NUM_THREADS=1 before numpy
 loads, unless the variable is already set.  The oracle only multiplies
@@ -24,17 +26,14 @@ import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
-# The oracle's arrays are stacks of 3x3 matrices, which OpenBLAS never splits
-# across threads, yet a pthreads OpenBLAS starts a worker per extra CPU when
-# numpy loads, and idle workers spin.  One thread unless the user chose.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: see above
 
 from . import cochains, lie, oracle
-from .cochains import BracketNotInL, NotDiagonal
-from .report import CheckResult, all_passed, summarize
-from .wigner import DEFAULT_VARIANT, VARIANTS, InadmissibleResult
+from .report import CheckResult, Tripwire, all_passed, summarize
+from .wigner import DEFAULT_VARIANT, VARIANTS
 
 
 _INT = re.compile(r"-?[0-9]+")
@@ -122,22 +121,35 @@ def cmd_verify_structure(args) -> int:
     return _emit(args, "verify-structure", {"inject_error": args.inject_error}, results)
 
 
+@contextmanager
+def _tripwire(name: str):
+    """Run the block's suites; a Tripwire they raise ends the block, and the
+    yielded list then holds one failing check `name` with its text."""
+    tripped: list[CheckResult] = []
+    try:
+        yield tripped
+    except Tripwire as exc:
+        tripped.append(CheckResult(name, False, str(exc)))
+
+
 def cmd_verify_theorem(args) -> int:
     results: list[CheckResult] = []
     for k in args.k:
-        try:
-            results += cochains.verify_closedness(
-                k, variant=args.thm37_variant, mutate_alpha0=args.perturb
-            )
+        with _tripwire(f"tripwire [k={k}]") as tripped:
+            results += cochains.verify_closedness(k, variant=args.thm37_variant,
+                                                  mutate_alpha0=args.perturb)
             results += cochains.verify_nonexactness(k, variant=args.thm37_variant)
-        except (InadmissibleResult, BracketNotInL, NotDiagonal) as exc:
-            results.append(CheckResult(f"tripwire [k={k}]", False, str(exc)))
+        results += tripped
     params = {"k": args.k, "variant": args.thm37_variant, "perturb": args.perturb}
     return _emit(args, "verify-theorem", params, results)
 
 
 def cmd_export_generators(args) -> int:
-    text = json.dumps(cochains.generators_to_dict(args.k), indent=2, sort_keys=True) + "\n"
+    with _tripwire("tripwire") as tripped:
+        text = json.dumps(cochains.generators_to_dict(args.k), indent=2, sort_keys=True) + "\n"
+    if tripped:
+        print(f"{tripped[0].name}: {tripped[0].detail}", file=sys.stderr)
+        return 1
     if not _write(args.out, text):
         return 2
     print(f"wrote generators for k={args.k} to {args.out}")
@@ -148,15 +160,17 @@ def cmd_oracle(args) -> int:
     results: list[CheckResult] = []
     params = {"k": args.k, "j_max": str(args.j_max), "samples": args.samples,
               "seed": args.seed, "tol": args.tol, "variant": args.thm37_variant}
-    if params["variant"] == "auto":
-        params["variant"], row = oracle.adjudicate_variant(args.k, args.samples, args.tol, args.seed)
-        results.append(row)
-        if params["variant"] is None:
-            return _emit(args, "oracle", params, results)
-    results += oracle.check_action(
-        args.k, j_max=args.j_max, samples=args.samples, tol=args.tol,
-        seed=args.seed, variant=params["variant"],
-    )
+    with _tripwire("tripwire [fd]") as tripped:
+        if params["variant"] == "auto":
+            params["variant"], row = oracle.adjudicate_variant(
+                args.k, args.samples, args.tol, args.seed)
+            results.append(row)
+        if params["variant"] is not None:
+            results += oracle.check_action(args.k, args.j_max, args.samples, args.tol,
+                                           args.seed, variant=params["variant"])
+    results += tripped
+    if tripped or params["variant"] is None:
+        return _emit(args, "oracle", params, results)
     results += oracle.homomorphism_report(seed=args.seed)
     results += oracle.iwasawa_report(seed=args.seed)
     results += oracle.orthogonality_report()

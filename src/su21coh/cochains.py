@@ -45,7 +45,7 @@ from functools import lru_cache
 
 from .lie import L_GENS, P_GENS, LieGen, gen_matrix, wedge_action, wedge_insert
 from .polynomials import Monomial, PolyVector, act_poly, monomial_xy
-from .report import CheckResult, all_passed
+from .report import CheckResult, Tripwire, all_passed
 from .scalars import ComplexRadical, GaussianRational
 from .sparse import LinComb, _made
 from .wigner import (
@@ -66,19 +66,6 @@ _I = GaussianRational(0, 1)
 Wedge = tuple  # sorted tuple of distinct indices from {1, 2, 3, 4}
 
 TORUS_GENS = (LieGen.U0, LieGen.U3)
-
-
-class BracketNotInL(RuntimeError):
-    """A pairwise bracket of noncompact generators escaped the compact part.
-
-    Structurally impossible for this algebra; kept as a tripwire."""
-
-
-class NotDiagonal(RuntimeError):
-    """A torus generator moved a wedge or a coordinate, or acted by other
-    than i times a half-integer.
-
-    Structurally impossible for U0 and U3; kept as a tripwire."""
 
 
 class Cochain(LinComb):
@@ -180,8 +167,8 @@ def differential(psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
     applies, must be empty.  All four actions add into one accumulator."""
     acc: dict = {}
     for i, gen in enumerate(P_GENS, 1):
-        if _pullback(gen):
-            raise BracketNotInL(f"a bracket [{gen.value}, X_j] has a nonzero noncompact part")
+        if _pullback(gen):  # [X_i, X_j] lies in the compact part for this algebra
+            raise Tripwire(f"a bracket [{gen.value}, X_j] has a nonzero noncompact part")
         lacking = []
         for (w, idx, mono), coeff in psi.items():
             if i not in w:
@@ -197,10 +184,10 @@ def differential(psi: Cochain, variant: str = DEFAULT_VARIANT) -> Cochain:
 
 
 def _doubled_imaginary(c, what: str) -> int:
-    """2 Im(c) for c = i * (an integer / 2); NotDiagonal otherwise."""
+    """2 Im(c) for c = i * (an integer / 2); a Tripwire otherwise."""
     c = GaussianRational.of(c)
     if c.re or (2 * c.im) % c.den:
-        raise NotDiagonal(f"{what} is {c}, not i times a half-integer")
+        raise Tripwire(f"{what} is {c}, not i times a half-integer")
     return 2 * c.im // c.den
 
 
@@ -208,18 +195,18 @@ def _doubled_imaginary(c, what: str) -> int:
 def _weight_table(gen: LieGen) -> tuple[dict, tuple[int, int, int]]:
     """The doubled imaginary weights of a torus generator on the 16 basis
     wedges, read off its pullback rows, and on x, y, z, read off its matrix
-    diagonal.  Raises NotDiagonal if a row leaves its wedge, the matrix has
-    an off-diagonal entry, or an entry is not i times a half-integer."""
+    diagonal.  Tripwire (never for U0, U3) if a row leaves its wedge, the
+    matrix has an off-diagonal entry, or an entry is not i times a half-integer."""
     pullback = _pullback(gen)
     wedges = {}
     for w in ALL_WEDGES:
         pairs = pullback.get(w, ())
         if any(w1 != w for w1, _ in pairs):
-            raise NotDiagonal(f"{gen.value} moves the wedge {w}")
+            raise Tripwire(f"{gen.value} moves the wedge {w}")
         wedges[w] = sum(_doubled_imaginary(c, f"{gen.value} on {w}") for _, c in pairs)
     mat = gen_matrix(gen)
     if any(i != j for i, j in mat.support()):
-        raise NotDiagonal(f"{gen.value} has an off-diagonal matrix entry")
+        raise Tripwire(f"{gen.value} has an off-diagonal matrix entry")
     diag = tuple(_doubled_imaginary(mat[i, i], f"{gen.value}[{i},{i}]") for i in range(3))
     return wedges, diag
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import lie
 from .lie import L_GENS, P_GENS, LieGen
-from .report import CheckResult, all_passed
+from .report import CheckResult, Tripwire, all_passed
 from .wigner import (
     DEFAULT_VARIANT,
     VARIANTS,
@@ -59,10 +59,6 @@ class NotInGroup(ValueError):
 
 class NotInK(ValueError):
     """Matrix does not have the compact-subgroup block shape."""
-
-
-class DecompositionFailure(RuntimeError):
-    """Triangular factor of the Iwasawa decomposition has the wrong shape."""
 
 
 # Numeric copies of the exact structural matrices.
@@ -300,8 +296,9 @@ def iwasawa(g: np.ndarray) -> IwasawaFactors:
     Transport to the antidiagonal model (where the Borel is upper
     triangular) and QR-factorize there with numpy; the phases of the
     diagonal of R move into Q, so R has a positive real diagonal.  The
-    unitary factor is transported back.  The triangular factor must have
-    diagonal (r, 1, 1/r); anything else is a decomposition failure.
+    unitary factor is transported back.  The triangular factor of a group
+    element has diagonal (r, 1, 1/r) and a consistent unipotent part;
+    anything else is a Tripwire.
     """
     g = np.asarray(g, dtype=complex)
     resid = membership_residual(g)
@@ -318,7 +315,7 @@ def iwasawa(g: np.ndarray) -> IwasawaFactors:
     if bad.any():
         i, where = _first_bad(bad)
         diag = np.diagonal(rr, axis1=-2, axis2=-1)[i]
-        raise DecompositionFailure(f"triangular diagonal{where} {diag} not (r, 1, 1/r)")
+        raise Tripwire(f"triangular diagonal{where} {diag} not (r, 1, 1/r)")
     nu = rr[..., 1, 2]
     xi = rr[..., 0, 2] / r
     bad = ~(
@@ -326,9 +323,7 @@ def iwasawa(g: np.ndarray) -> IwasawaFactors:
         & (np.abs(xi.real + np.abs(nu) ** 2 / 2) <= TOL)
     )
     if bad.any():
-        raise DecompositionFailure(
-            f"unipotent factor{_first_bad(bad)[1]} fails its consistency relations"
-        )
+        raise Tripwire(f"unipotent factor{_first_bad(bad)[1]} fails its consistency relations")
     kappa = GAMMA_NP @ q @ GAMMA_NP
     return IwasawaFactors(kappa=kappa, r=r, nu=nu, s=xi.imag)
 
@@ -564,11 +559,12 @@ def _fd_points(samples: int, seed: int, gens) -> tuple[tuple, list]:
     return base, stencils
 
 
-def check_action(ks, j_max=Fraction(5, 2), samples: int = 20, tol: float = 1e-6,
-                 seed: int = 0, variant: str = DEFAULT_VARIANT) -> list[CheckResult]:
+def check_action(ks, j_max: Fraction, samples: int, tol: float, seed: int,
+                 variant: str = DEFAULT_VARIANT) -> list[CheckResult]:
     """Finite-difference validation of the action of every generator (the
     noncompact ones with the chosen coefficient variant), for every k in ks,
-    at `samples` seeded random group points.  The points and each
+    at `samples` seeded random group points; the `oracle` command's parser
+    holds the default sizes, tolerance and seed.  The points and each
     generator's stencil around them are decomposed once and serve every k.
     The step is fixed, so the Richardson error grows about as k^4: at
     k = 100 it fails the default tol even for U0, which acts by a phase."""

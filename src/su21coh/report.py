@@ -1,8 +1,14 @@
-"""Uniform result records for the verification suites."""
+"""Uniform result records for the verification suites, and the one
+exception type of their tripwires."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+
+class Tripwire(RuntimeError):
+    """A consistency check that correct tables never trip has failed.  The
+    commands report it as a failing check; any other exception is a bug."""
 
 
 @dataclass

@@ -25,16 +25,8 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .lie import LieGen
+from .report import Tripwire
 from .scalars import ComplexRadical, GaussianRational
-
-
-class InadmissibleResult(ArithmeticError):
-    """A nonzero coefficient landed on a structurally invalid index.
-
-    This never fires for correct operator coefficients: targets outside the
-    |m| <= j window always carry a vanishing square-root factor.  It exists
-    as a tripwire against transcription errors in the coefficient formulas.
-    """
 
 
 class OutOfRange(ValueError):
@@ -195,9 +187,8 @@ def act_p_index(
             continue
         target = WignerIndex(j2 + dj, n2 + dn, m12 + dm1, m22 + dm2)
         if not target.structurally_valid():
-            raise InadmissibleResult(
-                f"{gen.value} on {idx} produced nonzero coefficient on invalid {target}"
-            )
+            # correct rows never trip this: off the |m| <= j window a or b is 0
+            raise Tripwire(f"{gen.value} on {idx} produced nonzero coefficient on invalid {target}")
         num = sign * lin * (a if dm1 > 0 else 1) * (b if dm2 > 0 else 1)
         if plus2 and up:
             out.append((target, ComplexRadical.sqrt(Fraction(a + 1, a)) * Fraction(num, denom)))

@@ -1,3 +1,5 @@
+import ast
+import builtins
 import hashlib
 import inspect
 import json
@@ -7,15 +9,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import su21coh
 
 from su21coh import cochains, oracle, wigner
 from su21coh.cli import build_parser, main
-from su21coh.cochains import BracketNotInL
 from su21coh.lie import LieGen
-from su21coh.report import CheckResult
+from su21coh.report import CheckResult, Tripwire
 
 
 def test_verify_structure_ok(capsys):
@@ -114,13 +116,14 @@ def test_numeric_option_usage_errors(argv, message, tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
-def test_oracle_defaults_are_check_action_defaults():
+def test_oracle_parser_holds_the_oracle_defaults():
+    # the parser is the one home of these defaults: check_action has none
     args = build_parser().parse_args(["oracle"])
     params = inspect.signature(oracle.check_action).parameters
     names = ("j_max", "samples", "tol", "seed")
     assert ({name: getattr(args, name) for name in names}
-            == {name: params[name].default for name in names}
             == {"j_max": Fraction(5, 2), "samples": 20, "tol": 1e-6, "seed": 0})
+    assert all(params[name].default is inspect.Parameter.empty for name in names)
 
 
 @pytest.mark.parametrize(
@@ -366,7 +369,7 @@ def test_cli_runs_on_one_thread():
 
 
 def test_tripwires_become_failing_checks(monkeypatch, capsys):
-    # a move that breaks parity trips InadmissibleResult at every k
+    # a move that breaks parity trips act_p_index's Tripwire at every k
     rows = wigner.P_ROWS[LieGen.X1]
     monkeypatch.setitem(wigner.P_ROWS, LieGen.X1, ((-1, -1, 3, 1, 0), rows[1]))
     assert main(["verify-theorem", "--k", "0..3", "--format", "structured"]) == 1
@@ -382,7 +385,7 @@ def test_tripwires_become_failing_checks(monkeypatch, capsys):
 
     def tripping(k, variant):
         if k == 1:
-            raise BracketNotInL("a bracket [X1, X_j] has a nonzero noncompact part")
+            raise Tripwire("a bracket [X1, X_j] has a nonzero noncompact part")
         return nonexactness(k, variant=variant)
 
     monkeypatch.setattr(cochains, "verify_nonexactness", tripping)
@@ -398,6 +401,98 @@ def test_tripwires_become_failing_checks(monkeypatch, capsys):
     monkeypatch.setattr(cochains, "verify_nonexactness", lambda k, variant: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         main(["verify-theorem", "--k", "0"])
+
+
+def _oracle_checks(capsys):
+    code = main(["oracle", "--k", "0", "--samples", "1", "--j-max", "1", "--format", "structured"])
+    return code, [(c["check"], c["pass"], c.get("detail")) for c in
+                  json.loads(capsys.readouterr().out)["checks"]]
+
+
+def test_oracle_tripwires_end_the_fd_phase(monkeypatch, capsys):
+    # the parity-breaking move of X1 trips act_p_index in the adjudication
+    rows = wigner.P_ROWS[LieGen.X1]
+    monkeypatch.setitem(wigner.P_ROWS, LieGen.X1, ((-1, -1, 3, 1, 0), rows[1]))
+    assert _oracle_checks(capsys) == (1, [(
+        "tripwire [fd]", False, "X1 on W[j=1,n=-6,m1=-1,m2=-1] produced nonzero coefficient"
+        " on invalid W[j=1/2,n=-9/2,m1=-1/2,m2=-1]")])
+    monkeypatch.setitem(wigner.P_ROWS, LieGen.X1, rows)
+
+    # a triangular factor off (r, 1, 1/r) trips iwasawa at the first decomposition
+    real_qr = np.linalg.qr
+
+    def doubling_qr(a):
+        q, r = real_qr(a)
+        return q, r * np.array([1.0, 2.0, 1.0])[:, None]
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "qr", doubling_qr)
+        code, checks = _oracle_checks(capsys)
+    assert code == 1 and [c[:2] for c in checks] == [("tripwire [fd]", False)]
+    assert checks[0][2].startswith("triangular diagonal") and checks[0][2].endswith(
+        "not (r, 1, 1/r)")
+
+    # after an accepted variant, a tripwire in the sweep keeps the adjudication row
+    def tripping(*args, **kwargs):
+        raise Tripwire("swept")
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "check_action", tripping)
+        code, checks = _oracle_checks(capsys)
+    assert code == 1 and [c[:2] for c in checks] == [("variant adjudication", True),
+                                                     ("tripwire [fd]", False)]
+
+    # any other exception is a bug, not a verdict, and still propagates
+    monkeypatch.setattr(oracle, "adjudicate_variant", lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["oracle", "--k", "0"])
+
+
+def test_export_tripwire_writes_no_file(monkeypatch, tmp_path, capsys):
+    # U0 acting by the matrix of U1+iU2 is not diagonal: hodge_type trips
+    real, path = cochains.gen_matrix, tmp_path / "gen.json"
+    caches = (cochains._weight_table, cochains._poly_image)  # they read gen_matrix
+    with monkeypatch.context() as m:
+        m.setattr(cochains, "gen_matrix",
+                  lambda gen: real(LieGen.U1_PLUS_IU2 if gen is LieGen.U0 else gen))
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            assert main(["export-generators", "--k", "1", "--out", str(path)]) == 1
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+    assert not path.exists()
+    assert capsys.readouterr() == ("", "tripwire: U0 has an off-diagonal matrix entry\n")
+
+
+def test_every_exception_class_is_the_tripwire_or_an_input_check():
+    # a tripwire of another type would bypass the CLI's one handler and
+    # crash a command; anything else raised on purpose is an input check
+    defined, bases = [], {}
+    for path in sorted(Path(su21coh.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                defined.append((path.name, node.name))
+                bases.setdefault(node.name, []).extend(
+                    ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases)
+
+    def builtin_bases(name, seen=()):
+        if name in bases and name not in seen:
+            return [r for b in bases[name] for r in builtin_bases(b, seen + (name,))]
+        found = getattr(builtins, name, None)
+        return [found] if isinstance(found, type) else []
+
+    exceptions = {}
+    for key in defined:
+        roots = [r for r in builtin_bases(key[1]) if issubclass(r, BaseException)]
+        if roots:
+            exceptions[key] = roots
+    assert exceptions.pop(("report.py", "Tripwire")) == [RuntimeError]
+    assert {key: roots for key, roots in exceptions.items()
+            if not all(issubclass(r, ValueError) for r in roots)} == {}
+    assert {name for _, name in exceptions} >= {
+        "NegativeRadicand", "NotInGroup", "NotInK", "NotInLieAlgebra", "OutOfRange"}
 
 
 # Golden values: the export bytes and the ordered check names are part of the

@@ -20,9 +20,7 @@ from su21coh import cochains
 from su21coh.cochains import (
     ALL_WEDGES,
     TORUS_GENS,
-    BracketNotInL,
     Cochain,
-    NotDiagonal,
     act_tensor,
     basis_wedges,
     build_chi,
@@ -42,7 +40,7 @@ from su21coh.cochains import (
 )
 from su21coh.lie import L_GENS, P_GENS, LieGen, Mat3, gen_matrix, wedge_action
 from su21coh.polynomials import Monomial, monomial_xy
-from su21coh.report import all_passed
+from su21coh.report import Tripwire, all_passed
 from su21coh.scalars import ComplexRadical, GaussianRational
 from su21coh.wigner import (
     DEFAULT_VARIANT,
@@ -162,7 +160,7 @@ def test_differential_tripwire_reads_the_pullback_table(monkeypatch):
     fake = {(2,): (((1,), GaussianRational(-1)),)}
     monkeypatch.setattr(cochains, "_pullback",
                         lambda gen: fake if gen is LieGen.X1 else real(gen))
-    with pytest.raises(BracketNotInL, match=r"\[X1, X_j\]"):
+    with pytest.raises(Tripwire, match=r"\[X1, X_j\]"):
         differential(chi)
 
 
@@ -206,18 +204,23 @@ def test_weight_tripwires(monkeypatch, fresh_weight_tables):
     leaves[(1,)] += (((2,), GaussianRational(0, 1)),)
     thirds = {w: tuple((w1, c + GaussianRational(0, 1, 3)) for w1, c in pairs)
               for w, pairs in real_pullback(LieGen.U0).items()}
+    half = "not i times a half-integer"
     fakes = [
-        ("_pullback", lambda gen: leaves),  # a row that leaves its wedge
-        ("_pullback", lambda gen: thirds),  # entries i * (a half-integer + 1/3)
-        ("gen_matrix", lambda gen: real_matrix(gen) + Mat3({(0, 1): 1})),  # off the diagonal
-        ("gen_matrix", lambda gen: real_matrix(gen) + Mat3({(0, 0): 1})),  # a real part
-        ("gen_matrix", lambda gen: real_matrix(gen) + Mat3({(2, 2): GaussianRational(0, 1, 6)})),
+        ("_pullback", lambda gen: leaves, r"U0 moves the wedge \(1,\)$"),  # a row leaves its wedge
+        # entries i * (a half-integer + 1/3)
+        ("_pullback", lambda gen: thirds, rf"U0 on \(1,\) is i\*\(-7/6\), {half}$"),
+        ("gen_matrix", lambda gen: real_matrix(gen) + Mat3({(0, 1): 1}),  # off the diagonal
+         r"U0 has an off-diagonal matrix entry$"),
+        ("gen_matrix", lambda gen: real_matrix(gen) + Mat3({(0, 0): 1}),  # a real part
+         rf"U0\[0,0\] is \(1\) \+ i\*\(1/2\), {half}$"),
+        ("gen_matrix", lambda gen: real_matrix(gen) + Mat3({(2, 2): GaussianRational(0, 1, 6)}),
+         rf"U0\[2,2\] is i\*\(-5/6\), {half}$"),
     ]
-    for name, fake in fakes:
+    for name, fake, message in fakes:
         with monkeypatch.context() as m:
             m.setattr(cochains, name, fake)
             cochains._weight_table.cache_clear()
-            with pytest.raises(NotDiagonal):
+            with pytest.raises(Tripwire, match=message):
                 weight(LieGen.U0, key)
     cochains._weight_table.cache_clear()
     assert weight(LieGen.U0, key) == -3

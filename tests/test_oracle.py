@@ -623,11 +623,12 @@ def test_operator_sweeps_small():
     def rows(res, gens):
         return [r for r in res if r.params["gen"] in {g.value for g in gens}]
 
-    res = oracle.check_action([0], j_max=Fraction(3, 2), samples=4, seed=1)
+    sizes = {"j_max": Fraction(3, 2), "samples": 4, "tol": 1e-6, "seed": 1}
+    res = oracle.check_action([0], **sizes)
     assert all_passed(rows(res, L_GENS))
-    res = oracle.check_action([0], j_max=Fraction(3, 2), samples=4, seed=1, variant="plus1")
+    res = oracle.check_action([0], **sizes, variant="plus1")
     assert all_passed(rows(res, P_GENS))
-    res = oracle.check_action([0], j_max=Fraction(3, 2), samples=4, seed=1, variant="plus2")
+    res = oracle.check_action([0], **sizes, variant="plus2")
     assert not all_passed(rows(res, P_GENS))
 
 
@@ -635,12 +636,9 @@ def test_sweep_over_many_k_matches_one_k_at_a_time():
     def rows(res):
         return [(r.name, r.passed, r.max_err) for r in res]
 
-    together = oracle.check_action(range(4), j_max=Fraction(3, 2), samples=4, seed=1)
-    apart = [
-        row
-        for k in range(4)
-        for row in rows(oracle.check_action([k], j_max=Fraction(3, 2), samples=4, seed=1))
-    ]
+    sizes = {"j_max": Fraction(3, 2), "samples": 4, "tol": 1e-6, "seed": 1}
+    together = oracle.check_action(range(4), **sizes)
+    apart = [row for k in range(4) for row in rows(oracle.check_action([k], **sizes))]
     assert rows(together) == apart
     # per k: the compact rows (U0, U1+iU2, U1-iU2, U3), then the noncompact rows
     per_gen = len(list(admissible_indices(0, Fraction(3, 2))))
@@ -954,7 +952,7 @@ def test_stack_with_one_bad_matrix_raises():
 
 
 def test_empty_sweep_fails():
-    res = oracle.check_action([0], j_max=Fraction(-1), samples=2)
+    res = oracle.check_action([0], j_max=Fraction(-1), samples=2, tol=1e-6, seed=0)
     assert len(res) == 1 and not all_passed(res)
-    res = oracle.check_action([0, 1], j_max=Fraction(-1), samples=2)
+    res = oracle.check_action([0, 1], j_max=Fraction(-1), samples=2, tol=1e-6, seed=0)
     assert [r.params["k"] for r in res] == [0, 1] and not any(r.passed for r in res)

@@ -7,9 +7,9 @@ from conftest import I, psi0_tilde_index, random_tensor
 from su21coh import wigner
 from su21coh.cochains import Cochain, act_tensor
 from su21coh.lie import L_GENS, P_GENS, LieGen, bracket, bracket_coords, coords, gen_matrix
+from su21coh.report import Tripwire
 from su21coh.scalars import ComplexRadical, GaussianRational
 from su21coh.wigner import (
-    InadmissibleResult,
     OutOfRange,
     P_ROWS,
     WignerIndex,
@@ -134,7 +134,7 @@ def test_p_rows_are_the_bracket_weights():
 def test_inadmissible_result_tripwire(monkeypatch):
     # a move that breaks parity lands a nonzero coefficient on an invalid index
     monkeypatch.setitem(wigner.P_ROWS, LieGen.X1, ((-1, -1, 3, 1, 0), P_ROWS[LieGen.X1][1]))
-    with pytest.raises(InadmissibleResult, match=r"invalid W\[j=1,n=-4,m1=0,m2=1/2\]"):
+    with pytest.raises(Tripwire, match=r"invalid W\[j=1,n=-4,m1=0,m2=1/2\]"):
         act_p_index(LieGen.X1, module_index(2, 3, -1, 1))
 
 
