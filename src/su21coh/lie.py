@@ -27,10 +27,6 @@ from .sparse import LinComb
 Half = Fraction(1, 2)
 
 
-class NotInLieAlgebra(ValueError):
-    """Matrix fails the membership equations of the ambient Lie algebra."""
-
-
 class LieGen(Enum):
     """The eight generators used throughout: four for l_C, four for p_C."""
 
@@ -183,7 +179,7 @@ def coords(a: Mat3) -> dict[LieGen, GaussianRational]:
     }
     out = {gen: c for gen, c in read.items() if not c.is_zero()}
     if sum((gen_matrix(gen).scaled(c) for gen, c in out.items()), Mat3()) != a:
-        raise NotInLieAlgebra("matrix has nonzero trace")
+        raise ValueError("matrix has nonzero trace")
     return out
 
 

@@ -53,14 +53,6 @@ FOUR_PI = 4.0 * math.pi
 TOL = 1e-8
 
 
-class NotInGroup(ValueError):
-    """Matrix is not in the unitary-similitude group to tolerance."""
-
-
-class NotInK(ValueError):
-    """Matrix does not have the compact-subgroup block shape."""
-
-
 # Numeric copies of the exact structural matrices.
 J_DIAG_NP = lie.J_DIAG.to_numpy()
 GAMMA_NP = lie.GAMMA.to_numpy()
@@ -232,9 +224,7 @@ def euler_from_k(kappa: np.ndarray) -> EulerAngles:
     bad = ~((off <= TOL) & (unit <= TOL) & (np.abs(np.linalg.det(kappa) - 1.0) <= TOL))
     if bad.any():
         i, where = _first_bad(bad)
-        raise NotInK(
-            f"not in the compact subgroup{where} (residual {max(off[i], unit[i]):.2e})"
-        )
+        raise ValueError(f"not in the compact subgroup{where} (residual {max(off[i], unit[i]):.2e})")
     det_u = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
     zeta = -np.angle(det_u)
     rot = np.exp(0.5j * zeta)
@@ -305,7 +295,7 @@ def iwasawa(g: np.ndarray) -> IwasawaFactors:
     bad = ~(resid <= TOL)
     if bad.any():
         i, where = _first_bad(bad)
-        raise NotInGroup(f"membership residual{where} {resid[i]:.2e} > {TOL}")
+        raise ValueError(f"membership residual{where} {resid[i]:.2e} > {TOL}")
     q, rr = np.linalg.qr(GAMMA_NP @ g @ GAMMA_NP)
     d = np.diagonal(rr, axis1=-2, axis2=-1)
     phase = d / np.abs(d)

@@ -24,15 +24,6 @@ class Monomial(NamedTuple):
     def degree(self) -> int:
         return self.a + self.b + self.c
 
-    def __str__(self) -> str:
-        parts = []
-        for name, e in zip("xyz", self):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
-
 
 def monomial_xy(k: int, l: int) -> Monomial:
     """x^(k-l) y^l."""

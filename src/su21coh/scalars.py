@@ -21,10 +21,6 @@ import math
 from fractions import Fraction
 
 
-class NegativeRadicand(ValueError):
-    """Square root of a negative rational requested."""
-
-
 def _factor(n: int) -> dict[int, int]:
     """{prime: exponent} of n by trial division, {} for n <= 1; meant for the
     small integers of the coefficient formulas, not as a general factorizer."""
@@ -133,7 +129,7 @@ class ComplexRadical(_Exact):
         """
         a, b = _num_den(q)
         if a < 0:
-            raise NegativeRadicand(f"sqrt of negative rational {q}")
+            raise ValueError(f"sqrt of negative rational {q}")
         if a == 0:
             return _wrap({})
         s, d = square_free_split(a * b)

@@ -29,10 +29,6 @@ from .report import Tripwire
 from .scalars import ComplexRadical, GaussianRational
 
 
-class OutOfRange(ValueError):
-    """Named index family requested outside its defining range."""
-
-
 def _half(twice: int) -> str:
     """A doubled integer printed as the half-integer it stands for."""
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
@@ -204,7 +200,7 @@ def act_p_index(
 
 def _check_l(l: int, lo: int, hi: int) -> None:
     if not lo <= l <= hi:
-        raise OutOfRange(f"l={l} outside [{lo}, {hi}]")
+        raise ValueError(f"l={l} outside [{lo}, {hi}]")
 
 
 def psi_index(k: int, l: int) -> WignerIndex:

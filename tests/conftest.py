@@ -11,7 +11,7 @@ from su21coh.cochains import Cochain, act_tensor, nullspace
 from su21coh.lie import LieGen, gen_matrix
 from su21coh.polynomials import Monomial, PolyVector, act_poly
 from su21coh.scalars import ComplexRadical, GaussianRational
-from su21coh.wigner import OutOfRange, WignerIndex, admissible, admissible_indices, module_index
+from su21coh.wigner import WignerIndex, admissible, admissible_indices, module_index
 
 # Squarefree radicands <= 50 (1 = rational part).
 SQUAREFREE_POOL = [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 21, 22, 26, 30, 33, 35, 38, 42, 46]
@@ -43,7 +43,7 @@ def psi0_tilde_index(k: int, l: int) -> WignerIndex:
     """Companion of `wigner.psi0_index` with j shifted up by one, met in the
     X3 image of the chi family; l in {0, ..., k+1}."""
     if not 0 <= l <= k + 1:
-        raise OutOfRange(f"l={l} outside [0, {k + 1}]")
+        raise ValueError(f"l={l} outside [0, {k + 1}]")
     return module_index(k, k + 2, -k + 2 * l, k)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from su21coh.scalars import NegativeRadicand, prime_factors, square_free_split
+from su21coh.scalars import prime_factors, square_free_split
 
 
 def _as_fraction(x) -> Fraction:
@@ -81,7 +81,7 @@ class FractionRadical:
         """
         q = _as_fraction(q)
         if q < 0:
-            raise NegativeRadicand(f"sqrt of negative rational {q}")
+            raise ValueError(f"sqrt of negative rational {q}")
         if q == 0:
             return _wrap({})
         s, d = square_free_split(q.numerator * q.denominator)

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import hashlib
+import importlib
 import inspect
 import json
 import os
@@ -466,33 +467,31 @@ def test_export_tripwire_writes_no_file(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr() == ("", "tripwire: U0 has an off-diagonal matrix entry\n")
 
 
-def test_every_exception_class_is_the_tripwire_or_an_input_check():
-    # a tripwire of another type would bypass the CLI's one handler and
-    # crash a command; anything else raised on purpose is an input check
-    defined, bases = [], {}
+def test_tripwire_is_the_only_exception_class_and_every_other_raise_a_builtin():
+    # a tripwire of another type would bypass the CLI's one handler and crash
+    # a command; anything else raised on purpose is an input check, and gets
+    # a builtin type rather than a class of its own
+    exceptions, raised = [], []
     for path in sorted(Path(su21coh.__file__).parent.glob("*.py")):
+        stem = "" if path.stem == "__init__" else f".{path.stem}"
+        module = importlib.import_module(f"su21coh{stem}")
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ClassDef):
-                defined.append((path.name, node.name))
-                bases.setdefault(node.name, []).extend(
-                    ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases)
+                cls = getattr(module, node.name)
+                if issubclass(cls, BaseException):
+                    exceptions.append(cls)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.append((path.name, node.lineno, ast.unparse(exc)))
+    assert exceptions == [Tripwire]
+    assert Tripwire.__bases__ == (RuntimeError,)
 
-    def builtin_bases(name, seen=()):
-        if name in bases and name not in seen:
-            return [r for b in bases[name] for r in builtin_bases(b, seen + (name,))]
+    def allowed(name):
         found = getattr(builtins, name, None)
-        return [found] if isinstance(found, type) else []
+        return (name in ("Tripwire", "argparse.ArgumentTypeError")
+                or isinstance(found, type) and issubclass(found, BaseException))
 
-    exceptions = {}
-    for key in defined:
-        roots = [r for r in builtin_bases(key[1]) if issubclass(r, BaseException)]
-        if roots:
-            exceptions[key] = roots
-    assert exceptions.pop(("report.py", "Tripwire")) == [RuntimeError]
-    assert {key: roots for key, roots in exceptions.items()
-            if not all(issubclass(r, ValueError) for r in roots)} == {}
-    assert {name for _, name in exceptions} >= {
-        "NegativeRadicand", "NotInGroup", "NotInK", "NotInLieAlgebra", "OutOfRange"}
+    assert raised and [r for r in raised if not allowed(r[2])] == []
 
 
 # Golden values: the export bytes and the ordered check names are part of the

@@ -32,8 +32,6 @@ def eval_poly(p: PolyVector, v) -> complex:
 def test_monomial_basics():
     m = Monomial(2, 0, 1)
     assert m.degree() == 3
-    assert str(m) == "x^2*z"
-    assert str(Monomial(0, 0, 0)) == "1"
     assert monomial_xy(5, 2) == Monomial(3, 2, 0)
     assert len(monomial_basis(4)) == 5 * 6 // 2
 
