@@ -284,18 +284,9 @@ def wedge_bidegree(w: Wedge) -> tuple[int, int]:
     return (p, len(w) - p)
 
 
-def hodge_type(psi: Cochain):
-    """Support class of a 2-cochain under the holomorphic bigrading:
-    (2,0), (1,1), (0,2), or "mixed"; None for the zero cochain."""
-    wedges = {w for w, _, _ in psi.support()}
-    if any(len(w) != 2 for w in wedges):
-        raise ValueError("hodge type is defined for 2-cochains")
-    types = {wedge_bidegree(w) for w in wedges}
-    if not types:
-        return None
-    if len(types) == 1:
-        return types.pop()
-    return "mixed"
+def bidegrees(c: Cochain) -> set[tuple[int, int]]:
+    """The bidegrees (p, q) of the wedges in c's support."""
+    return set(map(wedge_bidegree, {w for w, _, _ in c.support()}))
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +366,8 @@ def verify_closedness(
         (f"d(psi) = 0 [k={k}]", differential(psi, variant).is_zero()),
         (f"d(psi0) = 0 [k={k}]", differential(psi0, variant).is_zero()),
         *((f"equivariance({label}) [k={k}]", check_equivariance(c)) for label, c in named),
-        (f"type(psi) = (1,1) [k={k}]", hodge_type(psi) == (1, 1)),
-        (f"type(psi0) = (0,2) [k={k}]", hodge_type(psi0) == (0, 2)),
+        (f"type(psi) = (1,1) [k={k}]", bidegrees(psi) == {(1, 1)}),
+        (f"type(psi0) = (0,2) [k={k}]", bidegrees(psi0) == {(0, 2)}),
     ]
     return [CheckResult(name=name, passed=passed) for name, passed in checks]
 
@@ -465,12 +456,12 @@ def cochain_to_dict(psi: Cochain, mu_sq) -> dict:
         for w, group in itertools.groupby(terms, key=lambda t: t[0][0])
     ]
     (wedge, _, mono), _ = terms[0]
-    ht = hodge_type(psi) if len(wedge) == 2 else None
+    types = bidegrees(psi) if len(wedge) == 2 else ()
     return {
         "k": mono.degree(),
         "degree": len(wedge),
         "entries": entries,
-        "hodge_type": list(ht) if isinstance(ht, tuple) else ht,
+        "hodge_type": list(*types) if len(types) == 1 else None,
     }
 
 

@@ -52,21 +52,15 @@ class Mat3(LinComb):
     ComplexRadical) entries: a linear combination of the matrix units E_ij,
     keyed by (row, col).
 
-    Built from three rows of three entries, or from a {(row, col): entry}
-    dict; zero entries are not stored.
+    Built from a {(row, col): entry} dict; zero entries are not stored.
     """
 
     __slots__ = ()
 
-    def __init__(self, rows=None):
-        if rows is not None and not isinstance(rows, dict):
-            rows = [tuple(r) for r in rows]
-            if len(rows) != 3 or any(len(r) != 3 for r in rows):
-                raise ValueError("Mat3 requires 3x3 entries")
-            rows = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)}
-        elif rows and not _UNITS.issuperset(rows):
+    def __init__(self, entries=None):
+        if entries and not _UNITS.issuperset(entries):
             raise ValueError("Mat3 keys must be (row, col) with row, col in 0..2")
-        super().__init__(rows)
+        super().__init__(entries)
 
     def __getitem__(self, ij) -> GaussianRational | ComplexRadical:
         return self.get(ij)
@@ -110,24 +104,19 @@ _i = GaussianRational(0, 1)
 _ih = GaussianRational(0, 1, 2)
 _inv_sqrt2 = ComplexRadical.sqrt(Half)
 
-IDENTITY = Mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+IDENTITY = Mat3({(0, 0): 1, (1, 1): 1, (2, 2): 1})
 
 # Hermitian forms and the change of basis between them.
-J_DIAG = Mat3([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
-J_PAR = Mat3([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-GAMMA = Mat3(
-    [
-        [_inv_sqrt2, 0, _inv_sqrt2],
-        [0, 1, 0],
-        [_inv_sqrt2, 0, -_inv_sqrt2],
-    ]
-)
+J_DIAG = Mat3({(0, 0): 1, (1, 1): 1, (2, 2): -1})
+J_PAR = Mat3({(0, 2): 1, (1, 1): 1, (2, 0): 1})
+GAMMA = Mat3({(0, 0): _inv_sqrt2, (0, 2): _inv_sqrt2, (1, 1): 1,
+              (2, 0): _inv_sqrt2, (2, 2): -_inv_sqrt2})
 
 # Real basis of the compact subalgebra l (diagonal basis of the form).
-U0 = Mat3([[_ih, 0, 0], [0, _ih, 0], [0, 0, -_i]])
-U1 = Mat3([[0, _ih, 0], [_ih, 0, 0], [0, 0, 0]])
-U2 = Mat3([[0, Half, 0], [-Half, 0, 0], [0, 0, 0]])
-U3 = Mat3([[_ih, 0, 0], [0, -_ih, 0], [0, 0, 0]])
+U0 = Mat3({(0, 0): _ih, (1, 1): _ih, (2, 2): -_i})
+U1 = Mat3({(0, 1): _ih, (1, 0): _ih})
+U2 = Mat3({(0, 1): Half, (1, 0): -Half})
+U3 = Mat3({(0, 0): _ih, (1, 1): -_ih})
 
 # Real basis of the Cartan complement p.
 Y1 = Mat3({(0, 2): 1, (2, 0): 1})
@@ -289,10 +278,8 @@ def _compare_cells(cells) -> list[CheckResult]:
     ]
 
 
-def verify_table1(fixture=None) -> list[CheckResult]:
-    """Recompute every printed (X, U) action cell from 3x3 brackets."""
-    if fixture is None:
-        fixture = table1_fixture()
+def verify_table1(fixture) -> list[CheckResult]:
+    """Recompute every (X, U) action cell of a Table 1 fixture from 3x3 brackets."""
     return _compare_cells(
         (
             f"table1[{x.value},{u.value}]",

@@ -13,9 +13,11 @@ Fubini its product-grid quadrature is a product of one-axis sums.
 The numeric routines work on stacks: Euler coordinates may be arrays of any
 (broadcastable) shape, and group elements are stacks (..., 3, 3).  A single
 point is a one-point stack; a lone (3, 3) matrix or float coordinates give
-numpy scalars or 0-d arrays.  `eval_wigner` and `quadrature_ip` take
-sequences of indices only (one index is a one-element sequence), so a
-finite-difference sweep evaluates a stencil with one call per window.
+numpy scalars or 0-d arrays.  `eval_wigner` and `quadrature_ip` take one
+sequence of indices (one index is a one-element sequence), so a
+finite-difference sweep evaluates a stencil with one call per window and
+the orthogonality check reads one Gram matrix.  `expm` does not scale:
+every point and stencil step has 1-norm <= sqrt(3) < theta_13.
 
 Everything here is deliberately independent of the exact engine: the only
 shared input is the list of generator matrices, which are read off from the
@@ -274,7 +276,7 @@ def m_matrix(t) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(t, [1.0, -2.0, 1.0]))[..., None] * np.eye(3)
 
 
-def an_gamma(r, nu=0.0, s=0.0) -> np.ndarray:
+def an_gamma(r, nu, s) -> np.ndarray:
     """The Borel factor transported to the diagonal model."""
     return GAMMA_NP @ (a_matrix(r) @ n_matrix(nu, s)) @ GAMMA_NP
 
@@ -344,8 +346,8 @@ def eval_sections(k: int, indices, g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and the
-# 1-norm bound theta_13 below which it needs no scaling for double precision
-# (Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3).
+# 1-norm bound theta_13 up to which it is accurate to double precision
+# without scaling (Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3).
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
@@ -353,16 +355,16 @@ _THETA_13 = 5.371920351148152
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of one matrix or a stack (..., n, n) by scaling and
-    squaring with the [13/13] Pade approximant (Higham 2005, Algorithm 2.3):
-    each matrix above theta_13 in 1-norm is scaled by its own power of two
-    and squared back."""
+    """Matrix exponential of one matrix or a stack (..., n, n) by the
+    [13/13] Pade approximant (Higham 2005, Algorithm 2.3, with no scaling):
+    ValueError if a matrix exceeds theta_13 in 1-norm.  Callers exponentiate
+    points of norm <= 1 and stencil steps, all of 1-norm <= sqrt(3)."""
     a = np.asarray(a)
     shape = a.shape
     a = a.reshape((-1,) + shape[-2:]).astype(np.result_type(a.dtype, float))
-    norms = np.abs(a).sum(axis=-2).max(axis=-1)
-    s = np.ceil(np.log2(np.maximum(norms, _THETA_13) / _THETA_13)).astype(int)
-    a = a / np.exp2(s)[:, None, None]
+    norm = np.abs(a).sum(axis=-2).max(initial=0.0)
+    if norm > _THETA_13:
+        raise ValueError(f"1-norm {norm:.3g} exceeds theta_13 = {_THETA_13:.6g}")
     b, eye = _PADE13, np.eye(shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
@@ -371,11 +373,7 @@ def expm(a: np.ndarray) -> np.ndarray:
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
-    for i in range(s.max(initial=0)):
-        sq = s > i
-        r[sq] = r[sq] @ r[sq]
-    return r.reshape(shape)
+    return np.linalg.solve(v - u, v + u).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -589,29 +587,27 @@ def adjudicate_variant(ks, samples: int, tol: float, seed: int) -> tuple[str | N
 # ---------------------------------------------------------------------------
 
 
-def quadrature_ip(rows: Sequence[WignerIndex], cols: Sequence[WignerIndex]) -> np.ndarray:
-    """Invariant inner products int W_a conj(W_b), total measure 1: the
-    (len(rows), len(cols)) Gram matrix of two index sequences.  W is a
-    product of one factor per axis (`_factors`), so by Fubini its sum over a
-    product grid is the entrywise product of four axis Gram matrices
-    (w F) @ F^H.  One grid is exact for every pair: the trapezoid rule over a
-    full 4*pi period is exact for every frequency |f| < nodes (2 max|n2| + 4
-    in zeta, 2 max j2 + 4 in phi and psi), so a sum over unequal phases
-    vanishes, and ng = max(4, max j2 + 2) Gauss-Legendre nodes in cos(theta)
-    are exact to degree 2 ng - 1, above the degree <= max j2 of a profile
-    product of equal phases."""
-    rows, cols = list(rows), list(cols)
-    j2, n2 = max(i.j2 for i in rows + cols), max(abs(i.n2) for i in rows + cols)
+def quadrature_ip(indices: Sequence[WignerIndex]) -> np.ndarray:
+    """Invariant inner products int W_a conj(W_b), total measure 1: the Gram
+    matrix of an index sequence.  W is a product of one factor per axis
+    (`_factors`), so by Fubini its sum over a product grid is the entrywise
+    product of four axis Gram matrices (w F) @ F^H.  One grid is exact for
+    every pair: the trapezoid rule over a full 4*pi period is exact for every
+    frequency |f| < nodes (2 max|n2| + 4 in zeta, 2 max j2 + 4 in phi and
+    psi), so a sum over unequal phases vanishes, and ng = max(4, max j2 + 2)
+    Gauss-Legendre nodes in cos(theta) are exact to degree 2 ng - 1, above
+    the degree <= max j2 of a profile product of equal phases."""
+    indices = list(indices)
+    j2, n2 = max(i.j2 for i in indices), max(abs(i.n2) for i in indices)
     nz, nang, (x, wx) = 2 * n2 + 4, 2 * j2 + 4, np.polynomial.legendre.leggauss(max(4, j2 + 2))
     az, aa = np.arange(nz) * (FOUR_PI / nz), np.arange(nang) * (FOUR_PI / nang)
     grid = EulerAngles(zeta=az[:, None, None, None], phi=aa[None, :, None, None],
                        theta=np.arccos(x)[None, None, :, None], psi=aa[None, None, None, :])
-    gram = np.ones((len(rows), len(cols)), dtype=complex)
+    gram = np.ones((len(indices), len(indices)), dtype=complex)
     # per axis, in the order of `_factors`: weights summing to 1, (index, node) factors
     for axis, w in enumerate((1 / nz, 1 / nang, 1 / nang, wx / wx.sum())):
-        fa, fb = (np.array([_factors(i, grid)[axis] for i in idxs]).reshape(len(idxs), -1)
-                  for idxs in (rows, cols))
-        gram *= (w * fa) @ fb.conj().T
+        f = np.array([_factors(i, grid)[axis] for i in indices]).reshape(len(indices), -1)
+        gram *= (w * f) @ f.conj().T
     return gram
 
 
@@ -620,7 +616,7 @@ def orthogonality_report() -> list[CheckResult]:
     with j <= 3/2, plus constancy of the squared norm along n and under
     (m1, m2) sign flips, read off one Gram matrix."""
     indices = list(admissible_indices(0, Fraction(3, 2)))
-    gram = quadrature_ip(indices, indices)
+    gram = quadrature_ip(indices)
     worst = float(np.abs(gram - np.diag(np.diagonal(gram))).max())
     expected = np.array([1.0 / (a.j2 + 1) for a in indices])  # computed fixture: 1/(2j+1)
     norm_dev = float(np.abs(np.diagonal(gram) - expected).max())
@@ -638,7 +634,7 @@ def orthogonality_report() -> list[CheckResult]:
 _ANGLE_RANGES = ((0.0, FOUR_PI), (-math.pi, math.pi), (0.0, math.pi), (-math.pi, 3 * math.pi))
 
 
-def homomorphism_report(seed: int = 0) -> list[CheckResult]:
+def homomorphism_report(seed: int) -> list[CheckResult]:
     """Multiplicativity and unitarity, to 1e-9, of the coefficient matrices
     at fixed (j, n) for 20 random compact pairs: validates the Euler
     conventions and the theta-profile independently of any derivative
@@ -662,7 +658,7 @@ def homomorphism_report(seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def iwasawa_report(seed: int = 0) -> list[CheckResult]:
+def iwasawa_report(seed: int) -> list[CheckResult]:
     """Membership (to 1e-12) and reconstruction (to 1e-10) residuals over
     1000 random group points from one stream seeded "iwasawa:{seed}"."""
     g = random_group_points(random.Random(f"iwasawa:{seed}"), 1000)
@@ -676,13 +672,14 @@ def iwasawa_report(seed: int = 0) -> list[CheckResult]:
     ]
 
 
-def covariance_report(k: int = 0, seed: int = 0) -> list[CheckResult]:
+def covariance_report(k: int, seed: int) -> list[CheckResult]:
     """Functional-equation checks, to 1e-9, for the extended sections of
     every index of the j <= 3/2 window at 10 random points: right
     translation by a Borel factor scales by r^(-3); right translation by a
     compact-torus element produces the phase pinned by the window.  The
     points and translations come from one stream seeded "covariance:{seed}",
-    and the 10 points are exponentiated as one stack."""
+    and the 10 points are exponentiated as one stack.  The `oracle` command
+    runs it at the first k of its --k range only."""
     rng = random.Random(f"covariance:{seed}")
     indices = list(admissible_indices(k, Fraction(3, 2)))
     coords, r0, nu, s0, t0 = [], [], [], [], []

@@ -22,13 +22,13 @@ from conftest import (
 from su21coh import lie, oracle
 from su21coh.cochains import (
     act_tensor,
+    bidegrees,
     build_chi,
     build_psi,
     build_psi0,
     check_equivariance,
     chi3_element,
     differential,
-    hodge_type,
     verify_nonexactness,
 )
 from su21coh.lie import L_GENS, P_GENS, LieGen, bracket, gen_matrix
@@ -94,7 +94,7 @@ def test_criterion_05_types_and_equivariance():
     ok = True
     for k in range(11):
         psi, psi0, chi = build_psi(k), build_psi0(k), build_chi(k)
-        ok = ok and hodge_type(psi) == (1, 1) and hodge_type(psi0) == (0, 2)
+        ok = ok and bidegrees(psi) == {(1, 1)} and bidegrees(psi0) == {(0, 2)}
         ok = ok and all(check_equivariance(c) for c in (psi, psi0, chi))
     _report(5, "types (1,1)/(0,2) and exact equivariance of all three, k=0..10", ok)
 

@@ -450,7 +450,8 @@ def test_oracle_tripwires_end_the_fd_phase(monkeypatch, capsys):
 
 
 def test_export_tripwire_writes_no_file(monkeypatch, tmp_path, capsys):
-    # U0 acting by the matrix of U1+iU2 is not diagonal: hodge_type trips
+    # U0 acting by the matrix of U1+iU2 is not diagonal: U0's weight table,
+    # which psi's bidegrees read, trips
     real, path = cochains.gen_matrix, tmp_path / "gen.json"
     caches = (cochains._weight_table, cochains._poly_image)  # they read gen_matrix
     with monkeypatch.context() as m:

@@ -23,6 +23,7 @@ from su21coh.cochains import (
     Cochain,
     act_tensor,
     basis_wedges,
+    bidegrees,
     build_chi,
     build_psi,
     build_psi0,
@@ -30,7 +31,6 @@ from su21coh.cochains import (
     chi3_element,
     differential,
     generators_to_dict,
-    hodge_type,
     nullspace,
     psi_w13_element,
     verify_closedness,
@@ -266,13 +266,12 @@ def test_determinacy_from_w13():
 def test_hodge_types():
     k = 2
     psi, psi0 = build_psi(k), build_psi0(k)
-    assert hodge_type(psi) == (1, 1)
-    assert hodge_type(psi0) == (0, 2)
-    assert hodge_type(psi + psi0) == "mixed"
-    assert hodge_type(Cochain()) is None
+    assert bidegrees(psi) == {(1, 1)}
+    assert bidegrees(psi0) == {(0, 2)}
+    assert bidegrees(psi + psi0) == {(1, 1), (0, 2)}
+    assert bidegrees(Cochain()) == set()
+    assert bidegrees(build_chi(k)) == {(0, 1)}
     assert wedge_bidegree((1, 2)) == (2, 0)
-    with pytest.raises(ValueError):
-        hodge_type(build_chi(k))
 
 
 def test_bigrading_read_off_the_u0_weight():

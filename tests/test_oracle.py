@@ -191,7 +191,7 @@ def test_euler_from_k_identity_and_errors():
     with pytest.raises(ValueError, match="^not in the compact subgroup "):
         euler_from_k(np.diag([2.0, 1.0, 0.5]))
     with pytest.raises(ValueError, match="^not in the compact subgroup "):
-        euler_from_k(an_gamma(2.0))
+        euler_from_k(an_gamma(2.0, 0.0, 0.0))
 
 
 def test_euler_round_trip_on_matrices():
@@ -238,7 +238,7 @@ def test_m_element_phases_match_index_window():
 def test_iwasawa_basics():
     fac = iwasawa(np.eye(3))
     assert abs(fac.r - 1.0) < 1e-12 and abs(fac.nu) < 1e-12 and abs(fac.s) < 1e-12
-    fac = iwasawa(an_gamma(2.0))
+    fac = iwasawa(an_gamma(2.0, 0.0, 0.0))
     assert abs(fac.r - 2.0) < 1e-12
     assert np.abs(fac.kappa - np.eye(3)).max() < 1e-12
     with pytest.raises(ValueError, match="^membership residual "):
@@ -430,7 +430,7 @@ def test_covariance_checks_every_index_of_the_window(monkeypatch):
         return real(indices, e)
 
     monkeypatch.setattr(oracle, "eval_wigner", eval_wigner_counted)
-    assert all_passed(oracle.covariance_report(k=1))
+    assert all_passed(oracle.covariance_report(k=1, seed=0))
     window = set(admissible_indices(1, Fraction(3, 2)))
     assert len(window) == 30 and seen == window
     assert len(calls) == 3
@@ -691,7 +691,7 @@ def test_adjudication_of_an_empty_sweep_fails(monkeypatch):
 
 def test_quadrature_normalization_and_diagonal():
     trivial = WignerIndex(0, -6, 0, 0)
-    gram = quadrature_ip([trivial], [trivial])
+    gram = quadrature_ip([trivial])
     assert gram.shape == (1, 1) and abs(gram[0, 0] - 1.0) <= 1e-12
     # squared norm at 2j = 1: computed fixture 1/2, independent of n and of
     # the signs of (m1, m2)
@@ -699,7 +699,7 @@ def test_quadrature_normalization_and_diagonal():
         for m12 in (-1, 1):
             for m22 in (-1, 1):
                 idx = WignerIndex(1, n2, m12, m22)
-                assert abs(quadrature_ip([idx], [idx])[0, 0] - 0.5) <= 1e-12
+                assert abs(quadrature_ip([idx])[0, 0] - 0.5) <= 1e-12
 
 
 def test_quadrature_orthogonality_spot():
@@ -708,7 +708,7 @@ def test_quadrature_orthogonality_spot():
     c = WignerIndex(3, -3, 1, -1)  # same (n, m) frequencies, different j
     d = WignerIndex(2, -6, 0, 0)  # half-odd frequency differences vs a
     for other in (b, c, d):
-        assert abs(quadrature_ip([a], [other])[0, 0]) <= 1e-12
+        assert abs(quadrature_ip([a, other])[0, 1]) <= 1e-12
 
 
 def product_grid(nz: int, nang: int, ng: int) -> tuple[EulerAngles, np.ndarray, float]:
@@ -736,13 +736,13 @@ def quadrature_ip_reference(idx1: WignerIndex, idx2: WignerIndex) -> complex:
 @pytest.mark.parametrize("k", [0, 1])
 def test_gram_matrix_matches_per_pair_quadrature(k):
     window = list(admissible_indices(k, Fraction(3, 2)))
-    gram = quadrature_ip(window, window)
+    gram = quadrature_ip(window)
     assert gram.shape == (len(window), len(window))
     ref = np.array([[quadrature_ip_reference(a, b) for b in window] for a in window])
     assert np.abs(gram - ref).max() <= 1e-14
-    assert abs(quadrature_ip([window[3]], [window[-2]])[0, 0] - gram[3, -2]) <= 1e-14
-    rect = quadrature_ip(window[:4], window)
-    assert rect.shape == (4, len(window)) and np.abs(rect - ref[:4]).max() <= 1e-14
+    # a smaller sequence gets a smaller grid, exact for its own pairs
+    assert abs(quadrature_ip([window[3], window[-2]])[0, 1] - gram[3, -2]) <= 1e-14
+    assert np.abs(quadrature_ip(window[:4]) - ref[:4, :4]).max() <= 1e-14
 
 
 def test_a_bare_index_is_not_a_sequence_of_indices():
@@ -751,9 +751,8 @@ def test_a_bare_index_is_not_a_sequence_of_indices():
     idx = WignerIndex(1, -3, 1, 1)
     with pytest.raises((TypeError, AttributeError)):
         eval_wigner(idx, EulerAngles(0.9, -1.2, 2.2, 3.3))
-    for rows, cols in ((idx, idx), (idx, [idx]), ([idx], idx)):
-        with pytest.raises((TypeError, AttributeError)):
-            quadrature_ip(rows, cols)
+    with pytest.raises((TypeError, AttributeError)):
+        quadrature_ip(idx)
 
 
 def test_orthogonality_report_catches_a_scaled_norm(monkeypatch):
@@ -877,7 +876,7 @@ def test_orthogonality_report_makes_one_gram_matrix(monkeypatch):
     monkeypatch.setattr(oracle, "quadrature_ip", lambda *a: calls.append(a) or real(*a))
     assert all_passed(oracle.orthogonality_report())
     window = list(admissible_indices(0, Fraction(3, 2)))
-    assert calls == [(window, window)]
+    assert calls == [(window,)]
 
 
 def test_eval_wigner_broadcasts_over_a_product_grid():
@@ -909,14 +908,21 @@ def test_expm_matches_scipy():
                 assert np.abs(oracle.expm(h * direction) - ref).max() <= 1e-14
 
 
-def test_expm_scaling_and_squaring():
-    # norms beyond theta_13 take per-matrix scaling; compare relatively
+def test_expm_refuses_norms_above_theta13():
+    # no scaling: accurate up to theta_13 in 1-norm, refused above it;
+    # compare relatively, as exp grows with the norm
+    theta = oracle._THETA_13
     rng = np.random.default_rng(13)
     a = rng.normal(size=(20, 3, 3)) + 1j * rng.normal(size=(20, 3, 3))
-    a *= rng.uniform(0.01, 20.0, 20)[:, None, None] / np.linalg.norm(a, axis=(1, 2))[:, None, None]
+    norms = rng.uniform(0.01, theta, 20)
+    norms[0] = theta * (1 - 1e-12)  # at the bound, up to rounding of the scaling
+    a *= (norms / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
     ref = scipy.linalg.expm(a)
     err = np.abs(oracle.expm(a) - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
     assert err.max() <= 1e-13
+    a[7] *= 1.001 * theta / np.abs(a[7]).sum(axis=0).max()
+    with pytest.raises(ValueError, match="^1-norm 5.38 exceeds theta_13 = 5.37192$"):
+        oracle.expm(a)
 
 
 def test_stacked_iwasawa_and_euler_match_pointwise():
@@ -944,7 +950,7 @@ def test_stack_with_one_bad_matrix_raises():
     with pytest.raises(ValueError, match=r"^membership residual at point \(3,\) "):
         iwasawa(g)
     kaps = np.stack([k_from_angles(EulerAngles(0.1 * i, 0.2, 0.3, 0.4)) for i in range(5)])
-    kaps[2] = an_gamma(2.0)
+    kaps[2] = an_gamma(2.0, 0.0, 0.0)
     with pytest.raises(ValueError, match=r"^not in the compact subgroup at point \(2,\) "):
         euler_from_k(kaps)
 

@@ -1,6 +1,6 @@
 """The exact engine in the rescaled basis W'_idx = W_idx / a(idx).
 
-Two kinds of checks:
+Three kinds of checks:
 
 * the rescaled operator table and cochain coordinates against their unitary
   square-root forms in `unitary_table`, exactly;
@@ -10,10 +10,13 @@ Two kinds of checks:
   for `plus2`, catch a sign flip of each of the eight rows of
   `wigner.P_ROWS`, and catch the four single-row mutants of the X1 and X2
   tables that the cocycle identities cannot see (those rows only act on
-  K-types with m2 < j, which no equivariant cochain reaches).
+  K-types with m2 < j, which no equivariant cochain reaches);
+* the theorem re-proved from the bytes of `export-generators`, read back as
+  unitary cochains and acted on by the unitary rows of `unitary_table`.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ import pytest
 
 from conftest import monomial_basis, tensor_term, value
 from su21coh import cochains, wigner
+from su21coh.cli import main
 from su21coh.cochains import (
     Cochain,
     act_tensor,
@@ -28,6 +32,7 @@ from su21coh.cochains import (
     build_chi,
     build_psi,
     build_psi0,
+    check_equivariance,
     chi3_element,
     differential,
     verify_closedness,
@@ -42,7 +47,7 @@ from su21coh.lie import (
     gen_matrix,
     wedge_action,
 )
-from su21coh.polynomials import monomial_xy
+from su21coh.polynomials import Monomial, monomial_xy
 from su21coh.report import all_passed
 from su21coh.scalars import ComplexRadical, GaussianRational
 from su21coh.wigner import (
@@ -236,3 +241,81 @@ def test_module_relations_catch_the_blind_spot_mutants(change, gen, monkeypatch)
         monkeypatch.setitem(wigner.P_ROWS, gen, flipped)
         assert relation_failures("plus1", j_max=1, ks=(0,)) == expected > 0
         assert _theorem_passes() == (gen in (LieGen.X1, LieGen.X2) and r == 0)
+
+
+def _cochain(generator: dict) -> Cochain:
+    """One exported generator, as the unitary cochain it writes."""
+    return Cochain({
+        (tuple(entry["wedge"]),
+         WignerIndex(*(t["index"][f] for f in ("j2", "n2", "m1_2", "m2_2"))),
+         Monomial(*t["monomial"])): ComplexRadical.from_dict(t["coeff"])
+        for entry in generator["entries"] for t in entry["terms"]
+    })
+
+
+def _unitary_theorem(k, chi, psi, psi0, variant="plus1") -> dict[str, bool]:
+    """The closedness identities on unitary cochains; the caller has bound
+    the engine's index actions to the unitary rows."""
+    return {
+        "d(chi)": differential(chi, variant)
+        == psi.scaled(ComplexRadical.sqrt(Fraction(1, k + 2))) + psi0,
+        "d(psi)": differential(psi, variant).is_zero(),
+        "d(psi0)": differential(psi0, variant).is_zero(),
+        "equivariance": all(check_equivariance(c) for c in (chi, psi, psi0)),
+    }
+
+
+def _unitary_rows(monkeypatch):
+    """Bind the engine's index actions to the literal unitary rows."""
+    monkeypatch.setattr(cochains, "act_l_index", unitary_table.act_l_index)
+    monkeypatch.setattr(cochains, "act_p_index", unitary_table.act_p_index)
+
+
+def _exported(k, tmp_path) -> tuple[Cochain, Cochain, Cochain]:
+    """chi, psi and psi0 read back from the bytes `export-generators` writes."""
+    path = tmp_path / f"gen{k}.json"
+    assert main(["export-generators", "--k", str(k), "--out", str(path)]) == 0
+    gens = json.loads(path.read_text())["generators"]
+    return tuple(_cochain(gens[name]) for name in ("chi", "psi", "psi0"))
+
+
+def test_export_reproves_the_theorem_in_the_unitary_basis(tmp_path, monkeypatch):
+    """d(chi) = psi/sqrt(k+2) + psi0, d(psi) = d(psi0) = 0 and equivariance,
+    on the exported cochains with the literal unitary rows.
+
+    Shared with the engine: `_act_into` (through `differential` and
+    `act_tensor`), `differential`'s wedge and bracket rules, `act_poly` and
+    the diagonal `weight`.  Not shared: the rescaled table, `scale_sq` and
+    the export's scale, which the bytes carry already applied.  Every export
+    is written before the rows are rebound: `build_chi` acts through the same
+    globals, and unitary rows on rescaled data would fail every k >= 1."""
+    ks = list(range(11)) + [20]
+    exports = {k: _exported(k, tmp_path) for k in ks}
+    with monkeypatch.context() as m:
+        _unitary_rows(m)
+        for k in ks:
+            checks = _unitary_theorem(k, *exports[k])
+            assert all(checks.values()), (k, checks)
+
+
+def test_export_reproof_fails_its_controls(tmp_path, monkeypatch):
+    # each control fails exactly the checks it should, at k = 3
+    k = 3
+    chi, psi, psi0 = _exported(k, tmp_path)
+    (chi_key, chi_c), *chi_rest = chi.items()
+    (psi_key, psi_c), *psi_rest = psi.items()
+    controls = {  # name: (cochains, variant, the checks that must fail)
+        "plus2 rows": ((chi, psi, psi0), "plus2", {"d(chi)", "d(psi)"}),
+        "psi at mu_sq = k + 3": (
+            (chi, _cochain(cochains.cochain_to_dict(build_psi(k), k + 3)), psi0), "plus1",
+            {"d(chi)"}),
+        "chi coefficient + 1": ((Cochain({chi_key: chi_c + 1, **dict(chi_rest)}), psi, psi0),
+                                "plus1", {"d(chi)", "equivariance"}),
+        "psi coefficient negated": ((chi, Cochain({psi_key: -psi_c, **dict(psi_rest)}), psi0),
+                                    "plus1", {"d(chi)", "d(psi)", "equivariance"}),
+    }
+    with monkeypatch.context() as m:
+        _unitary_rows(m)
+        for name, (cochains_k, variant, failing) in controls.items():
+            checks = _unitary_theorem(k, *cochains_k, variant)
+            assert {c for c, ok in checks.items() if not ok} == failing, name
