@@ -15,8 +15,9 @@ The numeric routines work on stacks: Euler coordinates may be arrays of any
 point is a one-point stack; a lone (3, 3) matrix or float coordinates give
 numpy scalars or 0-d arrays.  `eval_wigner` and `quadrature_ip` take one
 sequence of indices (one index is a one-element sequence), so a
-finite-difference sweep evaluates a stencil with one call per window and
-the orthogonality check reads one Gram matrix.  `expm` does not scale:
+finite-difference sweep evaluates the stencils of all its generators, one
+point set, with one call per window, and the orthogonality check reads one
+Gram matrix.  `expm` does not scale:
 every point and stencil step has 1-norm <= sqrt(3) < theta_13.
 
 Everything here is deliberately independent of the exact engine: the only
@@ -67,10 +68,9 @@ class EulerAngles:
     psi in (-pi, 3pi].  Each field is a float, or an array when the
     coordinates describe a batch of points (the four broadcast together).
 
-    A point set memoizes (see `table`) the pieces `eval_wigner` derives from
-    its coordinates and, at the base points of a finite-difference sweep,
-    the value of each target index, so its coordinates must not be mutated
-    after its first evaluation."""
+    A point set memoizes (see `rows`) the pieces `eval_wigner` derives from
+    its coordinates, so its coordinates must not be mutated after its first
+    evaluation."""
 
     zeta: float | np.ndarray
     phi: float | np.ndarray
@@ -78,9 +78,19 @@ class EulerAngles:
     psi: float | np.ndarray
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def table(self, key, make):
-        """make(), computed once per point set and key."""
-        return self._tables[key] if key in self._tables else self._tables.setdefault(key, make())
+    def rows(self, kind: str, keys, make) -> np.ndarray:
+        """The stack (key, ...) of make(key) over keys, gathered from the
+        point set's stacked table of `kind`: each key's row is computed once
+        per point set, when a call first asks for it."""
+        pos, stack = self._tables.get(kind, ({}, None))
+        new = [key for key in dict.fromkeys(keys) if key not in pos]
+        if new:
+            fresh = np.array([make(key) for key in new])
+            stack = fresh if stack is None else np.concatenate((stack, fresh))
+            for key in new:
+                pos[key] = len(pos)
+            self._tables[kind] = pos, stack
+        return stack[[pos[key] for key in keys]]
 
 
 @dataclass(frozen=True)
@@ -166,37 +176,53 @@ def eval_wigner(indices: Sequence[WignerIndex], e: EulerAngles) -> np.ndarray:
 
     W is the product of one factor per angle (`_factors`), so on a product
     grid (coordinates broadcast along different axes) each exponential is
-    taken on its own axis only.  The pieces are computed once per point set
-    and kept in its tables: powers of sin and cos of theta/2, the theta
-    profile per (j, m1, m2) and each angle's exponential per frequency.
+    taken on its own axis only.  Each factor's rows are gathered from the
+    point set's stacked tables, where every piece is computed once per point
+    set: powers of sin and cos of theta/2, the theta profile per (j, m1, m2)
+    and each angle's exponential per frequency; the four stacks are then
+    multiplied zeta * psi * phi * theta, left to right.
     """
     points = np.broadcast_shapes(*map(np.shape, (e.zeta, e.phi, e.theta, e.psi)))
-    out = np.empty((len(indices),) + points, dtype=complex)
-    for row, idx in enumerate(indices):
-        zeta, psi, phi, theta = _factors(idx, e)
-        out[row] = zeta * psi * phi * theta
-    return out
+    if not indices:
+        return np.empty((0,) + points, dtype=complex)
+    # Array products may round with FMA, so a complex product depends on its
+    # operand order, while numpy scalar products do not: at a single point
+    # each row is a scalar product, and on arrays np.multiply, never * or
+    # *=, since numpy may reuse a large temporary operand of * as the output
+    # with the operands swapped, and rounds *= on one element as scalars.
+    factors = _factors(indices, e)
+    if not points:
+        return np.array([z * p * ph * t for z, p, ph, t in zip(*factors)], dtype=complex)
+    out = np.multiply(next(factors), next(factors))
+    out = np.multiply(out, next(factors))
+    return np.multiply(out, next(factors))
 
 
-def _factors(idx: WignerIndex, e: EulerAngles) -> tuple:
-    """The zeta, psi and phi exponentials and the theta profile of idx."""
-    j2, n2, m12, m22 = idx
-    if not idx.structurally_valid():
-        raise ValueError(f"invalid index {idx}")
-    return (_phase(e, "zeta", n2), _phase(e, "psi", m12), _phase(e, "phi", m22),
-            e.table(("profile", j2, m12, m22), lambda: _profile(e, j2, m12, m22)))
+def _factors(indices: Sequence[WignerIndex], e: EulerAngles):
+    """The stacks (index, ...) of the zeta, psi and phi exponentials and of
+    the theta profile of the indices, gathered one after another, so a
+    caller need hold one gathered stack at a time."""
+    for idx in indices:
+        if not idx.structurally_valid():
+            raise ValueError(f"invalid index {idx}")
+    yield _phases(e, "zeta", [idx.n2 for idx in indices])
+    yield _phases(e, "psi", [idx.m12 for idx in indices])
+    yield _phases(e, "phi", [idx.m22 for idx in indices])
+    yield e.rows("profile", [(idx.j2, idx.m12, idx.m22) for idx in indices],
+                 lambda key: _profile(e, *key))
 
 
 def _profile(e: EulerAngles, j2: int, m12: int, m22: int):
     """The theta profile sum_s coef * sin(theta/2)^es * cos(theta/2)^ec."""
-    return sum(c * e.table(("sin", es), lambda: np.sin(e.theta / 2) ** es)
-               * e.table(("cos", ec), lambda: np.cos(e.theta / 2) ** ec)
-               for c, es, ec in _theta_terms(j2, m12, m22))
+    terms = _theta_terms(j2, m12, m22)
+    sin = e.rows("sin", [es for _, es, _ in terms], lambda es: np.sin(e.theta / 2) ** es)
+    cos = e.rows("cos", [ec for _, _, ec in terms], lambda ec: np.cos(e.theta / 2) ** ec)
+    return sum(c * s * co for (c, _, _), s, co in zip(terms, sin, cos))
 
 
-def _phase(e: EulerAngles, angle: str, freq2: int):
-    """exp(i/2 * freq2 * angle) over the point set."""
-    return e.table((angle, freq2), lambda: np.exp(0.5j * freq2 * getattr(e, angle)))
+def _phases(e: EulerAngles, angle: str, freqs2) -> np.ndarray:
+    """exp(i/2 * freq2 * angle) over the point set, stacked over freqs2."""
+    return e.rows(angle, freqs2, lambda freq2: np.exp(0.5j * freq2 * getattr(e, angle)))
 
 
 def wigner_matrix(j2: int, n2: int, e: EulerAngles) -> np.ndarray:
@@ -454,19 +480,22 @@ def _scale_ratio(idx: WignerIndex, tgt: WignerIndex) -> float:
     return math.ldexp(m / mt, e - et)
 
 
-def _fd_sweep(ks, j_max, tol, variants, base, stencils) -> dict[str, list[CheckResult]]:
+def _fd_sweep(ks, j_max, tol, variants, base, stencil) -> dict[str, list[CheckResult]]:
     """Compare the exact operator prediction under each variant against
     finite differences for every k in ks, every admissible index with
-    j <= j_max and every decomposed stencil.  Per variant, one result row
-    per (k, generator, index) with the max relative error over the points;
-    a k with no index gives a single failing row.
+    j <= j_max and every generator of the decomposed stencil.  Per variant,
+    one result row per (k, generator, index) with the max relative error
+    over the points; a k with no index gives a single failing row.
 
-    Each stencil is evaluated with one `eval_wigner` call per window of
-    indices, at most FD_STACK_SIZE values, and the window's finite
-    differences, which do not depend on the variant, serve every variant.
-    The base points keep the value of each image target, evaluated once per
-    point set.  The predictions sum each index's image terms in image order,
-    so every row equals that of a per-index loop bit for bit."""
+    Per k, the stencil point set is evaluated with one `eval_wigner` call
+    per window of indices, at most FD_STACK_SIZE values, and each
+    generator's finite differences are read off its column block; they do
+    not depend on the variant, so they serve every variant.  Every image
+    target of k is evaluated at the base points with one call.  The
+    predictions sum each index's image terms in image order, so every row
+    equals that of a per-index loop bit for bit."""
+    angles, blocks = stencil
+    size = max(1, FD_STACK_SIZE // np.size(angles.theta))
     results = {variant: [] for variant in variants}
     for k in ks:
         indices = list(admissible_indices(k, j_max))
@@ -479,72 +508,81 @@ def _fd_sweep(ks, j_max, tol, variants, base, stencils) -> dict[str, list[CheckR
                     params={"k": k},
                 ))
             continue
+        fds = [[] for _ in blocks]
+        for start in range(0, len(indices), size):
+            values = eval_wigner(indices[start:start + size], angles)
+            for fd, (_, cols, weights) in zip(fds, blocks):
+                fd.append(np.multiply(weights, values[..., cols]).sum(axis=-1))
+        fds = [np.concatenate(fd) for fd in fds]
+        terms = {(gen, variant): _image_terms(gen, indices, variant)
+                 for gen, _, _ in blocks for variant in variants}
+        targets = list(dict.fromkeys(tgt for _, tgts, _ in terms.values() for tgt in tgts))
+        at_base = {tgt: i for i, tgt in enumerate(targets)}
+        base_values = eval_wigner(targets, base[0])
         names = [str(idx) for idx in indices]
-        for gen, angles, weights in stencils:
-            size = max(1, FD_STACK_SIZE // weights.size)
-            for start in range(0, len(indices), size):
-                window = indices[start:start + size]
-                fd = _fd_values(window, angles, weights)
-                for variant, rows in results.items():
-                    label = "dl" if gen in L_GENS else f"dp:{variant}"
-                    rows += [
-                        _within(f"{label}[k={k},{gen.value},{name}]", float(err), tol,
-                                k=k, gen=gen.value)
-                        for name, err in zip(names[start:start + size],
-                                             _fd_errors(fd, gen, window, variant, base))
-                    ]
+        for variant, rows in results.items():
+            for (gen, _, _), fd in zip(blocks, fds):
+                label = "dl" if gen in L_GENS else f"dp:{variant}"
+                term_rows, tgts, coeffs = terms[gen, variant]
+                errs = _fd_errors(fd, base_values[[at_base[t] for t in tgts]],
+                                  term_rows, coeffs, base[1])
+                rows += [_within(f"{label}[k={k},{gen.value},{name}]", float(err), tol,
+                                 k=k, gen=gen.value) for name, err in zip(names, errs)]
     return results
 
 
-# Values per stacked stencil evaluation in `_fd_sweep` (25 indices at the
-# default 20 points): bounds the arrays alive at once whatever j_max and the
-# number of points are.  Larger windows gave no speed at the defaults and
-# more peak memory at j <= 6 on 200 points.
-FD_STACK_SIZE = 1 << 12
+# Values per stacked stencil evaluation in `_fd_sweep` (7 indices at the
+# default 20 points and the 56 stencil columns of the eight generators):
+# bounds the arrays alive at once whatever j_max and the number of points
+# are.  In-process `oracle --seed 0` peaks at 37.4 MB RSS at this size,
+# 37.0 MB at 1 << 12 (3 indices a window, about 5% slower), 37.5 MB at
+# 1 << 14 and 40.1 MB at 1 << 16, with no speed gained above this size
+# (2-vCPU x86-64 host, Python 3.11.7, numpy 2.4.6).
+FD_STACK_SIZE = 1 << 13
 
 
-def _fd_values(indices, angles, weights) -> np.ndarray:
-    """(index, point) finite differences sum(weights * W_idx) over a stencil."""
-    values = eval_wigner(indices, angles)
-    return np.multiply(weights, values, out=values).sum(axis=-1)
-
-
-def _fd_errors(fd, gen, indices, variant, base) -> np.ndarray:
-    """Per index, the max over the points of the relative error of the
-    finite differences fd against the exact prediction at the base points.
-    Each index's image terms are summed in image order, as `sum` would."""
-    base_angles, base_rm3 = base
+def _image_terms(gen, indices, variant) -> tuple[list, list, list]:
+    """The image terms of gen on the indices, in image order: the row of
+    each term's index, its target and its unitary coefficient, the rescaled
+    one times a(idx)/a(tgt)."""
     term_rows, targets, coeffs = [], [], []
     for row, idx in enumerate(indices):
         image = act_l_index(gen, idx) if gen in L_GENS else act_p_index(gen, idx, variant)
         for tgt, c in image:
-            # the unitary coefficient is the rescaled one times a(idx)/a(tgt)
             term_rows.append(row)
             targets.append(tgt)
             coeffs.append(c.to_complex() * _scale_ratio(idx, tgt))
+    return term_rows, targets, coeffs
+
+
+def _fd_errors(fd, values, term_rows, coeffs, base_rm3) -> np.ndarray:
+    """Per index, the max over the points of the relative error of the
+    finite differences fd against the exact prediction: the image terms'
+    base-point values times their coefficients, summed per index in image
+    order, as `sum` would."""
     pred = np.zeros(fd.shape, dtype=complex)
-    if targets:
-        values = np.array([
-            base_angles.table(("value", tgt), lambda: eval_wigner([tgt], base_angles)[0])
-            for tgt in targets])
+    if term_rows:
         values *= np.array(coeffs)[:, None]
         np.add.at(pred, term_rows, values)
     pred = base_rm3 * pred
     return (np.abs(fd - pred) / np.maximum(1.0, np.abs(pred))).max(axis=-1)
 
 
-def _fd_points(samples: int, seed: int, gens) -> tuple[tuple, list]:
+def _fd_points(samples: int, seed: int, gens) -> tuple[tuple, tuple]:
     """The decomposed base points, the first `samples` points of the stream
-    seeded "fd:{seed}", and, per generator in gens, its decomposed stencil
-    around them: the inputs `_fd_sweep` shares across k and variants."""
+    seeded "fd:{seed}", and the decomposed stencil around them: every
+    generator's stencil steps in gens order, decomposed as one point set of
+    shape (samples, total steps), with one (gen, column block, weights *
+    r^-3 on the block) entry per generator.  These are the inputs
+    `_fd_sweep` shares across k and variants."""
     g = random_group_points(random.Random(f"fd:{seed}"), samples)
     base = _decompose_for_eval(g)
-    stencils = []
-    for gen in gens:
-        steps, weights = _fd_steps(gen)
-        angles, rm3 = _decompose_for_eval(steps @ g[:, None])
-        stencils.append((gen, angles, weights * rm3))
-    return base, stencils
+    steps, weights = zip(*map(_fd_steps, gens))
+    angles, rm3 = _decompose_for_eval(np.concatenate(steps) @ g[:, None])
+    weights = np.multiply(np.concatenate(weights), rm3)
+    ends = np.cumsum([len(s) for s in steps])
+    cols = [slice(end - len(s), end) for s, end in zip(steps, ends)]
+    return base, (angles, [(gen, c, weights[:, c]) for gen, c in zip(gens, cols)])
 
 
 def check_action(ks, j_max: Fraction, samples: int, tol: float, seed: int,
@@ -552,8 +590,9 @@ def check_action(ks, j_max: Fraction, samples: int, tol: float, seed: int,
     """Finite-difference validation of the action of every generator (the
     noncompact ones with the chosen coefficient variant), for every k in ks,
     at `samples` seeded random group points; the `oracle` command's parser
-    holds the default sizes, tolerance and seed.  The points and each
-    generator's stencil around them are decomposed once and serve every k.
+    holds the default sizes, tolerance and seed.  The points and the
+    stencils of all generators around them are decomposed once, as two
+    point sets, and serve every k.
     The step is fixed, so the Richardson error grows about as k^4: at
     k = 100 it fails the default tol even for U0, which acts by a phase."""
     return _fd_sweep(ks, j_max, tol, (variant,),
@@ -605,8 +644,8 @@ def quadrature_ip(indices: Sequence[WignerIndex]) -> np.ndarray:
                        theta=np.arccos(x)[None, None, :, None], psi=aa[None, None, None, :])
     gram = np.ones((len(indices), len(indices)), dtype=complex)
     # per axis, in the order of `_factors`: weights summing to 1, (index, node) factors
-    for axis, w in enumerate((1 / nz, 1 / nang, 1 / nang, wx / wx.sum())):
-        f = np.array([_factors(i, grid)[axis] for i in indices]).reshape(len(indices), -1)
+    for w, f in zip((1 / nz, 1 / nang, 1 / nang, wx / wx.sum()), _factors(indices, grid)):
+        f = f.reshape(len(indices), -1)
         gram *= (w * f) @ f.conj().T
     return gram
 

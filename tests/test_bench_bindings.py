@@ -74,8 +74,11 @@ before = dict(tracer.counts)
 codes.append(cli.main(["verify-theorem", "--k", "0", "--thm37-variant", "plus2"]))
 plus2 = {name: n - before.get(name, 0) for name, n in tracer.counts.items()}
 ran = sorted({tracer.names[i] for i in tracer.span_name})
+# (span, parent span) name pairs, the parent read from span_parent
+nested = sorted({(tracer.names[tracer.span_name[i]], tracer.names[tracer.span_name[p]])
+                 for i, p in enumerate(tracer.span_parent) if p >= 0})
 print(json.dumps({"codes": codes, "spans": ran, "counts": sorted(tracer.counts),
-                  "plus2": plus2}))
+                  "plus2": plus2, "nested": nested}))
 """
 
 
@@ -94,5 +97,9 @@ def test_traced_commands_run(tmp_path):
             "cochains.check_equivariance", "cochains.nullspace",
             "cochains.cochain_to_dict"} <= set(record["spans"])
     assert {"cochains.nullspace.cells", "wigner.act_index.repeats"} <= set(record["counts"])
+    # the sweep reaches the rebound `eval_wigner`: the homomorphism and
+    # covariance reports call it too, so a sweep that bypassed the module
+    # global would still leave oracle.eval_wigner spans, but none under it
+    assert ["oracle.eval_wigner", "oracle.fd_sweep"] in record["nested"]
     assert record["plus2"]["scalars.radical_mul.calls"] > 0
     assert record["plus2"]["scalars.add.calls"] > 0

@@ -258,6 +258,20 @@ def test_failed_adjudication_reports_every_param(monkeypatch, capsys):
     assert [c["check"] for c in report["checks"]] == ["variant adjudication"]
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--seed", "0"], "4069270c95421b0ce9472276b1f7c5abb2c7c637aa96e95da0803c58ab9a3e6d"),
+    (["--k", "0..5", "--samples", "7", "--seed", "3"],
+     "5de18bbd513dfe7ba038abf10d259dfb17d60bf8e87624dbc725ce633a1d09db"),
+])
+def test_oracle_structured_reports_keep_their_bytes(argv, digest, capsys):
+    # every row's max error is printed to the last bit, so a change to the
+    # oracle's evaluation order or grouping shows here.  The float bytes
+    # depend on numpy (recorded with 2.4.6, whose array products may round
+    # with FMA) and on the host libm (x86-64 Linux).
+    assert main(["oracle", *argv, "--format", "structured"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_oracle_reports_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["oracle", "--k", "0", "--j-max", "1", "--samples", "3", "--seed", "9",

@@ -361,10 +361,10 @@ def _count_fd_evaluations(monkeypatch, argv):
     real_points, real_eval = oracle._fd_points, oracle.eval_wigner
 
     def fd_points(*args):
-        base, stencils = real_points(*args)
+        base, stencil = real_points(*args)
         bases.append(base[0])
-        stencil_sets.extend(angles for _, angles, _ in stencils)
-        return base, stencils
+        stencil_sets.append(stencil[0])
+        return base, stencil
 
     def eval_wigner_counted(indices, e):
         if any(e is p for p in bases + stencil_sets):
@@ -392,16 +392,19 @@ def test_auto_oracle_evaluates_each_base_target_once(monkeypatch, capsys):
 
 def test_auto_oracle_evaluates_each_stencil_index_once(monkeypatch, capsys):
     # the finite differences do not depend on the variant: the adjudication
-    # compares each stencil window's with both variants in one sweep
+    # compares each stencil window's with both variants in one sweep; and
+    # each sweep's generators share one stencil point set, so an index is
+    # evaluated once for all of them
     argv = ["oracle", "--k", "0..1", "--samples", "3", "--thm37-variant", "auto"]
     _, stencil_sets, calls = _count_fd_evaluations(monkeypatch, argv)
-    assert len(stencil_sets) == len(P_GENS) + len(L_GENS + P_GENS)
+    # the adjudication's four stencils, then check_action's eight
+    assert [s.theta.shape for s in stencil_sets] == [(3, 32), (3, 56)]
     stencil_calls = {key: n for key, n in calls.items()
                      if any(key[0] == id(s) for s in stencil_sets)}
     assert {key[0] for key in stencil_calls} == {id(s) for s in stencil_sets}
-    # k = 0 and 1 with j <= 3/2 on the adjudication's four stencils, with
-    # j <= 5/2 on check_action's eight
-    assert len(stencil_calls) == 2 * (30 * 4 + 91 * 8)
+    # k = 0 and 1 with j <= 3/2 on the adjudication's point set, with j <= 5/2
+    # on check_action's
+    assert len(stencil_calls) == 2 * (30 + 91)
     assert max(stencil_calls.values()) == 1
 
 
@@ -507,14 +510,17 @@ def test_scale_ratio_is_within_ulps_at_any_j():
                 assert abs(oracle._scale_ratio(idx, tgt) - exact) <= 4 * math.ulp(exact)
 
 
-def fd_sweep_reference(ks, j_max, tol, variant, base, stencils):
+def fd_sweep_reference(ks, j_max, tol, variant, base, stencil):
     """One variant's rows of `oracle._fd_sweep` as a loop over (k,
-    generator, index): one `eval_wigner` call per index on the stencil and
-    per image target on the base points, the prediction summed term by term
-    with `sum`."""
+    generator, index): one `eval_wigner` call per index on the generator's
+    stencil points and per image target on the base points, the prediction
+    summed term by term with `sum`."""
     base_angles, base_rm3 = base
+    stencil_angles, blocks = stencil
     results = []
-    for k, (gen, angles, weights) in itertools.product(ks, stencils):
+    for k, (gen, cols, weights) in itertools.product(ks, blocks):
+        angles = EulerAngles(*(x[..., cols] for x in (
+            stencil_angles.zeta, stencil_angles.phi, stencil_angles.theta, stencil_angles.psi)))
         compact = gen in L_GENS
         label = "dl" if compact else f"dp:{variant}"
         for idx in admissible_indices(k, j_max):
@@ -548,10 +554,11 @@ def test_stacked_fd_sweep_equals_the_per_index_loop(ks, j_max, samples, variant,
     assert all_passed(rows) == (variant == "plus1")
 
 
-@pytest.mark.parametrize("stack_size", [1, 7 * 20 * 8, 1 << 20])
+@pytest.mark.parametrize("stack_size", [1, 6 * 20 * 32, 1 << 20])
 def test_fd_sweep_windows_equal_the_per_index_loop(monkeypatch, stack_size):
-    # one index a window, seven with a ragged last window, and one window;
-    # each window's finite differences serve both variants
+    # one index a window, six with a ragged last window (91 = 15 * 6 + 1) on
+    # the 32 stencil columns of X1..X4 at 20 points, and one window; each
+    # window's finite differences serve both variants
     monkeypatch.setattr(oracle, "FD_STACK_SIZE", stack_size)
     stacked = oracle._fd_points(20, 5, P_GENS)
     looped = oracle._fd_points(20, 5, P_GENS)
@@ -560,6 +567,58 @@ def test_fd_sweep_windows_equal_the_per_index_loop(monkeypatch, stack_size):
     for variant in oracle.VARIANTS:
         assert _fd_rows(rows[variant]) == _fd_rows(
             fd_sweep_reference([1], Fraction(5, 2), 1e-6, variant, *looped))
+
+
+def test_one_stencil_decomposition_matches_one_per_generator(monkeypatch):
+    # the eight generators' stencils are decomposed as one point set; each
+    # generator's column block holds, bit for bit, the Euler angles, r^-3
+    # and weights of decomposing its own stencil alone
+    decomposed = []
+    real = oracle._decompose_for_eval
+    monkeypatch.setattr(oracle, "_decompose_for_eval",
+                        lambda g: decomposed.append(real(g)) or decomposed[-1])
+    gens = L_GENS + P_GENS
+    _, (angles, blocks) = oracle._fd_points(20, 0, gens)
+    _, (stacked_angles, stacked_rm3) = decomposed
+    assert stacked_angles is angles and angles.theta.shape == (20, 56)
+    assert [gen for gen, _, _ in blocks] == list(gens)
+    g = random_group_points(random.Random("fd:0"), 20)
+    for gen, cols, weights in blocks:
+        steps, step_weights = oracle._fd_steps(gen)
+        alone, rm3 = real(steps @ g[:, None])
+        for name in ("zeta", "phi", "theta", "psi"):
+            assert np.array_equal(getattr(angles, name)[:, cols], getattr(alone, name)), gen
+        assert np.array_equal(stacked_rm3[:, cols], rm3), gen
+        assert np.array_equal(weights, step_weights * rm3), gen
+
+
+@pytest.mark.parametrize("argv, windows", [
+    ([], 13),  # j <= 5/2 (91 indices) at 20 points: 7 indices a window
+    (["--j-max", "2", "--samples", "3"], 2),  # 55 indices, 48 a window
+])
+def test_fd_sweep_keeps_each_stencil_call_within_the_stack_size(monkeypatch, capsys, argv,
+                                                                  windows):
+    # each index row of the one stencil point set holds every generator's
+    # columns, so FD_STACK_SIZE is what bounds the arrays alive at once
+    stencils, calls = [], []
+    real_points, real_eval = oracle._fd_points, oracle.eval_wigner
+
+    def fd_points(*args):
+        base, stencil = real_points(*args)
+        stencils.append(stencil[0])
+        return base, stencil
+
+    def eval_wigner_spy(indices, e):
+        if any(e is s for s in stencils):
+            calls.append(len(indices) * e.theta.size)
+        return real_eval(indices, e)
+
+    monkeypatch.setattr(oracle, "_fd_points", fd_points)
+    monkeypatch.setattr(oracle, "eval_wigner", eval_wigner_spy)
+    assert main(["oracle", "--thm37-variant", "plus1", *argv]) == 0
+    assert len(stencils) == 1
+    assert len(calls) == 4 * windows  # k = 0..3
+    assert max(calls) <= oracle.FD_STACK_SIZE
 
 
 def test_fd_sweep_over_both_variants_equals_one_variant_at_a_time():
@@ -583,12 +642,14 @@ def test_fd_sweep_keeps_one_failing_row_per_empty_k_and_variant():
 
 def test_auto_oracle_keeps_no_finite_differences(monkeypatch, capsys):
     # each stencil window is compared with every variant as it is evaluated,
-    # so no point set's table holds finite differences
+    # so no point set's table holds finite differences: its tables hold the
+    # pieces of W and nothing else
     bases, stencil_sets, _ = _count_fd_evaluations(
         monkeypatch, ["oracle", "--k", "0..1", "--samples", "3", "--thm37-variant", "auto"])
-    assert len(stencil_sets) == len(P_GENS) + len(L_GENS + P_GENS)
+    assert len(bases) == len(stencil_sets) == 2
     for angles in bases + stencil_sets:
-        assert angles._tables and not [key for key in angles._tables if key[0] == "fd"]
+        assert angles._tables
+        assert set(angles._tables) <= {"zeta", "psi", "phi", "profile", "sin", "cos"}
 
 
 def test_auto_oracle_sweeps_once_per_caller(monkeypatch, capsys):
@@ -605,15 +666,15 @@ def test_auto_oracle_sweeps_once_per_caller(monkeypatch, capsys):
 def test_fd_sweep_of_empty_images_predicts_zero():
     # at j = 0 raising and lowering annihilate every index: the prediction
     # is exactly 0, so each row's error is the largest finite difference
-    base, stencils = oracle._fd_points(3, 2, L_GENS)
-    for gen, angles, weights in stencils:
+    base, (angles, blocks) = oracle._fd_points(3, 2, L_GENS)
+    for gen, cols, weights in blocks:
         if gen not in (LieGen.U1_PLUS_IU2, LieGen.U1_MINUS_IU2):
             continue
         (idx,) = admissible_indices(1, 0)
         assert act_l_index(gen, idx) == []
         (row,) = oracle._fd_sweep([1], 0, 1e-6, ("plus1",), base,
-                                  [(gen, angles, weights)])["plus1"]
-        fd = (weights * eval_wigner([idx], _fresh(angles))[0]).sum(axis=-1)
+                                  (angles, [(gen, cols, weights)]))["plus1"]
+        fd = (weights * eval_wigner([idx], _fresh(angles))[0][..., cols]).sum(axis=-1)
         assert row.max_err == float(np.abs(fd).max()) and row.passed
 
 
@@ -659,12 +720,13 @@ def test_adjudication():
 
 
 def test_adjudication_decomposes_the_points_once(monkeypatch):
-    # the base points and the four X1..X4 stencils serve both variants
+    # the base points and the one stencil point set of X1..X4 serve both
+    # variants: one decomposition per point set
     calls = []
     real = oracle._decompose_for_eval
     monkeypatch.setattr(oracle, "_decompose_for_eval", lambda g: calls.append(g) or real(g))
     accepted, _ = adjudicate_variant([0, 1], 2, 1e-6, 0)
-    assert len(calls) == 1 + len(P_GENS) == 5
+    assert [g.shape for g in calls] == [(2, 3, 3), (2, 8 * len(P_GENS), 3, 3)]
     assert accepted == "plus1"
 
 
@@ -837,8 +899,7 @@ def _fresh(e: EulerAngles) -> EulerAngles:
 
 
 def test_tabled_eval_wigner_is_bit_identical_to_direct_evaluation():
-    _, stencils = oracle._fd_points(20, 0, [LieGen.X1])
-    batch = stencils[0][1]
+    _, (batch, _) = oracle._fd_points(20, 0, [LieGen.X1])
     assert batch.theta.shape == (20, 8)
     indices = [idx for k in range(4) for idx in admissible_indices(k, Fraction(5, 2))]
     grid = product_grid(34, 10, 5)[0]
