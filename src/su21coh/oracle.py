@@ -12,12 +12,12 @@ Fubini its product-grid quadrature is a product of one-axis sums.
 
 The numeric routines work on stacks: Euler coordinates may be arrays of any
 (broadcastable) shape, and group elements are stacks (..., 3, 3).  A single
-point is a one-point stack; a lone (3, 3) matrix or float coordinates give
-numpy scalars or 0-d arrays.  `eval_wigner` and `quadrature_ip` take one
-sequence of indices (one index is a one-element sequence), so a
-finite-difference sweep evaluates the stencils of all its generators, one
-point set, with one call per window, and the orthogonality check reads one
-Gram matrix.  `expm` does not scale:
+point is a one-point stack; a lone (3, 3) matrix gives numpy scalars or
+0-d arrays, and float coordinates give `eval_wigner` one value per index.
+`eval_wigner` and `quadrature_ip` take one sequence of indices (one index
+is a one-element sequence), so a finite-difference sweep evaluates the
+stencils of all its generators, one point set, with one call per window,
+and the orthogonality check reads one Gram matrix.  `expm` does not scale:
 every point and stencil step has 1-norm <= sqrt(3) < theta_13.
 
 Everything here is deliberately independent of the exact engine: the only
@@ -68,7 +68,7 @@ class EulerAngles:
     psi in (-pi, 3pi].  Each field is a float, or an array when the
     coordinates describe a batch of points (the four broadcast together).
 
-    A point set memoizes (see `rows`) the pieces `eval_wigner` derives from
+    A point set memoizes (see `row`) the pieces `eval_wigner` derives from
     its coordinates, so its coordinates must not be mutated after its first
     evaluation."""
 
@@ -76,21 +76,16 @@ class EulerAngles:
     phi: float | np.ndarray
     theta: float | np.ndarray
     psi: float | np.ndarray
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def rows(self, kind: str, keys, make) -> np.ndarray:
-        """The stack (key, ...) of make(key) over keys, gathered from the
-        point set's stacked table of `kind`: each key's row is computed once
-        per point set, when a call first asks for it."""
-        pos, stack = self._tables.get(kind, ({}, None))
-        new = [key for key in dict.fromkeys(keys) if key not in pos]
-        if new:
-            fresh = np.array([make(key) for key in new])
-            stack = fresh if stack is None else np.concatenate((stack, fresh))
-            for key in new:
-                pos[key] = len(pos)
-            self._tables[kind] = pos, stack
-        return stack[[pos[key] for key in keys]]
+    def row(self, key: tuple, make) -> np.ndarray:
+        """The piece of W named by key over the point set: make(), computed
+        once per point set, when a call first asks for it.  The keys are
+        ("zeta", n2), ("psi", m12), ("phi", m22), ("profile", j2, m12, m22),
+        ("sin", es) and ("cos", ec)."""
+        if key not in self._rows:
+            self._rows[key] = make()
+        return self._rows[key]
 
 
 @dataclass(frozen=True)
@@ -176,23 +171,21 @@ def eval_wigner(indices: Sequence[WignerIndex], e: EulerAngles) -> np.ndarray:
 
     W is the product of one factor per angle (`_factors`), so on a product
     grid (coordinates broadcast along different axes) each exponential is
-    taken on its own axis only.  Each factor's rows are gathered from the
-    point set's stacked tables, where every piece is computed once per point
-    set: powers of sin and cos of theta/2, the theta profile per (j, m1, m2)
-    and each angle's exponential per frequency; the four stacks are then
-    multiplied zeta * psi * phi * theta, left to right.
+    taken on its own axis only.  Each factor's rows are read from the point
+    set's memo, where every piece is computed once per point set: powers of
+    sin and cos of theta/2, the theta profile per (j, m1, m2) and each
+    angle's exponential per frequency; the four stacks are then multiplied
+    zeta * psi * phi * theta, left to right.  At a lone point (float
+    coordinates) every row is a numpy scalar, so the result is one value
+    per index.
     """
     points = np.broadcast_shapes(*map(np.shape, (e.zeta, e.phi, e.theta, e.psi)))
     if not indices:
         return np.empty((0,) + points, dtype=complex)
     # Array products may round with FMA, so a complex product depends on its
-    # operand order, while numpy scalar products do not: at a single point
-    # each row is a scalar product, and on arrays np.multiply, never * or
-    # *=, since numpy may reuse a large temporary operand of * as the output
-    # with the operands swapped, and rounds *= on one element as scalars.
+    # operand order: np.multiply, never *, since numpy may reuse a large
+    # temporary operand of * as the output with the operands swapped.
     factors = _factors(indices, e)
-    if not points:
-        return np.array([z * p * ph * t for z, p, ph, t in zip(*factors)], dtype=complex)
     out = np.multiply(next(factors), next(factors))
     out = np.multiply(out, next(factors))
     return np.multiply(out, next(factors))
@@ -205,24 +198,23 @@ def _factors(indices: Sequence[WignerIndex], e: EulerAngles):
     for idx in indices:
         if not idx.structurally_valid():
             raise ValueError(f"invalid index {idx}")
-    yield _phases(e, "zeta", [idx.n2 for idx in indices])
-    yield _phases(e, "psi", [idx.m12 for idx in indices])
-    yield _phases(e, "phi", [idx.m22 for idx in indices])
-    yield e.rows("profile", [(idx.j2, idx.m12, idx.m22) for idx in indices],
-                 lambda key: _profile(e, *key))
+    yield np.array([_phase(e, "zeta", idx.n2) for idx in indices])
+    yield np.array([_phase(e, "psi", idx.m12) for idx in indices])
+    yield np.array([_phase(e, "phi", idx.m22) for idx in indices])
+    yield np.array([e.row(("profile", idx.j2, idx.m12, idx.m22),
+                          lambda: _profile(e, idx.j2, idx.m12, idx.m22)) for idx in indices])
 
 
 def _profile(e: EulerAngles, j2: int, m12: int, m22: int):
     """The theta profile sum_s coef * sin(theta/2)^es * cos(theta/2)^ec."""
-    terms = _theta_terms(j2, m12, m22)
-    sin = e.rows("sin", [es for _, es, _ in terms], lambda es: np.sin(e.theta / 2) ** es)
-    cos = e.rows("cos", [ec for _, _, ec in terms], lambda ec: np.cos(e.theta / 2) ** ec)
-    return sum(c * s * co for (c, _, _), s, co in zip(terms, sin, cos))
+    return sum(c * e.row(("sin", es), lambda: np.sin(e.theta / 2) ** es)
+               * e.row(("cos", ec), lambda: np.cos(e.theta / 2) ** ec)
+               for c, es, ec in _theta_terms(j2, m12, m22))
 
 
-def _phases(e: EulerAngles, angle: str, freqs2) -> np.ndarray:
-    """exp(i/2 * freq2 * angle) over the point set, stacked over freqs2."""
-    return e.rows(angle, freqs2, lambda freq2: np.exp(0.5j * freq2 * getattr(e, angle)))
+def _phase(e: EulerAngles, angle: str, freq2: int):
+    """exp(i/2 * freq2 * angle) over the point set."""
+    return e.row((angle, freq2), lambda: np.exp(0.5j * freq2 * getattr(e, angle)))
 
 
 def wigner_matrix(j2: int, n2: int, e: EulerAngles) -> np.ndarray:
@@ -534,10 +526,11 @@ def _fd_sweep(ks, j_max, tol, variants, base, stencil) -> dict[str, list[CheckRe
 # Values per stacked stencil evaluation in `_fd_sweep` (7 indices at the
 # default 20 points and the 56 stencil columns of the eight generators):
 # bounds the arrays alive at once whatever j_max and the number of points
-# are.  In-process `oracle --seed 0` peaks at 37.4 MB RSS at this size,
-# 37.0 MB at 1 << 12 (3 indices a window, about 5% slower), 37.5 MB at
-# 1 << 14 and 40.1 MB at 1 << 16, with no speed gained above this size
-# (2-vCPU x86-64 host, Python 3.11.7, numpy 2.4.6).
+# are.  In-process `oracle --seed 0` (first run, median of 7 processes)
+# peaks at 37.7 MB RSS in 38.9 ms at this size, against 37.8 MB and
+# 40.9 ms at 1 << 12 (3 indices a window), 38.2 MB and 39.7 ms at 1 << 14,
+# and 41.6 MB and 40.8 ms at 1 << 16 (2-vCPU x86-64 host, Python 3.11.7,
+# numpy 2.4.6).
 FD_STACK_SIZE = 1 << 13
 
 

@@ -262,6 +262,8 @@ def test_failed_adjudication_reports_every_param(monkeypatch, capsys):
     (["--seed", "0"], "4069270c95421b0ce9472276b1f7c5abb2c7c637aa96e95da0803c58ab9a3e6d"),
     (["--k", "0..5", "--samples", "7", "--seed", "3"],
      "5de18bbd513dfe7ba038abf10d259dfb17d60bf8e87624dbc725ce633a1d09db"),
+    (["--k", "0..2", "--j-max", "4", "--samples", "60", "--seed", "5"],
+     "1380a3804ae4d4081d3ae8c4732032ae9eb486b1100d4763c3a37d2a8f0f0c65"),
 ])
 def test_oracle_structured_reports_keep_their_bytes(argv, digest, capsys):
     # every row's max error is printed to the last bit, so a change to the

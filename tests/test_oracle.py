@@ -347,7 +347,7 @@ def test_eval_sections_scales_the_stack_in_place():
     g = oracle.random_group_points(random.Random(0), 2000)
     angles, rm3 = oracle._decompose_for_eval(g)
     assert np.array_equal(eval_sections(k, indices, g), rm3 * eval_wigner(indices, angles))
-    fresh = oracle._decompose_for_eval(g)[0]  # untabled, like the one eval_sections makes
+    fresh = oracle._decompose_for_eval(g)[0]  # empty memo, like the one eval_sections makes
     wrapped = _traced_peak(eval_wigner, indices, fresh)
     assert _traced_peak(eval_sections, k, indices, g) <= 1.1 * wrapped
 
@@ -380,8 +380,8 @@ def _count_fd_evaluations(monkeypatch, argv):
 
 def test_auto_oracle_evaluates_each_base_target_once(monkeypatch, capsys):
     # the finite-difference sweeps read each target at their base points
-    # from the point set's table, also when the adjudication runs a second
-    # variant on the same base points
+    # once per k, also when the adjudication runs a second variant on the
+    # same base points
     argv = ["oracle", "--k", "0..1", "--samples", "3", "--thm37-variant", "auto"]
     bases, _, calls = _count_fd_evaluations(monkeypatch, argv)
     assert len(bases) == 2  # the adjudication's points and check_action's
@@ -545,7 +545,7 @@ def _fd_rows(res):
     ([0, 3], Fraction(3, 2), 1, "plus1", L_GENS + P_GENS),  # one point
 ])
 def test_stacked_fd_sweep_equals_the_per_index_loop(ks, j_max, samples, variant, gens):
-    # fresh point sets on each side, so neither reads the other's tables
+    # fresh point sets on each side, so neither reads the other's memo
     stacked = oracle._fd_points(samples, 7, gens)
     looped = oracle._fd_points(samples, 7, gens)
     rows = oracle._fd_sweep(ks, j_max, 1e-6, (variant,), *stacked)[variant]
@@ -622,7 +622,7 @@ def test_fd_sweep_keeps_each_stencil_call_within_the_stack_size(monkeypatch, cap
 
 
 def test_fd_sweep_over_both_variants_equals_one_variant_at_a_time():
-    # fresh point sets per sweep, so no sweep reads another's tables
+    # fresh point sets per sweep, so no sweep reads another's memo
     both = oracle._fd_sweep(range(3), Fraction(3, 2), 1e-6, oracle.VARIANTS,
                             *oracle._fd_points(4, 3, L_GENS + P_GENS))
     for variant in oracle.VARIANTS:
@@ -642,14 +642,39 @@ def test_fd_sweep_keeps_one_failing_row_per_empty_k_and_variant():
 
 def test_auto_oracle_keeps_no_finite_differences(monkeypatch, capsys):
     # each stencil window is compared with every variant as it is evaluated,
-    # so no point set's table holds finite differences: its tables hold the
+    # so no point set's memo holds finite differences: its rows are the
     # pieces of W and nothing else
     bases, stencil_sets, _ = _count_fd_evaluations(
         monkeypatch, ["oracle", "--k", "0..1", "--samples", "3", "--thm37-variant", "auto"])
     assert len(bases) == len(stencil_sets) == 2
     for angles in bases + stencil_sets:
-        assert angles._tables
-        assert set(angles._tables) <= {"zeta", "psi", "phi", "profile", "sin", "cos"}
+        assert angles._rows
+        assert {key[0] for key in angles._rows} <= {"zeta", "psi", "phi", "profile", "sin", "cos"}
+
+
+def test_fd_sweep_makes_each_piece_once_per_point_set(monkeypatch):
+    # the pieces of W that do not depend on k are made once per point set
+    # and serve every k of the sweep: one profile per (j, m1, m2), one psi
+    # and one phi exponential per m1 and m2
+    base, stencil = oracle._fd_points(3, 4, L_GENS + P_GENS)
+    profiles = Counter()
+    real = oracle._profile
+
+    def profile(e, *key):
+        if e is stencil[0]:
+            profiles[key] += 1
+        return real(e, *key)
+
+    monkeypatch.setattr(oracle, "_profile", profile)
+    ks = range(4)
+    oracle._fd_sweep(ks, Fraction(5, 2), 1e-6, ("plus1",), base, stencil)
+    indices = {idx for k in ks for idx in admissible_indices(k, Fraction(5, 2))}
+    keys = list(stencil[0]._rows)
+    assert len(profiles) == 91 and set(profiles.values()) == {1}
+    assert {("profile",) + key for key in profiles} == {key for key in keys if key[0] == "profile"}
+    assert {(idx.j2, idx.m12, idx.m22) for idx in indices} == set(profiles)
+    assert {key[1] for key in keys if key[0] == "psi"} == {idx.m12 for idx in indices}
+    assert {key[1] for key in keys if key[0] == "phi"} == {idx.m22 for idx in indices}
 
 
 def test_auto_oracle_sweeps_once_per_caller(monkeypatch, capsys):
@@ -882,8 +907,8 @@ def test_batched_eval_wigner_matches_scalar_and_literal():
 
 def eval_wigner_direct(idx: WignerIndex, e: EulerAngles):
     """`eval_wigner` with every piece recomputed from the coordinates on each
-    call, in the same floating-point order: the point-set tables must
-    reproduce it bit for bit."""
+    call, in the same floating-point order: the point-set memo must
+    reproduce it bit for bit on arrays."""
     j2, n2, m12, m22 = idx
     sh, ch = np.sin(e.theta / 2), np.cos(e.theta / 2)
     profile = sum(c * sh**es * ch**ec for c, es, ec in oracle._theta_terms(j2, m12, m22))
@@ -894,7 +919,7 @@ def eval_wigner_direct(idx: WignerIndex, e: EulerAngles):
 
 
 def _fresh(e: EulerAngles) -> EulerAngles:
-    """A copy of the point set with no tables."""
+    """A copy of the point set with an empty memo."""
     return EulerAngles(*(np.copy(x) for x in (e.zeta, e.phi, e.theta, e.psi)))
 
 
@@ -905,17 +930,26 @@ def test_tabled_eval_wigner_is_bit_identical_to_direct_evaluation():
     grid = product_grid(34, 10, 5)[0]
     window = list(admissible_indices(0, Fraction(3, 2)))
     point = EulerAngles(0.9, -1.2, 2.2, 3.3)
+
+    def agrees(value, idx, e):
+        # a lone point's rows are numpy scalars, whose direct products
+        # round without FMA, unlike the array products of `eval_wigner`
+        ref = eval_wigner_direct(idx, e)
+        if e is point:
+            return abs(value - ref) <= 4 * np.spacing(abs(ref))
+        return np.array_equal(value, ref)
+
     for e, idxs in ((batch, indices), (grid, window), (point, indices)):
         for idx in idxs:
-            assert np.array_equal(eval_wigner([idx], e)[0], eval_wigner_direct(idx, e)), idx
-    # stacked calls, row by row, on fresh point sets and on the tabled ones
+            assert agrees(eval_wigner([idx], e)[0], idx, e), idx
+    # stacked calls, row by row, on fresh point sets and on the memoized ones
     for e, idxs in ((batch, indices), (grid, window), (point, indices)):
         for shared in (_fresh(e), e):
             stack = eval_wigner(idxs, shared)
             assert stack.shape == (len(idxs),) + np.broadcast_shapes(
                 *(np.shape(x) for x in (e.zeta, e.phi, e.theta, e.psi)))
             for idx, row in zip(idxs, stack):
-                assert np.array_equal(row, eval_wigner_direct(idx, e)), idx
+                assert agrees(row, idx, e), idx
 
 
 def test_tabled_eval_wigner_does_not_depend_on_evaluation_order():
